@@ -6,11 +6,11 @@
 /// and reports the updateable server within a few percent of the static
 /// one; this harness prints the same series for the loopback testbed.
 ///
-/// Two connection modes per build: "one-shot" (HTTP/1.0, a fresh TCP
-/// connection per request — the original path) and "keep-alive"
-/// (persistent HTTP/1.1 connections through the server's zero-copy fast
-/// path).  Output: one row per (mode, reply size) with requests/s and
-/// Mb/s for both pipelines and the relative overhead.
+/// Two connection modes per build, served by the same writer-style
+/// handler: "one-shot" (HTTP/1.0, a fresh TCP connection per request,
+/// answered with "Connection: close") and "keep-alive" (persistent
+/// HTTP/1.1 connections).  Output: one row per (mode, reply size) with
+/// requests/s and Mb/s for both pipelines and the relative overhead.
 ///
 /// A third section appears with --threads N: the multi-core scaling
 /// matrix.  A net::ReactorPool serves the same workload with 1, 2, ...
@@ -24,6 +24,8 @@
 ///   --threads T   add the reactor-pool scaling matrix up to T workers
 ///   --json        emit machine-readable JSON instead of the table
 ///   --out FILE    write the report to FILE instead of stdout
+///
+/// Exits non-zero when any request fails.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -51,11 +53,28 @@ struct RunResult {
   double Mbps = 0;
 };
 
+/// Requests that failed anywhere in the run; a nonzero total fails the
+/// process.
+uint64_t FailedRequests = 0;
+
+/// The request handler for one pipeline: `Static` selects the
+/// direct-call version-1 implementations (the "Flash" baseline);
+/// otherwise every stage goes through the updateable indirection
+/// ("FlashEd").
+net::Reactor::FastHandler pipeline(FlashedApp &App, bool Static) {
+  return [&App, Static](const RequestHead &Head, std::string_view Raw,
+                        std::string &Out, SharedBody &Body) {
+    if (Static)
+      App.handleStaticInto(Head, Raw, Out, Body);
+    else
+      App.handleInto(Head, Raw, Out, Body);
+  };
+}
+
 /// Serves `Requests` GETs of one synthetic document of `Bytes` and
-/// returns the measured rates.  `Static` selects the direct-call
-/// pipeline (the "Flash" baseline); otherwise every stage goes through
-/// the updateable indirection ("FlashEd").  `KeepAlive` selects the
-/// persistent-connection fast path over the one-shot legacy path.
+/// returns the measured rates.  `KeepAlive` selects persistent HTTP/1.1
+/// connections; otherwise each request is a one-shot HTTP/1.0 exchange
+/// on a fresh connection.
 RunResult runOne(size_t Bytes, uint64_t Requests, bool Static,
                  bool KeepAlive) {
   Runtime RT;
@@ -64,46 +83,36 @@ RunResult runOne(size_t Bytes, uint64_t Requests, bool Static,
   Docs.put("/payload.html", syntheticBody(Bytes, Bytes));
   cantFail(App.init(std::move(Docs)), "flashed init");
 
-  std::unique_ptr<Server> Srv;
-  if (KeepAlive) {
-    Srv = std::make_unique<Server>(
-        [&App, Static](const RequestHead &Head, std::string_view Raw,
-                       std::string &Out, SharedBody &Body) {
-          if (Static)
-            App.handleStaticInto(Head, Raw, Out, Body);
-          else
-            App.handleInto(Head, Raw, Out, Body);
-        });
-  } else {
-    Srv = std::make_unique<Server>([&App, Static](const std::string &Raw) {
-      return Static ? App.handleStatic(Raw) : App.handle(Raw);
-    });
-  }
-  Srv->setIdleHook([&RT] { RT.updatePoint(); });
-  cantFail(Srv->listenOn(0), "listen");
+  Server Srv(pipeline(App, Static));
+  Srv.setIdleHook([&RT] { RT.updatePoint(); });
+  cantFail(Srv.listenOn(0), "listen");
 
   std::atomic<bool> Stop{false};
   std::thread Loop([&] {
-    cantFail(Srv->runUntil([&Stop] { return Stop.load(); }, 2), "serve");
+    cantFail(Srv.runUntil([&Stop] { return Stop.load(); }, 2), "serve");
   });
 
   auto Load = [&](uint64_t Count) {
     return KeepAlive
-               ? runLoadKeepAlive(Srv->port(), {"/payload.html"}, Count,
+               ? runLoadKeepAlive(Srv.port(), {"/payload.html"}, Count,
                                   /*Connections=*/4)
-               : runLoad(Srv->port(), {"/payload.html"}, Count);
+               : runLoad(Srv.port(), {"/payload.html"}, Count);
   };
 
   // Warmup primes the document cache and the connection path.
-  cantFail(Load(32), "warmup");
+  LoadStats Warm = cantFail(Load(32), "warmup");
   Expected<LoadStats> Stats = Load(Requests);
   Stop.store(true);
   Loop.join();
   LoadStats S = cantFail(std::move(Stats), "load");
 
-  if (S.Failures)
-    std::fprintf(stderr, "warning: %llu failed requests\n",
-                 static_cast<unsigned long long>(S.Failures));
+  uint64_t Failed = Warm.Failures + S.Failures;
+  if (Failed) {
+    std::fprintf(stderr, "error: %llu failed requests (%s, %zu bytes)\n",
+                 static_cast<unsigned long long>(Failed),
+                 KeepAlive ? "keep-alive" : "one-shot", Bytes);
+    FailedRequests += Failed;
+  }
   return RunResult{S.requestsPerSecond(), S.megabitsPerSecond()};
 }
 
@@ -123,27 +132,18 @@ RunResult runPoolPoint(size_t Bytes, uint64_t PerThread, bool Static,
   net::PoolOptions O;
   O.Workers = Workers;
   O.PollTimeoutMs = 2;
-  net::ReactorPool Pool(
-      [&App, Static](const RequestHead &Head, std::string_view Raw,
-                     std::string &Out, SharedBody &Body) {
-        if (Static)
-          App.handleStaticInto(Head, Raw, Out, Body);
-        else
-          App.handleInto(Head, Raw, Out, Body);
-      },
-      O);
+  net::ReactorPool Pool(pipeline(App, Static), O);
   Pool.setUpdateRuntime(RT);
   cantFail(Pool.start(), "pool start");
 
   // Warmup primes the document cache and one connection per worker.
-  Expected<LoadStats> Warm =
-      runLoadKeepAlive(Pool.port(), {"/payload.html"}, 32,
-                       Workers ? Workers : 1);
-  cantFail(std::move(Warm), "warmup");
+  LoadStats Warm = cantFail(runLoadKeepAlive(Pool.port(), {"/payload.html"},
+                                             32, Workers ? Workers : 1),
+                            "warmup");
+  std::atomic<uint64_t> Failures{Warm.Failures};
 
   std::vector<std::thread> Clients;
   std::vector<LoadStats> PerClient(ClientThreads);
-  std::atomic<uint64_t> Failures{0};
   Timer Wall;
   for (unsigned T = 0; T != ClientThreads; ++T)
     Clients.emplace_back([&, T] {
@@ -165,9 +165,11 @@ RunResult runPoolPoint(size_t Bytes, uint64_t PerThread, bool Static,
     Bytes2 += S.BytesReceived;
     Failures.fetch_add(S.Failures);
   }
-  if (Failures.load())
-    std::fprintf(stderr, "warning: %llu failed requests (pool, %u workers)\n",
+  if (Failures.load()) {
+    std::fprintf(stderr, "error: %llu failed requests (pool, %u workers)\n",
                  static_cast<unsigned long long>(Failures.load()), Workers);
+    FailedRequests += Failures.load();
+  }
   RunResult R;
   R.Rps = Seconds > 0 ? Served / Seconds : 0;
   R.Mbps = Seconds > 0 ? Bytes2 * 8.0 / 1e6 / Seconds : 0;
@@ -341,5 +343,10 @@ int main(int argc, char **argv) {
   }
   if (Out != stdout)
     std::fclose(Out);
+  if (FailedRequests) {
+    std::fprintf(stderr, "error: %llu requests failed in total\n",
+                 static_cast<unsigned long long>(FailedRequests));
+    return 1;
+  }
   return 0;
 }

@@ -49,7 +49,10 @@ int main() {
   Docs.put("/style.css", "h1 { color: teal }");
   cantFail(App.init(std::move(Docs)), "init");
 
-  Server Srv([&App](const std::string &Raw) { return App.handle(Raw); });
+  Server Srv([&App](const RequestHead &Head, std::string_view Raw,
+                    std::string &Out, SharedBody &Body) {
+    App.handleInto(Head, Raw, Out, Body);
+  });
   Srv.setIdleHook([&RT] { RT.updatePoint(); }); // FlashEd's update point
   cantFail(Srv.listenOn(0), "listen");
   std::printf("FlashEd serving on 127.0.0.1:%u\n\n", Srv.port());

@@ -181,83 +181,6 @@ Error FlashedApp::init(DocStore InitialDocs) {
 
 // --- Request handling --------------------------------------------------
 
-template <typename HParse, typename HMap, typename HMime, typename HGet,
-          typename HPut, typename HLog>
-std::string FlashedApp::handleWith(const std::string &RawRequest,
-                                   HParse &&Parse, HMap &&Map, HMime &&Mime,
-                                   HGet &&Get, HPut &&Put, HLog &&Log) {
-  // One epoch scope per request: pins non-worker callers (tests, the
-  // embedding program's own threads) to a single code generation across
-  // all six pipeline stages — a rolling update can never split one
-  // request across two generations — and keeps every epoch-published
-  // payload touched below alive.  Free on a reactor worker thread.
-  epoch::Guard EpochScope;
-  Requests.fetch_add(1, std::memory_order_relaxed);
-
-  auto ErrorResponse = [&](const std::string &Tagged) {
-    // "!404 not found" -> status 404.
-    int Code = std::atoi(Tagged.c_str() + 1);
-    if (Code < 100 || Code > 599)
-      Code = 500;
-    std::string Body = "<html><body><h1>" + std::to_string(Code) + " " +
-                       statusText(Code) + "</h1></body></html>\n";
-    Log(Tagged, Code);
-    return buildHttpResponse(Code, "text/html", Body);
-  };
-
-  std::string Parsed = Parse(RawRequest);
-  if (!Parsed.empty() && Parsed[0] == '!')
-    return ErrorResponse(Parsed);
-
-  size_t Sp = Parsed.find(' ');
-  assert(Sp != std::string::npos && "parse stage emitted no separator");
-  std::string Method = Parsed.substr(0, Sp);
-  std::string Target = Parsed.substr(Sp + 1);
-
-  std::string Path = Map(Target);
-  if (!Path.empty() && Path[0] == '!')
-    return ErrorResponse(Path);
-
-  std::string Body = Get(Path);
-  if (Body.empty()) {
-    // getShared, not get(): a raw pointer could be retired by a
-    // concurrent hot replacement of the same document.
-    SharedBody Doc = Docs.getShared(Path);
-    if (!Doc)
-      return ErrorResponse("!404 not found");
-    Body = *Doc;
-    Put(Path, Body);
-  }
-
-  std::string ContentType = Mime(Path);
-  if (Method == "HEAD")
-    Body.clear();
-  Log(Path, 200);
-  return buildHttpResponse(200, ContentType, Body);
-}
-
-std::string FlashedApp::handle(const std::string &RawRequest) {
-  return handleWith(
-      RawRequest, [&](const std::string &S) { return ParseTarget(S); },
-      [&](const std::string &S) { return MapUrl(S); },
-      [&](const std::string &S) { return MimeType(S); },
-      [&](const std::string &S) { return CacheGet(S); },
-      [&](const std::string &P, const std::string &B) { CachePut(P, B); },
-      [&](const std::string &P, int64_t C) { LogAccess(P, C); });
-}
-
-std::string FlashedApp::handleStatic(const std::string &RawRequest) {
-  return handleWith(
-      RawRequest, [&](const std::string &S) { return parseTargetV1(S); },
-      [&](const std::string &S) { return mapUrlV1(S); },
-      [&](const std::string &S) { return mimeTypeV1(S); },
-      [&](const std::string &S) { return cacheGetV1(S); },
-      [&](const std::string &P, const std::string &B) { cachePutV1(P, B); },
-      [&](const std::string &P, int64_t C) { logAccessV1(P, C); });
-}
-
-// --- The zero-copy fast path -------------------------------------------
-
 void FlashedApp::fillCache(const std::string &Path, const SharedBody &Doc) {
   // The miss path: copy-update-publish under the writer lock.  The
   // version is re-read under the lock — a migration cannot slip between
@@ -332,7 +255,11 @@ void FlashedApp::handleIntoWith(const RequestHead &Head,
                                 std::string_view Raw, std::string &Out,
                                 SharedBody &Body, HParse &&Parse,
                                 HMap &&Map, HMime &&Mime, HLog &&Log) {
-  // Same request-scope epoch pin as handleWith (no-op on workers).
+  // One epoch scope per request: pins non-worker callers (tests, the
+  // embedding program's own threads) to a single code generation across
+  // all pipeline stages — a rolling update can never split one request
+  // across two generations — and keeps every epoch-published payload
+  // touched below alive.  Free on a reactor worker thread.
   epoch::Guard EpochScope;
   Requests.fetch_add(1, std::memory_order_relaxed);
   bool KeepAlive = Head.KeepAlive && !Head.Malformed;
@@ -386,6 +313,15 @@ void FlashedApp::handleInto(const RequestHead &Head, std::string_view Raw,
       [&](const std::string &P, int64_t C) { LogAccess(P, C); });
 }
 
+std::string FlashedApp::handle(std::string_view RawRequest) {
+  std::string Out;
+  SharedBody Body;
+  handleInto(scanRequestHead(RawRequest), RawRequest, Out, Body);
+  if (Body)
+    Out += *Body;
+  return Out;
+}
+
 void FlashedApp::handleStaticInto(const RequestHead &Head,
                                   std::string_view Raw, std::string &Out,
                                   SharedBody &Body) {
@@ -400,33 +336,6 @@ void FlashedApp::handleStaticInto(const RequestHead &Head,
 // --- The /admin control plane -------------------------------------------
 
 namespace {
-
-void jsonEscapeTo(std::string &Out, std::string_view S) {
-  for (char C : S) {
-    switch (C) {
-    case '"':
-      Out += "\\\"";
-      break;
-    case '\\':
-      Out += "\\\\";
-      break;
-    case '\n':
-      Out += "\\n";
-      break;
-    case '\r':
-      Out += "\\r";
-      break;
-    case '\t':
-      Out += "\\t";
-      break;
-    default:
-      if (static_cast<unsigned char>(C) < 0x20)
-        Out += formatString("\\u%04x", C);
-      else
-        Out += C;
-    }
-  }
-}
 
 void appendRecordJson(std::string &J, const UpdateRecord &R) {
   J += formatString("{\"tx\": %llu, \"patch\": \"",

@@ -17,10 +17,13 @@
 ///   flashed.log_access   : fn(string, int) -> unit
 ///
 /// The response cache lives in the dsu state cell "flashed.cache" typed
-/// %flashed_cache@1, so the P3 patch can migrate it.  handle() routes
-/// every stage through the updateable handles; handleStatic() calls the
-/// same version-1 implementations directly, giving the static baseline
-/// of the throughput experiment (E2).
+/// %flashed_cache@1, so the P3 patch can migrate it.  handleInto() is
+/// the one served path: it routes every stage through the updateable
+/// handles and writes the response into a connection's output buffer.
+/// handleStaticInto() calls the same version-1 implementations directly,
+/// giving the static baseline of the throughput experiment (E2), and
+/// handle() is an in-memory adapter over handleInto() for callers
+/// without a socket.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -94,7 +97,7 @@ public:
   ///                              (severity, code, message, fn, pc)
   ///
   /// The admin surface is part of the control plane, not the updateable
-  /// request pipeline: handleStatic*/the E2 baseline never see it.
+  /// request pipeline: handleStaticInto/the E2 baseline never see it.
   void enableAdmin(UpdateController &Ctl) {
     Admin = &Ctl;
     wireUpdateWake();
@@ -126,18 +129,15 @@ public:
   /// after enableAdmin().
   RolloutController &rollouts();
 
-  /// Serves one request through the updateable pipeline.
-  std::string handle(const std::string &RawRequest);
+  /// Serves one raw request held in memory and returns the response
+  /// bytes: scanRequestHead() + handleInto() + the shared body appended.
+  /// For callers without a socket (tests, benches, embedders).
+  std::string handle(std::string_view RawRequest);
 
-  /// Serves one request through direct calls to the version-1
-  /// implementations (no updateable indirection) — the "static Flash"
-  /// baseline of E2.
-  std::string handleStatic(const std::string &RawRequest);
-
-  /// Writer-style fast path through the updateable pipeline: serializes
-  /// the response head into \p Out (a reusable buffer) and hands the
-  /// body as a shared pointer in \p Body, so a cached document is served
-  /// without per-request copies.  Matches Server::FastHandler.
+  /// Serves one request through the updateable pipeline: serializes the
+  /// response head into \p Out (a reusable buffer) and hands the body as
+  /// a shared pointer in \p Body, so a cached document is served without
+  /// per-request copies.  Matches Server::FastHandler.
   void handleInto(const RequestHead &Head, std::string_view Raw,
                   std::string &Out, SharedBody &Body);
 
@@ -173,12 +173,6 @@ public:
   static void logAccessV1(std::string Path, int64_t Status);
 
 private:
-  template <typename HParse, typename HMap, typename HMime, typename HGet,
-            typename HPut, typename HLog>
-  std::string handleWith(const std::string &RawRequest, HParse &&Parse,
-                         HMap &&Map, HMime &&Mime, HGet &&Get, HPut &&Put,
-                         HLog &&Log);
-
   template <typename HParse, typename HMap, typename HMime, typename HLog>
   void handleIntoWith(const RequestHead &Head, std::string_view Raw,
                       std::string &Out, SharedBody &Body, HParse &&Parse,

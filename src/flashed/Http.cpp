@@ -115,11 +115,6 @@ bool splitStartLine(std::string_view StartLine, std::string_view &Method,
 
 } // namespace
 
-bool dsu::flashed::requestComplete(std::string_view Buffer) {
-  size_t HeadEnd, SepLen;
-  return findHeadEnd(Buffer, HeadEnd, SepLen);
-}
-
 RequestHead dsu::flashed::scanRequestHead(std::string_view Buffer) {
   RequestHead Head;
   size_t HeadEnd, SepLen;
@@ -162,10 +157,6 @@ std::string_view HttpRequest::header(std::string_view Name) const {
     if (asciiCaseEqual(Headers[I].Name, Name))
       return Headers[I].Value;
   return {};
-}
-
-bool HttpRequest::keepAlive() const {
-  return keepAliveFor(Version, header("connection"));
 }
 
 Expected<HttpRequest> dsu::flashed::parseHttpRequest(std::string_view Raw) {
@@ -266,19 +257,6 @@ void dsu::flashed::appendHttpResponse(std::string &Out, int Code,
                                       std::string_view Body, bool KeepAlive) {
   appendHttpResponseHead(Out, Code, ContentType, Body.size(), KeepAlive);
   Out += Body;
-}
-
-std::string dsu::flashed::buildHttpResponse(int Code,
-                                            const std::string &ContentType,
-                                            const std::string &Body) {
-  std::string Out = formatString("HTTP/1.0 %d %s\r\n", Code,
-                                 statusText(Code));
-  Out += "Server: FlashEd/1.0 (dsu)\r\n";
-  Out += "Content-Type: " + ContentType + "\r\n";
-  Out += formatString("Content-Length: %zu\r\n", Body.size());
-  Out += "Connection: close\r\n\r\n";
-  Out += Body;
-  return Out;
 }
 
 const char *dsu::flashed::mimeForExtension(std::string_view Ext) {

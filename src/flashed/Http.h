@@ -8,18 +8,23 @@
 /// over either one-shot HTTP/1.0 exchanges or persistent (keep-alive,
 /// possibly pipelined) HTTP/1.1 connections.
 ///
-/// Two entry points at different altitudes:
+/// Two request entry points at different altitudes:
 ///
 ///  - scanRequestHead(): the server's framing scan.  Zero-allocation,
 ///    tolerant of malformed input (it still reports where the head ends so
 ///    the server can frame a 400), and extracts exactly what the event
 ///    loop needs: method/target/version, Content-Length, and the
-///    version-sensitive keep-alive decision.
+///    version-sensitive keep-alive decision.  It is the only place that
+///    decides whether a connection persists.
 ///
 ///  - parseHttpRequest(): the application-level parser.  Also
 ///    allocation-free: every field is a string_view into the caller's
 ///    buffer, and headers land in a fixed inline array instead of the
 ///    std::map the original implementation built per request.
+///
+/// One response serializer, appendHttpResponseHead(), writes HTTP/1.1
+/// framing with an explicit Connection header into a reusable buffer,
+/// for one-shot and keep-alive exchanges alike.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -75,9 +80,6 @@ struct HttpRequest {
 
   /// Case-insensitive header lookup; empty view when absent.
   std::string_view header(std::string_view Name) const;
-
-  /// The version-sensitive keep-alive decision for this request.
-  bool keepAlive() const;
 };
 
 /// Parses a full request (start line + headers, terminated by CRLFCRLF
@@ -86,11 +88,6 @@ Expected<HttpRequest> parseHttpRequest(std::string_view Raw);
 
 /// Standard reason phrase for a status code ("OK", "Not Found", ...).
 const char *statusText(int Code);
-
-/// Serializes a one-shot HTTP/1.0 response with Content-Length and
-/// Content-Type headers and "Connection: close" (the legacy path).
-std::string buildHttpResponse(int Code, const std::string &ContentType,
-                              const std::string &Body);
 
 /// Appends a response head for a body of \p ContentLength bytes to
 /// \p Out (which is typically a connection's reusable output buffer).
@@ -103,9 +100,6 @@ void appendHttpResponseHead(std::string &Out, int Code,
 void appendHttpResponse(std::string &Out, int Code,
                         std::string_view ContentType, std::string_view Body,
                         bool KeepAlive);
-
-/// True when \p Buffer holds at least one complete request head.
-bool requestComplete(std::string_view Buffer);
 
 /// ASCII case-insensitive equality (header names, connection tokens).
 bool asciiCaseEqual(std::string_view A, std::string_view B);

@@ -6,7 +6,10 @@
 /// web server the PLDI 2001 evaluation retrofits.  The loop invokes an
 /// injected handler per complete request and an idle hook once per
 /// iteration — the natural update point, exactly where FlashEd places
-/// its `update` call.
+/// its `update` call.  The handler is the reactor's writer-style
+/// FastHandler, the same one ReactorPool workers run: one-shot HTTP/1.0
+/// and keep-alive HTTP/1.1 requests share one served path, and both
+/// land in stats().
 ///
 /// All event-loop mechanics — the pooled O(1) connection table, recycled
 /// buffers, zero-copy writev tail, keep-alive/pipelined draining,
@@ -34,11 +37,9 @@ namespace flashed {
 /// Single-threaded HTTP server over one reactor.
 class Server {
 public:
-  using Handler = net::Reactor::Handler;
   using FastHandler = net::Reactor::FastHandler;
   using IdleHook = net::Reactor::IdleHook;
 
-  explicit Server(Handler H) : R(std::move(H)) {}
   explicit Server(FastHandler H) : R(std::move(H)) {}
   Server(const Server &) = delete;
   Server &operator=(const Server &) = delete;

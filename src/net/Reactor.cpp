@@ -283,24 +283,18 @@ void Reactor::serveOne(Conn *C, const RequestHead &Head,
                        std::string_view Raw) {
   assert(!C->hasPendingOutput() && "serving while output is pending");
   Stats.noteRequest();
-  if (Fast) {
-    // Time the handler and classify its response so per-worker health
-    // (5xx rate, mean serve latency) is attributable to this worker —
-    // the signals a canary rollout's gates compare across workers.
-    size_t Pre = C->Out.size();
-    auto T0 = std::chrono::steady_clock::now();
-    Fast(Head, Raw, C->Out, C->Tail);
-    auto Us = std::chrono::duration_cast<std::chrono::microseconds>(
-                  std::chrono::steady_clock::now() - T0)
-                  .count();
-    int Status = responseStatusAt(C->Out, Pre);
-    Stats.noteServe(static_cast<uint64_t>(Us), Status >= 500);
-    C->CloseAfter = Head.Malformed || !Head.KeepAlive;
-  } else {
-    // Legacy one-shot handler: string in, string out, close after.
-    C->Out += Handle(std::string(Raw));
-    C->CloseAfter = true;
-  }
+  // Time the handler and classify its response so per-worker health
+  // (5xx rate, mean serve latency) is attributable to this worker — the
+  // signals a canary rollout's gates compare across workers.
+  size_t Pre = C->Out.size();
+  auto T0 = std::chrono::steady_clock::now();
+  Handle(Head, Raw, C->Out, C->Tail);
+  auto Us = std::chrono::duration_cast<std::chrono::microseconds>(
+                std::chrono::steady_clock::now() - T0)
+                .count();
+  int Status = responseStatusAt(C->Out, Pre);
+  Stats.noteServe(static_cast<uint64_t>(Us), Status >= 500);
+  C->CloseAfter = Head.Malformed || !Head.KeepAlive;
 }
 
 bool Reactor::flushOutput(Conn *C) {

@@ -11,11 +11,14 @@
 /// lets other threads interrupt epoll_wait — the mechanism the pool's
 /// cross-worker update barrier uses to park a worker promptly.
 ///
+/// Every request goes through one writer-style FastHandler, and every
+/// response is timed and classified into the worker's serving stats.
 /// The serving hot path is allocation- and lookup-free in steady state;
 /// persistent (HTTP/1.1 keep-alive) connections are drained request by
-/// request, including pipelined requests arriving in one read.  The idle
-/// hook runs once per poll iteration, between requests — the per-worker
-/// update point.
+/// request, including pipelined requests arriving in one read, and a
+/// one-shot (HTTP/1.0) exchange is the same path with the connection
+/// closed after its response.  The idle hook runs once per poll
+/// iteration, between requests — the per-worker update point.
 ///
 /// Shutdown is graceful by default: requestStop() (callable from any
 /// thread) closes the listener, serves every already-buffered pipelined
@@ -54,15 +57,12 @@ struct ReactorOptions {
 /// One epoll event-loop worker.
 class Reactor {
 public:
-  /// Legacy one-shot handler: maps one complete raw request to raw
-  /// response bytes.  Connections served through it close after each
-  /// response (HTTP/1.0 semantics).
-  using Handler = std::function<std::string(const std::string &)>;
-
-  /// Writer-style handler for the persistent-connection fast path.  The
-  /// handler serializes the response head (and any inline body) into
-  /// \p Out — the connection's reusable output buffer — and may set
-  /// \p Body to a shared payload written after \p Out without copying.
+  /// The request handler.  It serializes the response head (and any
+  /// inline body) into \p Out — the connection's reusable output buffer —
+  /// and may set \p Body to a shared payload written after \p Out
+  /// without copying.  Whether the connection persists follows the
+  /// request head (HTTP/1.1 keep-alive unless "Connection: close",
+  /// HTTP/1.0 one-shot unless "Connection: keep-alive").
   using FastHandler = std::function<void(
       const flashed::RequestHead &Req, std::string_view Raw,
       std::string &Out, std::shared_ptr<const std::string> &Body)>;
@@ -70,8 +70,7 @@ public:
   /// Called once per event-loop iteration (the per-worker update point).
   using IdleHook = std::function<void()>;
 
-  explicit Reactor(Handler H) : Handle(std::move(H)) {}
-  explicit Reactor(FastHandler H) : Fast(std::move(H)) {}
+  explicit Reactor(FastHandler H) : Handle(std::move(H)) {}
   ~Reactor();
   Reactor(const Reactor &) = delete;
   Reactor &operator=(const Reactor &) = delete;
@@ -172,8 +171,7 @@ private:
   void closeConn(Conn *C);
   void armWrite(Conn *C, bool Enable);
 
-  Handler Handle;
-  FastHandler Fast;
+  FastHandler Handle;
   IdleHook Idle;
   int EpollFd = -1;
   int ListenFd = -1;

@@ -123,3 +123,34 @@ bool dsu::unescapeString(std::string_view S, std::string &Out) {
   }
   return true;
 }
+
+void dsu::jsonEscapeTo(std::string &Out, std::string_view S) {
+  static constexpr char Hex[] = "0123456789abcdef";
+  for (char C : S) {
+    switch (C) {
+    case '"':
+      Out += "\\\"";
+      break;
+    case '\\':
+      Out += "\\\\";
+      break;
+    case '\n':
+      Out += "\\n";
+      break;
+    case '\r':
+      Out += "\\r";
+      break;
+    case '\t':
+      Out += "\\t";
+      break;
+    default:
+      if (static_cast<unsigned char>(C) < 0x20) {
+        Out += "\\u00";
+        Out += Hex[C >> 4];
+        Out += Hex[C & 0xf];
+      } else {
+        Out += C;
+      }
+    }
+  }
+}

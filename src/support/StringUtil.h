@@ -2,7 +2,8 @@
 ///
 /// \file
 /// String helpers used across the project: splitting, trimming, prefix and
-/// suffix tests, and printf-style formatting into std::string.
+/// suffix tests, printf-style formatting into std::string, and escaping
+/// for s-expression atoms and JSON string literals.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -38,6 +39,11 @@ std::string escapeString(std::string_view S);
 
 /// Reverses escapeString; returns false on a malformed escape.
 bool unescapeString(std::string_view S, std::string &Out);
+
+/// Appends \p S to \p Out escaped for the inside of a JSON string
+/// literal: '"' and '\\' are backslash-escaped, '\n' '\r' '\t' use their
+/// short forms, and every other byte below 0x20 becomes \u00XX.
+void jsonEscapeTo(std::string &Out, std::string_view S);
 
 } // namespace dsu
 

@@ -82,23 +82,6 @@ void ProfileRegistry::clearForTest() {
   Profiles.clear();
 }
 
-namespace {
-
-void jsonEscapeTo(std::string &Out, const std::string &S) {
-  for (char C : S) {
-    if (C == '"' || C == '\\') {
-      Out += '\\';
-      Out += C;
-    } else if (static_cast<unsigned char>(C) < 0x20) {
-      Out += formatString("\\u%04x", C);
-    } else {
-      Out += C;
-    }
-  }
-}
-
-} // namespace
-
 std::string dsu::trace::profileJson(size_t K) {
   std::vector<HotFn> Rows = ProfileRegistry::instance().ranking(K);
   ProfileRegistry::Totals T = ProfileRegistry::instance().totals();

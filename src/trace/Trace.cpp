@@ -231,20 +231,6 @@ void dsu::trace::notePhase(Phase P, uint64_t Us) {
 
 namespace {
 
-void jsonEscapeTo(std::string &Out, const char *S) {
-  for (; S && *S; ++S) {
-    char C = *S;
-    if (C == '"' || C == '\\') {
-      Out += '\\';
-      Out += C;
-    } else if (static_cast<unsigned char>(C) < 0x20) {
-      Out += formatString("\\u%04x", C);
-    } else {
-      Out += C;
-    }
-  }
-}
-
 struct SpanNode {
   const EventCopy *E;
   uint64_t EndUs; ///< StartUs + DurUs (synthesized for Begin/End pairs)
@@ -259,9 +245,11 @@ void appendSpanJson(std::string &Out, const std::vector<SpanNode> &Nodes,
                              : (N.E->Kind == EventKind::Begin ? "interval"
                                                               : "span");
   Out += "{\"category\":\"";
-  jsonEscapeTo(Out, N.E->Category);
+  if (N.E->Category)
+    jsonEscapeTo(Out, N.E->Category);
   Out += "\",\"name\":\"";
-  jsonEscapeTo(Out, N.E->Name);
+  if (N.E->Name)
+    jsonEscapeTo(Out, N.E->Name);
   Out += formatString("\",\"kind\":\"%s\",\"tid\":%u,\"start_us\":%llu,"
                       "\"dur_us\":%llu,\"arg\":%llu",
                       KindName, N.E->Tid,
@@ -405,9 +393,11 @@ std::string dsu::trace::chromeTraceJson(uint64_t FilterUpdateId) {
       Out += formatString(",\"id\":%llu",
                           static_cast<unsigned long long>(E.UpdateId));
     Out += ",\"cat\":\"";
-    jsonEscapeTo(Out, E.Category);
+    if (E.Category)
+      jsonEscapeTo(Out, E.Category);
     Out += "\",\"name\":\"";
-    jsonEscapeTo(Out, E.Name);
+    if (E.Name)
+      jsonEscapeTo(Out, E.Name);
     Out += formatString(
         "\",\"args\":{\"update\":%llu,\"arg\":%llu}}",
         static_cast<unsigned long long>(E.UpdateId),

@@ -198,6 +198,22 @@ TEST_F(FlashedAppTest, FullSeriesAppliesInOrder) {
 // pipeline are observationally equivalent on every request shape.
 class PipelineEquivalence : public ::testing::TestWithParam<const char *> {};
 
+using IntoHandler = void (FlashedApp::*)(const RequestHead &,
+                                         std::string_view, std::string &,
+                                         SharedBody &);
+
+/// The bytes a connection would carry for \p Raw served by \p Into:
+/// the response head written into the output buffer, then the body.
+std::string serveInto(FlashedApp &App, IntoHandler Into,
+                      std::string_view Raw) {
+  std::string Out;
+  SharedBody Body;
+  (App.*Into)(scanRequestHead(Raw), Raw, Out, Body);
+  if (Body)
+    Out += *Body;
+  return Out;
+}
+
 TEST_P(PipelineEquivalence, StaticMatchesUpdateable) {
   Runtime RT;
   FlashedApp App(RT);
@@ -207,7 +223,8 @@ TEST_P(PipelineEquivalence, StaticMatchesUpdateable) {
   ASSERT_FALSE(App.init(std::move(Docs)));
 
   std::string Raw = GetParam();
-  EXPECT_EQ(App.handle(Raw), App.handleStatic(Raw));
+  EXPECT_EQ(serveInto(App, &FlashedApp::handleInto, Raw),
+            serveInto(App, &FlashedApp::handleStaticInto, Raw));
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -218,6 +235,16 @@ INSTANTIATE_TEST_SUITE_P(
                       "GET /doc.html?q=1 HTTP/1.0\r\n\r\n",
                       "GET /../x HTTP/1.0\r\n\r\n",
                       "HEAD /doc.html HTTP/1.0\r\n\r\n",
-                      "POST / HTTP/1.0\r\n\r\n", "BAD\r\n\r\n"));
+                      "POST / HTTP/1.0\r\n\r\n", "BAD\r\n\r\n",
+                      // Keep-alive shapes: the same pipeline, with the
+                      // connection decision echoed in the head.
+                      "GET / HTTP/1.1\r\nHost: t\r\n\r\n",
+                      "GET /doc.html HTTP/1.1\r\nHost: t\r\n\r\n",
+                      "GET /ghost HTTP/1.1\r\nHost: t\r\n\r\n",
+                      "HEAD /doc.html HTTP/1.1\r\nHost: t\r\n\r\n",
+                      "POST / HTTP/1.1\r\nHost: t\r\n\r\n",
+                      "GET /doc.html HTTP/1.1\r\nConnection: close\r\n\r\n",
+                      "GET /doc.html HTTP/1.0\r\n"
+                      "Connection: keep-alive\r\n\r\n"));
 
 } // namespace

@@ -43,7 +43,7 @@ TEST(HttpParseTest, Http09StyleLine) {
   ASSERT_TRUE(R);
   EXPECT_EQ(R->Version, "HTTP/0.9");
   EXPECT_EQ(R->Target, "/legacy");
-  EXPECT_FALSE(R->keepAlive());
+  EXPECT_FALSE(scanRequestHead("GET /legacy\r\n\r\n").KeepAlive);
 }
 
 TEST(HttpParseTest, Rejects) {
@@ -56,28 +56,34 @@ TEST(HttpParseTest, Rejects) {
 
 TEST(HttpParseTest, KeepAliveDefaults) {
   // HTTP/1.1 persists by default...
-  auto R = parseHttpRequest("GET / HTTP/1.1\r\nHost: h\r\n\r\n");
-  ASSERT_TRUE(R);
-  EXPECT_TRUE(R->keepAlive());
+  RequestHead H = scanRequestHead("GET / HTTP/1.1\r\nHost: h\r\n\r\n");
+  ASSERT_TRUE(H.Complete);
+  EXPECT_TRUE(H.KeepAlive);
   // ...unless the client opts out.
-  R = parseHttpRequest("GET / HTTP/1.1\r\nConnection: close\r\n\r\n");
-  ASSERT_TRUE(R);
-  EXPECT_FALSE(R->keepAlive());
+  H = scanRequestHead("GET / HTTP/1.1\r\nConnection: close\r\n\r\n");
+  ASSERT_TRUE(H.Complete);
+  EXPECT_FALSE(H.KeepAlive);
   // HTTP/1.0 closes by default...
-  R = parseHttpRequest("GET / HTTP/1.0\r\n\r\n");
-  ASSERT_TRUE(R);
-  EXPECT_FALSE(R->keepAlive());
+  H = scanRequestHead("GET / HTTP/1.0\r\n\r\n");
+  ASSERT_TRUE(H.Complete);
+  EXPECT_FALSE(H.KeepAlive);
   // ...unless the client opts in.
-  R = parseHttpRequest("GET / HTTP/1.0\r\nConnection: keep-alive\r\n\r\n");
-  ASSERT_TRUE(R);
-  EXPECT_TRUE(R->keepAlive());
+  H = scanRequestHead("GET / HTTP/1.0\r\nConnection: keep-alive\r\n\r\n");
+  ASSERT_TRUE(H.Complete);
+  EXPECT_TRUE(H.KeepAlive);
 }
 
 TEST(HttpParseTest, RequestComplete) {
-  EXPECT_TRUE(requestComplete("GET / HTTP/1.0\r\n\r\n"));
-  EXPECT_TRUE(requestComplete("GET / HTTP/1.0\n\n"));
-  EXPECT_FALSE(requestComplete("GET / HTTP/1.0\r\n"));
-  EXPECT_FALSE(requestComplete(""));
+  EXPECT_TRUE(scanRequestHead("GET / HTTP/1.0\r\n\r\n").Complete);
+  EXPECT_TRUE(scanRequestHead("GET / HTTP/1.0\n\n").Complete);
+  EXPECT_FALSE(scanRequestHead("GET / HTTP/1.0\r\n").Complete);
+  EXPECT_FALSE(scanRequestHead("").Complete);
+  // A bare blank line is a complete (if malformed) head: the server
+  // frames it and answers 400.
+  RequestHead H = scanRequestHead("\n\n");
+  EXPECT_TRUE(H.Complete);
+  EXPECT_TRUE(H.Malformed);
+  EXPECT_EQ(H.HeadBytes, 2u);
 }
 
 TEST(HttpScanTest, FramesCompleteRequest) {
@@ -147,10 +153,13 @@ TEST(HttpScanTest, ConnectionTokenList) {
 }
 
 TEST(HttpResponseTest, SerializesWithFraming) {
-  std::string R = buildHttpResponse(200, "text/html", "<p>hi</p>");
-  EXPECT_NE(R.find("HTTP/1.0 200 OK\r\n"), std::string::npos);
+  // The one-shot (no keep-alive) shape of the single serializer.
+  std::string R;
+  appendHttpResponse(R, 200, "text/html", "<p>hi</p>", /*KeepAlive=*/false);
+  EXPECT_EQ(R.rfind("HTTP/1.1 200 OK\r\n", 0), 0u);
   EXPECT_NE(R.find("Content-Type: text/html\r\n"), std::string::npos);
   EXPECT_NE(R.find("Content-Length: 9\r\n"), std::string::npos);
+  EXPECT_NE(R.find("Connection: close\r\n\r\n"), std::string::npos);
   EXPECT_TRUE(R.size() > 9 && R.substr(R.size() - 9) == "<p>hi</p>");
 }
 

@@ -26,6 +26,15 @@ using namespace dsu::flashed;
 
 namespace {
 
+/// The request handler every server in this file runs: FlashEd's one
+/// served path, for one-shot and keep-alive connections alike.
+Server::FastHandler appHandler(FlashedApp &App) {
+  return [&App](const RequestHead &Head, std::string_view Raw,
+                std::string &Out, SharedBody &Body) {
+    App.handleInto(Head, Raw, Out, Body);
+  };
+}
+
 class ServerTest : public ::testing::Test {
 protected:
   void SetUp() override {
@@ -35,9 +44,9 @@ protected:
     Docs.fillSynthetic(4, 1024);
     ASSERT_FALSE(App.init(std::move(Docs)));
 
-    Srv = std::make_unique<Server>(
-        [this](const std::string &Raw) { return App.handle(Raw); });
-    // The idle hook is FlashEd's update point.
+    Srv = std::make_unique<Server>(appHandler(App));
+    // The idle hook is FlashEd's update point; on a persistent
+    // connection it runs between requests.
     Srv->setIdleHook([this] { RT.updatePoint(); });
     ASSERT_FALSE(Srv->listenOn(0));
 
@@ -153,7 +162,7 @@ TEST(ServerLimitsTest, OverlongIncompleteRequestDisconnected) {
   DocStore Docs;
   Docs.put("/x.html", "x");
   ASSERT_FALSE(App.init(std::move(Docs)));
-  Server Srv([&App](const std::string &Raw) { return App.handle(Raw); });
+  Server Srv(appHandler(App));
   // The cap must be configured before the loop thread starts: the field
   // is read by the event loop without synchronization.
   Srv.setMaxRequestBytes(4096);
@@ -207,47 +216,66 @@ TEST(ServerLimitsTest, OverlongIncompleteRequestDisconnected) {
   Loop.join();
 }
 
-// --- Persistent-connection (fast path) tests ----------------------------
-
-/// Like ServerTest, but serving through the writer-style fast path with
-/// keep-alive semantics.
-class FastServerTest : public ::testing::Test {
-protected:
-  void SetUp() override {
-    DocStore Docs;
-    Docs.put("/index.html", "<html>home</html>");
-    Docs.put("/doc.html", "<html>doc</html>");
-    Docs.fillSynthetic(4, 1024);
-    ASSERT_FALSE(App.init(std::move(Docs)));
-
-    Srv = std::make_unique<Server>(
-        [this](const RequestHead &Head, std::string_view Raw,
-               std::string &Out, SharedBody &Body) {
-          App.handleInto(Head, Raw, Out, Body);
-        });
-    // The idle hook is FlashEd's update point; it runs between requests
-    // of a persistent connection.
-    Srv->setIdleHook([this] { RT.updatePoint(); });
-    ASSERT_FALSE(Srv->listenOn(0));
-
-    Loop = std::thread([this] {
-      Error E = Srv->runUntil([this] { return Stop.load(); }, 5);
-      EXPECT_FALSE(E) << E.str();
-    });
-  }
-
-  void TearDown() override {
-    Stop.store(true);
-    if (Loop.joinable())
-      Loop.join();
-  }
-
+TEST(ServerStatsTest, EveryServedRequestIsTimedAndClassified) {
+  // One-shot HTTP/1.0 and keep-alive HTTP/1.1 requests share one served
+  // path, so every request is timed and classified: the per-worker
+  // health a canary rollout's gates compare has no blind spot.
   Runtime RT;
-  FlashedApp App{RT};
-  std::unique_ptr<Server> Srv;
-  std::thread Loop;
+  FlashedApp App(RT);
+  DocStore Docs;
+  Docs.put("/doc.html", "<html>doc</html>");
+  ASSERT_FALSE(App.init(std::move(Docs)));
+  Server Srv([&App](const RequestHead &Head, std::string_view Raw,
+                    std::string &Out, SharedBody &Body) {
+    if (Head.Target == "/boom")
+      appendHttpResponse(Out, 500, "text/plain", "boom\n", Head.KeepAlive);
+    else
+      App.handleInto(Head, Raw, Out, Body);
+  });
+  ASSERT_FALSE(Srv.listenOn(0));
   std::atomic<bool> Stop{false};
-};
+  std::thread Loop([&] {
+    Error E = Srv.runUntil([&] { return Stop.load(); }, 5);
+    EXPECT_FALSE(E) << E.str();
+  });
+
+  const char *Targets[] = {"/doc.html", "/boom", "/missing.html"};
+  const int Statuses[] = {200, 500, 404};
+  uint64_t Sent = 0, Sent500 = 0;
+  for (int I = 0; I != 6; ++I) {
+    Expected<FetchResult> R = httpGet(Srv.port(), Targets[I % 3]);
+    ASSERT_TRUE(R) << R.takeError().str();
+    EXPECT_EQ(R->Status, Statuses[I % 3]);
+    EXPECT_NE(R->Headers.find("Connection: close"), std::string::npos);
+    ++Sent;
+    Sent500 += R->Status == 500;
+  }
+  KeepAliveClient C;
+  ASSERT_FALSE(C.connectTo(Srv.port()));
+  for (int I = 0; I != 9; ++I) {
+    Expected<FetchResult> R = C.get(Targets[I % 3]);
+    ASSERT_TRUE(R) << R.takeError().str();
+    EXPECT_EQ(R->Status, Statuses[I % 3]);
+    EXPECT_NE(R->Headers.find("Connection: keep-alive"), std::string::npos);
+    ++Sent;
+    Sent500 += R->Status == 500;
+  }
+  Stop.store(true);
+  Loop.join();
+
+  const net::WorkerStats &S = Srv.stats();
+  EXPECT_EQ(S.Requests.load(), Sent);
+  EXPECT_EQ(S.Serves.load(), S.Requests.load());
+  EXPECT_EQ(S.Errors5xx.load(), Sent500);
+  EXPECT_EQ(Sent500, 5u);
+  EXPECT_EQ(S.Connections.load(), 7u); // six one-shot plus one persistent
+}
+
+// --- Persistent-connection (keep-alive) tests ---------------------------
+
+/// The same server as ServerTest; the suite name groups the keep-alive,
+/// pipelining and graceful-stop cases.
+using FastServerTest = ServerTest;
 
 TEST_F(FastServerTest, KeepAliveSequenceOnOneConnection) {
   KeepAliveClient C;
@@ -432,15 +460,15 @@ TEST_F(FastServerTest, UpdateAppliesBetweenKeepAliveRequests) {
 
 // --- The /admin control plane over the wire ------------------------------
 
-/// FastServerTest plus the admin surface: POSTed patch artifacts are
+/// ServerTest plus the admin surface: POSTed patch artifacts are
 /// staged off-thread and committed by the idle hook.
-class AdminServerTest : public FastServerTest {
+class AdminServerTest : public ServerTest {
 protected:
   void SetUp() override {
     // Enable the control plane before the event loop starts: the serve
     // thread reads the admin pointer on every request.
     App.enableAdmin(RT.controller());
-    FastServerTest::SetUp();
+    ServerTest::SetUp();
   }
 };
 
@@ -564,10 +592,7 @@ TEST(FastServerLimitsTest, BufferCapEnforcedOnPersistentConnection) {
   DocStore Docs;
   Docs.put("/x.html", "x");
   ASSERT_FALSE(App.init(std::move(Docs)));
-  Server Srv([&App](const RequestHead &Head, std::string_view Raw,
-                    std::string &Out, SharedBody &Body) {
-    App.handleInto(Head, Raw, Out, Body);
-  });
+  Server Srv(appHandler(App));
   Srv.setMaxRequestBytes(4096);
   ASSERT_FALSE(Srv.listenOn(0));
   std::atomic<bool> Stop{false};
@@ -753,7 +778,7 @@ TEST(ServerLifecycleTest, DoubleListenIsARealError) {
   DocStore Docs;
   Docs.put("/x.html", "x");
   ASSERT_FALSE(App.init(std::move(Docs)));
-  Server Srv([&App](const std::string &Raw) { return App.handle(Raw); });
+  Server Srv(appHandler(App));
   ASSERT_FALSE(Srv.listenOn(0));
   uint16_t Port = Srv.port();
   // A second listenOn must fail loudly (not assert, not leak an fd) and
@@ -771,7 +796,7 @@ TEST(ServerLifecycleTest, ShutdownAndRebind) {
   DocStore Docs;
   Docs.put("/x.html", "x");
   ASSERT_FALSE(App.init(std::move(Docs)));
-  Server Srv([&App](const std::string &Raw) { return App.handle(Raw); });
+  Server Srv(appHandler(App));
   ASSERT_FALSE(Srv.listenOn(0));
   uint16_t Port = Srv.port();
   EXPECT_GT(Port, 0u);

@@ -82,6 +82,10 @@ struct BadManifest {
   const char *Text;
 };
 
+// Print a case by its name: the default printer dumps the pointer bytes,
+// which would make the listed test names change from run to run.
+void PrintTo(const BadManifest &C, std::ostream *OS) { *OS << C.Name; }
+
 class ManifestErrors : public ::testing::TestWithParam<BadManifest> {};
 
 TEST_P(ManifestErrors, Rejected) {

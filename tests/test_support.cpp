@@ -140,6 +140,24 @@ TEST(StringUtilTest, EscapeRoundTrip) {
   EXPECT_EQ(Back, Raw);
 }
 
+TEST(StringUtilTest, JsonEscapeCoversQuotesBackslashAndControls) {
+  std::string Out = "pre:";
+  jsonEscapeTo(Out, "a\"b\\c\nd\re\tf");
+  EXPECT_EQ(Out, "pre:a\\\"b\\\\c\\nd\\re\\tf");
+  // Every other byte below 0x20, NUL included, takes the \u00XX form.
+  for (int C = 0; C != 0x20; ++C) {
+    if (C == '\n' || C == '\r' || C == '\t')
+      continue;
+    Out.clear();
+    jsonEscapeTo(Out, std::string(1, static_cast<char>(C)));
+    EXPECT_EQ(Out, formatString("\\u%04x", C));
+  }
+  // 0x20 and up, including UTF-8 bytes >= 0x80, pass through untouched.
+  Out.clear();
+  jsonEscapeTo(Out, " ~\x7f\xc3\xa9");
+  EXPECT_EQ(Out, " ~\x7f\xc3\xa9");
+}
+
 TEST(StringUtilTest, UnescapeRejectsBadEscape) {
   std::string Out;
   EXPECT_FALSE(unescapeString("a\\q", Out));

@@ -143,6 +143,10 @@ struct AsmErrorCase {
   const char *Source;
 };
 
+// Print a case by its name: the default printer dumps the pointer bytes,
+// which would make the listed test names change from run to run.
+void PrintTo(const AsmErrorCase &C, std::ostream *OS) { *OS << C.Name; }
+
 class AssemblerErrors : public ::testing::TestWithParam<AsmErrorCase> {};
 
 TEST_P(AssemblerErrors, Rejected) {

@@ -119,6 +119,10 @@ struct RejectCase {
   const char *WhySubstring;
 };
 
+// Print a case by its name: the default printer dumps the pointer bytes,
+// which would make the listed test names change from run to run.
+void PrintTo(const RejectCase &C, std::ostream *OS) { *OS << C.Name; }
+
 class VerifierRejects : public ::testing::TestWithParam<RejectCase> {};
 
 TEST_P(VerifierRejects, Rejected) {
