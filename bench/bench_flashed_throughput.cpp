@@ -7,13 +7,14 @@
 /// one; this harness prints the same series for the loopback testbed.
 ///
 /// Two connection modes per build, served by the same writer-style
-/// handler: "one-shot" (HTTP/1.0, a fresh TCP connection per request,
-/// answered with "Connection: close") and "keep-alive" (persistent
-/// HTTP/1.1 connections).  Output: one row per (mode, reply size) with
-/// requests/s and Mb/s for both pipelines and the relative overhead.
+/// handler on a 1-worker net::ReactorPool: "one-shot" (HTTP/1.0, a
+/// fresh TCP connection per request, answered with "Connection: close")
+/// and "keep-alive" (persistent HTTP/1.1 connections).  Output: one row
+/// per (mode, reply size) with requests/s and Mb/s for both pipelines
+/// and the relative overhead.
 ///
 /// A third section appears with --threads N: the multi-core scaling
-/// matrix.  A net::ReactorPool serves the same workload with 1, 2, ...
+/// matrix.  The same pool harness serves the workload with 1, 2, ...
 /// up to N workers (SO_REUSEPORT, one port) under a fixed offered load
 /// from concurrent persistent-connection client threads; the report is
 /// aggregate req/s per worker count and the speedup over one worker,
@@ -31,7 +32,6 @@
 
 #include "flashed/App.h"
 #include "flashed/Client.h"
-#include "flashed/Server.h"
 #include "net/ReactorPool.h"
 #include "support/StringUtil.h"
 #include "support/Timer.h"
@@ -39,6 +39,7 @@
 #include <atomic>
 #include <cstdio>
 #include <cstring>
+#include <functional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -71,58 +72,19 @@ net::Reactor::FastHandler pipeline(FlashedApp &App, bool Static) {
   };
 }
 
-/// Serves `Requests` GETs of one synthetic document of `Bytes` and
-/// returns the measured rates.  `KeepAlive` selects persistent HTTP/1.1
-/// connections; otherwise each request is a one-shot HTTP/1.0 exchange
-/// on a fresh connection.
-RunResult runOne(size_t Bytes, uint64_t Requests, bool Static,
-                 bool KeepAlive) {
-  Runtime RT;
-  FlashedApp App(RT);
-  DocStore Docs;
-  Docs.put("/payload.html", syntheticBody(Bytes, Bytes));
-  cantFail(App.init(std::move(Docs)), "flashed init");
+/// One client's load against the server on \p Port: \p Count GETs of
+/// the payload document.
+using LoadFn =
+    std::function<Expected<LoadStats>(uint16_t Port, uint64_t Count)>;
 
-  Server Srv(pipeline(App, Static));
-  Srv.setIdleHook([&RT] { RT.updatePoint(); });
-  cantFail(Srv.listenOn(0), "listen");
-
-  std::atomic<bool> Stop{false};
-  std::thread Loop([&] {
-    cantFail(Srv.runUntil([&Stop] { return Stop.load(); }, 2), "serve");
-  });
-
-  auto Load = [&](uint64_t Count) {
-    return KeepAlive
-               ? runLoadKeepAlive(Srv.port(), {"/payload.html"}, Count,
-                                  /*Connections=*/4)
-               : runLoad(Srv.port(), {"/payload.html"}, Count);
-  };
-
-  // Warmup primes the document cache and the connection path.
-  LoadStats Warm = cantFail(Load(32), "warmup");
-  Expected<LoadStats> Stats = Load(Requests);
-  Stop.store(true);
-  Loop.join();
-  LoadStats S = cantFail(std::move(Stats), "load");
-
-  uint64_t Failed = Warm.Failures + S.Failures;
-  if (Failed) {
-    std::fprintf(stderr, "error: %llu failed requests (%s, %zu bytes)\n",
-                 static_cast<unsigned long long>(Failed),
-                 KeepAlive ? "keep-alive" : "one-shot", Bytes);
-    FailedRequests += Failed;
-  }
-  return RunResult{S.requestsPerSecond(), S.megabitsPerSecond()};
-}
-
-/// Serves `PerThread * ClientThreads` keep-alive GETs of one `Bytes`
-/// document from a reactor pool of `Workers` and returns the aggregate
-/// rates over wall-clock time.  The offered load (client threads and
-/// connections) is fixed by the caller across worker counts, so the
-/// speedup column isolates the serving plane.
+/// Serves one `Bytes` document from a reactor pool of `Workers` while
+/// `ClientThreads` threads each run `Load(Port, PerThread)`, and returns
+/// the aggregate rates over wall-clock time.  The offered load (client
+/// threads and connections) is fixed by the caller across worker
+/// counts, so the speedup column isolates the serving plane.
 RunResult runPoolPoint(size_t Bytes, uint64_t PerThread, bool Static,
-                       unsigned Workers, unsigned ClientThreads) {
+                       unsigned Workers, unsigned ClientThreads,
+                       const LoadFn &Load, const char *Mode) {
   Runtime RT;
   FlashedApp App(RT);
   DocStore Docs;
@@ -136,10 +98,8 @@ RunResult runPoolPoint(size_t Bytes, uint64_t PerThread, bool Static,
   Pool.setUpdateRuntime(RT);
   cantFail(Pool.start(), "pool start");
 
-  // Warmup primes the document cache and one connection per worker.
-  LoadStats Warm = cantFail(runLoadKeepAlive(Pool.port(), {"/payload.html"},
-                                             32, Workers ? Workers : 1),
-                            "warmup");
+  // Warmup primes the document cache and the connection path.
+  LoadStats Warm = cantFail(Load(Pool.port(), 32), "warmup");
   std::atomic<uint64_t> Failures{Warm.Failures};
 
   std::vector<std::thread> Clients;
@@ -147,8 +107,7 @@ RunResult runPoolPoint(size_t Bytes, uint64_t PerThread, bool Static,
   Timer Wall;
   for (unsigned T = 0; T != ClientThreads; ++T)
     Clients.emplace_back([&, T] {
-      Expected<LoadStats> S = runLoadKeepAlive(
-          Pool.port(), {"/payload.html"}, PerThread, /*Connections=*/2);
+      Expected<LoadStats> S = Load(Pool.port(), PerThread);
       if (S)
         PerClient[T] = *S;
       else
@@ -166,14 +125,32 @@ RunResult runPoolPoint(size_t Bytes, uint64_t PerThread, bool Static,
     Failures.fetch_add(S.Failures);
   }
   if (Failures.load()) {
-    std::fprintf(stderr, "error: %llu failed requests (pool, %u workers)\n",
-                 static_cast<unsigned long long>(Failures.load()), Workers);
+    std::fprintf(stderr,
+                 "error: %llu failed requests (%s, %zu bytes, %u workers)\n",
+                 static_cast<unsigned long long>(Failures.load()), Mode,
+                 Bytes, Workers);
     FailedRequests += Failures.load();
   }
   RunResult R;
   R.Rps = Seconds > 0 ? Served / Seconds : 0;
   R.Mbps = Seconds > 0 ? Bytes2 * 8.0 / 1e6 / Seconds : 0;
   return R;
+}
+
+/// One point of the connection-mode table: `Requests` GETs of one
+/// `Bytes` document from one client against a 1-worker pool.
+/// `KeepAlive` selects four persistent HTTP/1.1 connections; otherwise
+/// each request is a one-shot HTTP/1.0 exchange on a fresh connection.
+RunResult runOne(size_t Bytes, uint64_t Requests, bool Static,
+                 bool KeepAlive) {
+  LoadFn Load = [KeepAlive](uint16_t Port, uint64_t Count) {
+    return KeepAlive ? runLoadKeepAlive(Port, {"/payload.html"}, Count,
+                                        /*Connections=*/4)
+                     : runLoad(Port, {"/payload.html"}, Count);
+  };
+  return runPoolPoint(Bytes, Requests, Static, /*Workers=*/1,
+                      /*ClientThreads=*/1, Load,
+                      KeepAlive ? "keep-alive" : "one-shot");
 }
 
 /// The measured worker counts for a --threads T matrix: powers of two
@@ -275,6 +252,10 @@ int main(int argc, char **argv) {
     unsigned ClientThreads = 2 * Threads;
     uint64_t PerThread = Requests;
     std::vector<unsigned> Series = workerSeries(Threads);
+    LoadFn Load = [](uint16_t Port, uint64_t Count) {
+      return runLoadKeepAlive(Port, {"/payload.html"}, Count,
+                              /*Connections=*/2);
+    };
 
     if (Json)
       std::fprintf(Out,
@@ -298,12 +279,10 @@ int main(int argc, char **argv) {
     double BaseUpd = 0;
     bool FirstScale = true;
     for (unsigned W : Series) {
-      RunResult St =
-          runPoolPoint(ScaleBytes, PerThread, /*Static=*/true, W,
-                       ClientThreads);
-      RunResult Up =
-          runPoolPoint(ScaleBytes, PerThread, /*Static=*/false, W,
-                       ClientThreads);
+      RunResult St = runPoolPoint(ScaleBytes, PerThread, /*Static=*/true,
+                                  W, ClientThreads, Load, "pool");
+      RunResult Up = runPoolPoint(ScaleBytes, PerThread, /*Static=*/false,
+                                  W, ClientThreads, Load, "pool");
       if (BaseUpd == 0)
         BaseUpd = Up.Rps;
       double Speedup = BaseUpd > 0 ? Up.Rps / BaseUpd : 0;

@@ -1,22 +1,22 @@
 //===- examples/flashed_live_update.cpp - The paper's headline demo -*- C++ -*-//
 ///
 /// \file
-/// FlashEd end to end: an event-driven web server keeps serving while
-/// the full P1..P5 patch series — plus the dlopen'd native P1 variant if
-/// built — is applied through its update point.  This is the PLDI 2001
-/// evaluation scenario in one binary: every request before, during and
-/// after each update is answered; behaviour changes between requests,
-/// never within one.
+/// FlashEd end to end: an event-driven web server (a 1-worker reactor
+/// pool) keeps serving while the full P1..P5 patch series is applied
+/// through its update point.  This is the PLDI 2001 evaluation scenario
+/// in one binary: every request before, during and after each update is
+/// answered on one persistent connection; behaviour changes between
+/// requests, never within one.  Exits 1 unless the first request after
+/// P1 and after P2 already shows the patched behaviour.
 ///
 //===----------------------------------------------------------------------===//
 
 #include "flashed/App.h"
 #include "flashed/Client.h"
 #include "flashed/Patches.h"
-#include "flashed/Server.h"
+#include "net/ReactorPool.h"
 #include "runtime/UpdateController.h"
 
-#include <atomic>
 #include <cstdio>
 #include <thread>
 
@@ -25,16 +25,20 @@ using namespace dsu::flashed;
 
 namespace {
 
-void show(const char *Label, uint16_t Port, const std::string &Target) {
-  Expected<FetchResult> R = httpGet(Port, Target);
+/// Fetches \p Target and prints its status line; a failed fetch prints
+/// the error and returns Status 0.
+FetchResult show(const char *Label, KeepAliveClient &C,
+                 const std::string &Target) {
+  Expected<FetchResult> R = C.get(Target);
   if (!R) {
     std::printf("  %-34s -> error: %s\n", Target.c_str(),
                 R.error().str().c_str());
-    return;
+    return FetchResult();
   }
   std::string FirstLine = R->Headers.substr(0, R->Headers.find('\r'));
   std::printf("  %-34s -> %s  [%zu bytes] (%s)\n", Target.c_str(),
               FirstLine.c_str(), R->Body.size(), Label);
+  return std::move(*R);
 }
 
 } // namespace
@@ -49,24 +53,32 @@ int main() {
   Docs.put("/style.css", "h1 { color: teal }");
   cantFail(App.init(std::move(Docs)), "init");
 
-  Server Srv([&App](const RequestHead &Head, std::string_view Raw,
-                    std::string &Out, SharedBody &Body) {
+  net::ReactorPool Srv([&App](const RequestHead &Head, std::string_view Raw,
+                              std::string &Out, SharedBody &Body) {
     App.handleInto(Head, Raw, Out, Body);
   });
-  Srv.setIdleHook([&RT] { RT.updatePoint(); }); // FlashEd's update point
-  cantFail(Srv.listenOn(0), "listen");
+  Srv.setUpdateRuntime(RT); // the worker's update point commits patches
+  // A staged patch wakes the worker, so it commits without waiting out
+  // a poll timeout.
+  RT.controller().setOnStaged(Srv.wakeCallback());
+  cantFail(Srv.start(), "start");
   std::printf("FlashEd serving on 127.0.0.1:%u\n\n", Srv.port());
+  KeepAliveClient C;
+  cantFail(C.connectTo(Srv.port()), "connect");
 
-  std::atomic<bool> Stop{false};
-  std::thread Loop([&] {
-    cantFail(Srv.runUntil([&Stop] { return Stop.load(); }, 2), "serve");
-  });
+  bool Ok = true;
+  auto check = [&Ok](bool Cond, const char *What) {
+    if (!Cond) {
+      std::printf("  FAIL: %s\n", What);
+      Ok = false;
+    }
+  };
 
   auto applyAndWait = [&](Expected<Patch> P, const char *Name) {
     Patch Patch = cantFail(std::move(P), Name);
     unsigned Want = RT.updatesApplied() + 1;
-    // Stage asynchronously on the controller's worker; the server's
-    // idle hook commits at its next (quiescent) update point.
+    // Stage asynchronously on the controller's worker; the pool worker
+    // commits at its next (quiescent) update point.
     RT.controller().stagePatch(std::move(Patch));
     while (RT.updatesApplied() < Want)
       std::this_thread::sleep_for(std::chrono::milliseconds(1));
@@ -81,22 +93,26 @@ int main() {
   };
 
   std::printf("-- version 1 behaviour\n");
-  show("works", Srv.port(), "/index.html");
-  show("v1 bug: query string defeats lookup", Srv.port(),
+  show("works", C, "/index.html");
+  show("v1 bug: query string defeats lookup", C,
        "/paper.html?ref=pldi01");
-  show("v1: css is octet-stream", Srv.port(), "/style.css");
+  show("v1: css is octet-stream", C, "/style.css");
 
   applyAndWait(makePatchP1(App), "P1");
-  show("query strings fixed, server never stopped", Srv.port(),
-       "/paper.html?ref=pldi01");
+  check(show("query strings fixed, server never stopped", C,
+             "/paper.html?ref=pldi01")
+                .Status == 200,
+        "P1: /paper.html?ref=pldi01 did not answer 200");
 
   applyAndWait(makePatchP2(App), "P2");
-  show("css typed properly now", Srv.port(), "/style.css");
+  FetchResult Css = show("css typed properly now", C, "/style.css");
+  check(Css.Headers.find("Content-Type: text/css") != std::string::npos,
+        "P2: /style.css was not served as text/css");
 
   // Warm the cache, then migrate its representation live.
-  show("warming cache", Srv.port(), "/paper.html");
+  show("warming cache", C, "/paper.html");
   applyAndWait(makePatchP3(App), "P3");
-  show("served from the *migrated* cache", Srv.port(), "/paper.html");
+  show("served from the *migrated* cache", C, "/paper.html");
   {
     auto Stats = cantFail(bindUpdateable<std::string()>(
                               RT.updateables(), RT.types(),
@@ -107,7 +123,7 @@ int main() {
 
   applyAndWait(makePatchP4(App), "P4");
   applyAndWait(makePatchP5(App), "P5");
-  show("still serving after 5 live updates", Srv.port(), "/index.html");
+  show("still serving after 5 live updates", C, "/index.html");
   {
     auto Count = cantFail(bindUpdateable<int64_t()>(RT.updateables(),
                                                     RT.types(),
@@ -124,7 +140,6 @@ int main() {
 
   std::printf("\ntotal requests served across all versions: %llu\n",
               static_cast<unsigned long long>(Srv.requestsServed()));
-  Stop.store(true);
-  Loop.join();
-  return 0;
+  Srv.stop();
+  return Ok ? 0 : 1;
 }

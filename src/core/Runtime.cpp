@@ -375,15 +375,7 @@ Error Runtime::stageInto(UpdateTransaction &Tx) {
   return Error::success();
 }
 
-Expected<StagedUpdate> Runtime::stage(Patch P) {
-  std::shared_ptr<UpdateTransaction> Tx = makeTransaction(P.Id);
-  Tx->P = std::move(P);
-  if (Error E = stageInto(*Tx))
-    return E;
-  return StagedUpdate(this, std::move(Tx));
-}
-
-Expected<StagedUpdate> Runtime::stageJournaled(Patch P, uint64_t JournalSeq) {
+Expected<StagedUpdate> Runtime::stage(Patch P, uint64_t JournalSeq) {
   std::shared_ptr<UpdateTransaction> Tx = makeTransaction(P.Id);
   // The Intent sequence must be on the transaction before stageInto
   // runs: a staging failure finalizes inside the pipeline, and that

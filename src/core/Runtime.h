@@ -121,14 +121,13 @@ public:
   /// mutation.  Returns the handle whose commit() (at an update point)
   /// or abort() completes the transaction.  A staging failure is
   /// recorded in the update log and returned.  Callable from any thread.
-  Expected<StagedUpdate> stage(Patch P);
-
-  /// stage() for boot-time replay: pins the durable journal Intent
-  /// \p JournalSeq on the transaction *before* the pipeline runs, so
-  /// finalize() seals that Intent whatever the outcome — a staging
-  /// failure and a crash mid-pipeline are both accounted against the
-  /// journal's two-phase protocol.
-  Expected<StagedUpdate> stageJournaled(Patch P, uint64_t JournalSeq);
+  ///
+  /// A nonzero \p JournalSeq (boot-time replay) pins that durable
+  /// journal Intent on the transaction *before* the pipeline runs, so
+  /// finalize() seals it whatever the outcome — a staging failure and a
+  /// crash mid-pipeline are both accounted against the journal's
+  /// two-phase protocol.
+  Expected<StagedUpdate> stage(Patch P, uint64_t JournalSeq = 0);
 
   /// Queues a staged transaction for the next update point (FIFO with
   /// everything else queued).

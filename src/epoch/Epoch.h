@@ -212,8 +212,8 @@ bool onWorkerThread();
 // -- RAII helpers ---------------------------------------------------------
 
 /// Registers the calling thread as a worker of \p D for the object's
-/// lifetime.  Created by each reactor worker (and the single-worker
-/// Server loop); quiesce() is the per-iteration epoch tick.
+/// lifetime.  Created by each ReactorPool worker; quiesce() is the
+/// per-iteration epoch tick.
 class WorkerReg {
 public:
   explicit WorkerReg(Domain &D = domain());

@@ -508,7 +508,8 @@ void FlashedApp::handleAdmin(const RequestHead &Head, std::string_view Raw,
     if (Body.empty())
       return Respond(400, "{\"error\": \"empty patch artifact\"}");
     // Staging (parse, verify, link prepare, state build) happens on the
-    // controller's worker; the commit lands at the server's idle hook.
+    // controller's worker; the commit lands at a pool worker's update
+    // point.
     StagedUpdate U = Admin->stageArtifactText(std::string(Body),
                                               "POST /admin/patches");
     return Respond(202, formatString(

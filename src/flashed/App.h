@@ -70,7 +70,7 @@ public:
 
   /// Enables the /admin control plane on the fast-path handler, staging
   /// POSTed patch artifacts through \p Ctl (off the serve thread) and
-  /// committing them at the server's idle hook:
+  /// committing them at the serving pool's update point:
   ///
   ///   POST /admin/patches        stage the request body (a .dsup patch
   ///                              artifact); answers 202 with the tx id
@@ -137,7 +137,7 @@ public:
   /// Serves one request through the updateable pipeline: serializes the
   /// response head into \p Out (a reusable buffer) and hands the body as
   /// a shared pointer in \p Body, so a cached document is served without
-  /// per-request copies.  Matches Server::FastHandler.
+  /// per-request copies.  Matches net::Reactor::FastHandler.
   void handleInto(const RequestHead &Head, std::string_view Raw,
                   std::string &Out, SharedBody &Body);
 

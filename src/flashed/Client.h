@@ -142,8 +142,7 @@ struct LoadStats {
 };
 
 /// Issues \p Count sequential one-shot GETs cycling through \p Targets.
-/// The caller runs the server on another thread (or interleaves
-/// pollOnce).
+/// The server must run on other threads (e.g. a started ReactorPool).
 Expected<LoadStats> runLoad(uint16_t Port,
                             const std::vector<std::string> &Targets,
                             uint64_t Count);

@@ -66,11 +66,11 @@ void Reactor::close() {
 Error Reactor::open(const ReactorOptions &O) {
   if (ListenFd >= 0)
     return Error::make(ErrorCode::EC_IO,
-                       "listenOn: server is already listening on port %u",
+                       "open: reactor is already listening on port %u",
                        BoundPort);
   // A completed graceful drain closes only the listener and the
   // connections; reclaim the epoll/wake fds (and reset drain state)
-  // before building new ones, or a stop()-then-listenOn() cycle leaks
+  // before building new ones, or a stop()-then-open() cycle leaks
   // two fds per iteration.
   if (EpollFd >= 0 || WakeFd >= 0)
     close();
@@ -442,7 +442,7 @@ void Reactor::beginDrain() {
 
 Expected<int> Reactor::pollOnce(int TimeoutMs) {
   if (EpollFd < 0)
-    return Error::make(ErrorCode::EC_IO, "pollOnce before listenOn");
+    return Error::make(ErrorCode::EC_IO, "pollOnce before open");
   if (StopRequested.load(std::memory_order_acquire) && !Draining)
     beginDrain();
   if (Draining && ActiveConns != 0 &&
@@ -457,8 +457,6 @@ Expected<int> Reactor::pollOnce(int TimeoutMs) {
   }
   if (Draining && ActiveConns == 0) {
     DrainDone.store(true, std::memory_order_release);
-    if (Idle)
-      Idle();
     return 0;
   }
   // While draining, poll in short slices so the deadline is honored
@@ -519,16 +517,5 @@ Expected<int> Reactor::pollOnce(int TimeoutMs) {
   PendingRelease.clear();
   if (Draining && ActiveConns == 0)
     DrainDone.store(true, std::memory_order_release);
-  if (Idle)
-    Idle();
   return N;
-}
-
-Error Reactor::runUntil(const std::function<bool()> &Stop, int TimeoutMs) {
-  while (!Stop() && !drainComplete()) {
-    Expected<int> N = pollOnce(TimeoutMs);
-    if (!N)
-      return N.takeError();
-  }
-  return Error::success();
 }

@@ -1,15 +1,16 @@
 //===- net/Reactor.h - One epoll event-loop worker ------------*- C++ -*-===//
 ///
 /// \file
-/// A Reactor is one epoll-based, nonblocking HTTP event loop: the
-/// generalization of the single-threaded flashed::Server into a unit a
-/// ReactorPool can replicate per core.  Each reactor owns its own
-/// listening socket (optionally SO_REUSEPORT, so N reactors share one
-/// port and the kernel spreads accepts), its own connection table
-/// reached directly through `epoll_event.data.ptr`, free-listed
-/// connection objects with recycled buffers, and a wakeup eventfd that
-/// lets other threads interrupt epoll_wait — the mechanism the pool's
-/// cross-worker update barrier uses to park a worker promptly.
+/// A Reactor is one epoll-based, nonblocking HTTP event loop: the unit
+/// a ReactorPool replicates per core.  The pool drives pollOnce() and
+/// runs the update point between polls; a 1-worker pool is FlashEd's
+/// single-threaded server.  Each reactor owns its own listening socket
+/// (optionally SO_REUSEPORT, so N reactors share one port and the
+/// kernel spreads accepts), its own connection table reached directly
+/// through `epoll_event.data.ptr`, free-listed connection objects with
+/// recycled buffers, and a wakeup eventfd that lets other threads
+/// interrupt epoll_wait — the mechanism the pool's cross-worker update
+/// barrier uses to park a worker promptly.
 ///
 /// Every request goes through one writer-style FastHandler, and every
 /// response is timed and classified into the worker's serving stats.
@@ -17,8 +18,8 @@
 /// persistent (HTTP/1.1 keep-alive) connections are drained request by
 /// request, including pipelined requests arriving in one read, and a
 /// one-shot (HTTP/1.0) exchange is the same path with the connection
-/// closed after its response.  The idle hook runs once per poll
-/// iteration, between requests — the per-worker update point.
+/// closed after its response.  pollOnce() returns between requests:
+/// its caller's loop is where the per-worker update point runs.
 ///
 /// Shutdown is graceful by default: requestStop() (callable from any
 /// thread) closes the listener, serves every already-buffered pipelined
@@ -51,6 +52,8 @@ namespace net {
 struct ReactorOptions {
   uint16_t Port = 0;     ///< 0 picks an ephemeral port
   bool ReusePort = false; ///< SO_REUSEPORT (pool members share one port)
+  /// Caps per-connection buffering: a client that streams bytes
+  /// forever cannot grow memory without bound.
   size_t MaxRequestBytes = 1 << 20;
 };
 
@@ -67,9 +70,6 @@ public:
       const flashed::RequestHead &Req, std::string_view Raw,
       std::string &Out, std::shared_ptr<const std::string> &Body)>;
 
-  /// Called once per event-loop iteration (the per-worker update point).
-  using IdleHook = std::function<void()>;
-
   explicit Reactor(FastHandler H) : Handle(std::move(H)) {}
   ~Reactor();
   Reactor(const Reactor &) = delete;
@@ -82,18 +82,10 @@ public:
   /// The bound port (valid after open()).
   uint16_t port() const { return BoundPort; }
 
-  void setIdleHook(IdleHook Hook) { Idle = std::move(Hook); }
-
-  /// Caps per-connection buffering (default 1 MiB); a client that
-  /// streams bytes forever cannot grow memory without bound.
-  void setMaxRequestBytes(size_t Bytes) { MaxRequestBytes = Bytes; }
-
   /// Runs one event-loop iteration with the given poll timeout.
-  /// Returns the number of events processed.
+  /// Returns the number of events processed.  After a requestStop(),
+  /// the caller loops until drainComplete().
   Expected<int> pollOnce(int TimeoutMs);
-
-  /// Loops until \p Stop returns true or a requested drain completes.
-  Error runUntil(const std::function<bool()> &Stop, int TimeoutMs = 10);
 
   /// Begins a graceful drain (thread-safe): the loop stops accepting,
   /// serves buffered pipelined requests, flushes pending output, closes
@@ -172,7 +164,6 @@ private:
   void armWrite(Conn *C, bool Enable);
 
   FastHandler Handle;
-  IdleHook Idle;
   int EpollFd = -1;
   int ListenFd = -1;
   int WakeFd = -1;

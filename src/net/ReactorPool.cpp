@@ -249,14 +249,18 @@ void ReactorPool::workerMain(unsigned Idx) {
       break;
     }
     // The idle point: no request is mid-handler on this worker.  The
-    // epoch tick publishes that fact; a rolling update committed since
-    // the last tick takes effect for this worker's next request here.
-    Epoch.quiesce();
+    // update point runs first, so the epoch tick after it covers any
+    // rolling swing this worker just committed itself: every rolling
+    // update committed since the last tick — here or on another
+    // worker — takes effect for this worker's next request.
     maybeEnterBarrier(Idx);
+    Epoch.quiesce();
     // A rolling commit landed since this worker's last quiescent point:
     // the worker serves the new bindings from here on.  One span per
     // worker per rolling update, stretching from the commit instant to
-    // this adoption point — the per-worker rollout lag, made visible.
+    // this adoption point — the per-worker rollout lag, made visible
+    // (zero-length on the committing worker, which adopts in the same
+    // idle point).
     if (TheRuntime) {
       uint64_t RollTx = TheRuntime->lastRollingTxId();
       if (RollTx != SeenRollingTx) {

@@ -52,11 +52,11 @@ ReplayStats persist::replayJournal(Runtime &RT, UpdateJournal &J) {
       continue;
     }
 
-    // stageJournaled pins the Intent's sequence number on the
-    // transaction before staging begins, so Runtime::finalize seals
-    // this Intent whatever the outcome — stage failure, commit
-    // failure, or Committed.
-    Expected<StagedUpdate> U = RT.stageJournaled(std::move(*P), *Seq);
+    // stage() pins the Intent's sequence number on the transaction
+    // before staging begins, so Runtime::finalize seals this Intent
+    // whatever the outcome — stage failure, commit failure, or
+    // Committed.
+    Expected<StagedUpdate> U = RT.stage(std::move(*P), *Seq);
     if (!U) {
       Failed(U.error()); // finalize already sealed RolledBack
       continue;

@@ -171,7 +171,7 @@ private:
   /// Sequence number of this transaction's durable-journal Intent, or 0
   /// when the update is not journaled.  Set before the transaction
   /// enters the staging pipeline (by the controller worker or
-  /// Runtime::stageJournaled), read by Runtime::finalize to seal the
+  /// Runtime::stage), read by Runtime::finalize to seal the
   /// Intent with the terminal outcome.
   uint64_t JournalSeq = 0;
 

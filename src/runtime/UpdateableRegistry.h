@@ -235,8 +235,8 @@ public:
                         std::vector<RollEntry *> &DetachedOut);
 
   /// Whether any slot still carries a rolling-redirection chain.  Lock
-  /// free (one relaxed load): the reactor idle hook polls this every
-  /// poll iteration, and must not contend with the serving path.
+  /// free (one relaxed load): each pool worker polls this at every
+  /// idle point, and must not contend with the serving path.
   bool hasLiveRolls() const {
     return LiveRollChains.load(std::memory_order_relaxed) != 0;
   }

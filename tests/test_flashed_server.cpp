@@ -1,19 +1,21 @@
 //===- tests/test_flashed_server.cpp - Live-server tests ------*- C++ -*-===//
 ///
-/// FlashEd over real sockets: the event loop serves loopback clients and
-/// applies dynamic patches between requests — the paper's headline
-/// scenario (updating a running web server with zero downtime).
+/// FlashEd over real sockets: a 1-worker ReactorPool — the production
+/// front end — serves loopback clients and applies dynamic patches at
+/// its update point, between requests: the paper's headline scenario
+/// (updating a running web server with zero downtime).  The tests of
+/// reactor mechanics (buffer caps, graceful drain, listener lifecycle)
+/// drive a bare net::Reactor, the layer that implements them.
 
 #include "flashed/App.h"
 #include "flashed/Client.h"
 #include "flashed/Patches.h"
-#include "flashed/Server.h"
+#include "net/ReactorPool.h"
 #include "runtime/UpdateController.h"
 
 #include <gtest/gtest.h>
 
 #include <arpa/inet.h>
-#include <atomic>
 #include <cerrno>
 #include <cstring>
 #include <netinet/in.h>
@@ -28,13 +30,52 @@ namespace {
 
 /// The request handler every server in this file runs: FlashEd's one
 /// served path, for one-shot and keep-alive connections alike.
-Server::FastHandler appHandler(FlashedApp &App) {
+net::Reactor::FastHandler appHandler(FlashedApp &App) {
   return [&App](const RequestHead &Head, std::string_view Raw,
                 std::string &Out, SharedBody &Body) {
     App.handleInto(Head, Raw, Out, Body);
   };
 }
 
+/// A bare net::Reactor polled on its own thread until a requested drain
+/// completes: no pool and no update point around it.
+struct ReactorLoop {
+  explicit ReactorLoop(FlashedApp &App) : R(appHandler(App)) {}
+  ~ReactorLoop() {
+    R.requestStop();
+    join();
+  }
+  ReactorLoop(const ReactorLoop &) = delete;
+  ReactorLoop &operator=(const ReactorLoop &) = delete;
+
+  Error start(const net::ReactorOptions &O = {}) {
+    if (Error E = R.open(O))
+      return E;
+    Loop = std::thread([this] {
+      while (!R.drainComplete()) {
+        Expected<int> N = R.pollOnce(5);
+        if (!N) {
+          ADD_FAILURE() << N.takeError().str();
+          return;
+        }
+      }
+    });
+    return Error::success();
+  }
+
+  void join() {
+    if (Loop.joinable())
+      Loop.join();
+  }
+
+  net::Reactor R;
+  std::thread Loop;
+};
+
+/// FlashEd on a 1-worker ReactorPool wired to its runtime: the worker
+/// commits staged updates at its update point, which on a persistent
+/// connection falls between two requests.  The pool is declared last,
+/// so its destructor stops it before the app and runtime go away.
 class ServerTest : public ::testing::Test {
 protected:
   void SetUp() override {
@@ -44,29 +85,14 @@ protected:
     Docs.fillSynthetic(4, 1024);
     ASSERT_FALSE(App.init(std::move(Docs)));
 
-    Srv = std::make_unique<Server>(appHandler(App));
-    // The idle hook is FlashEd's update point; on a persistent
-    // connection it runs between requests.
-    Srv->setIdleHook([this] { RT.updatePoint(); });
-    ASSERT_FALSE(Srv->listenOn(0));
-
-    Loop = std::thread([this] {
-      Error E = Srv->runUntil([this] { return Stop.load(); }, 5);
-      EXPECT_FALSE(E) << E.str();
-    });
-  }
-
-  void TearDown() override {
-    Stop.store(true);
-    if (Loop.joinable())
-      Loop.join();
+    Srv = std::make_unique<net::ReactorPool>(appHandler(App));
+    Srv->setUpdateRuntime(RT);
+    ASSERT_FALSE(Srv->start());
   }
 
   Runtime RT;
   FlashedApp App{RT};
-  std::unique_ptr<Server> Srv;
-  std::thread Loop;
-  std::atomic<bool> Stop{false};
+  std::unique_ptr<net::ReactorPool> Srv;
 };
 
 TEST_F(ServerTest, ServesOverLoopback) {
@@ -109,8 +135,8 @@ TEST_F(ServerTest, LiveUpdateBetweenRequests) {
   ASSERT_TRUE(Before);
   EXPECT_EQ(Before->Status, 404);
 
-  // Queue P1 from this (client) thread; the server's idle hook applies
-  // it at the next update point.
+  // Queue P1 from this (client) thread; the worker applies it at its
+  // next update point.
   Expected<Patch> P1 = makePatchP1(App);
   ASSERT_TRUE(P1) << P1.takeError().str();
   RT.requestUpdate(std::move(*P1));
@@ -162,23 +188,17 @@ TEST(ServerLimitsTest, OverlongIncompleteRequestDisconnected) {
   DocStore Docs;
   Docs.put("/x.html", "x");
   ASSERT_FALSE(App.init(std::move(Docs)));
-  Server Srv(appHandler(App));
-  // The cap must be configured before the loop thread starts: the field
-  // is read by the event loop without synchronization.
-  Srv.setMaxRequestBytes(4096);
-  ASSERT_FALSE(Srv.listenOn(0));
-  std::atomic<bool> Stop{false};
-  std::thread Loop([&] {
-    Error E = Srv.runUntil([&] { return Stop.load(); }, 5);
-    EXPECT_FALSE(E) << E.str();
-  });
+  ReactorLoop Srv(App);
+  net::ReactorOptions O;
+  O.MaxRequestBytes = 4096;
+  ASSERT_FALSE(Srv.start(O));
 
   int Fd = ::socket(AF_INET, SOCK_STREAM, 0);
   ASSERT_GE(Fd, 0);
   sockaddr_in Addr{};
   Addr.sin_family = AF_INET;
   Addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  Addr.sin_port = htons(Srv.port());
+  Addr.sin_port = htons(Srv.R.port());
   ASSERT_EQ(::connect(Fd, reinterpret_cast<sockaddr *>(&Addr),
                       sizeof(Addr)),
             0);
@@ -208,12 +228,9 @@ TEST(ServerLimitsTest, OverlongIncompleteRequestDisconnected) {
   EXPECT_TRUE(Rejected);
 
   // Well-behaved clients are unaffected.
-  Expected<FetchResult> R = httpGet(Srv.port(), "/x.html");
+  Expected<FetchResult> R = httpGet(Srv.R.port(), "/x.html");
   ASSERT_TRUE(R) << R.takeError().str();
   EXPECT_EQ(R->Status, 200);
-
-  Stop.store(true);
-  Loop.join();
 }
 
 TEST(ServerStatsTest, EveryServedRequestIsTimedAndClassified) {
@@ -225,19 +242,15 @@ TEST(ServerStatsTest, EveryServedRequestIsTimedAndClassified) {
   DocStore Docs;
   Docs.put("/doc.html", "<html>doc</html>");
   ASSERT_FALSE(App.init(std::move(Docs)));
-  Server Srv([&App](const RequestHead &Head, std::string_view Raw,
-                    std::string &Out, SharedBody &Body) {
+  net::ReactorPool Srv([&App](const RequestHead &Head, std::string_view Raw,
+                              std::string &Out, SharedBody &Body) {
     if (Head.Target == "/boom")
       appendHttpResponse(Out, 500, "text/plain", "boom\n", Head.KeepAlive);
     else
       App.handleInto(Head, Raw, Out, Body);
   });
-  ASSERT_FALSE(Srv.listenOn(0));
-  std::atomic<bool> Stop{false};
-  std::thread Loop([&] {
-    Error E = Srv.runUntil([&] { return Stop.load(); }, 5);
-    EXPECT_FALSE(E) << E.str();
-  });
+  Srv.setUpdateRuntime(RT);
+  ASSERT_FALSE(Srv.start());
 
   const char *Targets[] = {"/doc.html", "/boom", "/missing.html"};
   const int Statuses[] = {200, 500, 404};
@@ -260,10 +273,9 @@ TEST(ServerStatsTest, EveryServedRequestIsTimedAndClassified) {
     ++Sent;
     Sent500 += R->Status == 500;
   }
-  Stop.store(true);
-  Loop.join();
+  Srv.stop();
 
-  const net::WorkerStats &S = Srv.stats();
+  const net::WorkerStats &S = Srv.workerStats(0);
   EXPECT_EQ(S.Requests.load(), Sent);
   EXPECT_EQ(S.Serves.load(), S.Requests.load());
   EXPECT_EQ(S.Errors5xx.load(), Sent500);
@@ -274,7 +286,9 @@ TEST(ServerStatsTest, EveryServedRequestIsTimedAndClassified) {
 // --- Persistent-connection (keep-alive) tests ---------------------------
 
 /// The same server as ServerTest; the suite name groups the keep-alive,
-/// pipelining and graceful-stop cases.
+/// pipelining and graceful-stop cases.  The graceful-stop cases drain a
+/// bare ReactorLoop of their own: ReactorPool::stop() blocks until the
+/// drain ends, and these tests read from the server while it drains.
 using FastServerTest = ServerTest;
 
 TEST_F(FastServerTest, KeepAliveSequenceOnOneConnection) {
@@ -461,7 +475,7 @@ TEST_F(FastServerTest, UpdateAppliesBetweenKeepAliveRequests) {
 // --- The /admin control plane over the wire ------------------------------
 
 /// ServerTest plus the admin surface: POSTed patch artifacts are
-/// staged off-thread and committed by the idle hook.
+/// staged off-thread and committed at the worker's update point.
 class AdminServerTest : public ServerTest {
 protected:
   void SetUp() override {
@@ -475,8 +489,8 @@ protected:
 TEST_F(AdminServerTest, PatchPostedMidTrafficAppliesOnSameConnection) {
   // The acceptance scenario end to end: one persistent connection
   // observes the v1 bug, ships the fix through POST /admin/patches, and
-  // sees the patched behaviour — staging off-thread, commit at the idle
-  // hook, zero reconnects.
+  // sees the patched behaviour — staging off-thread, commit at the
+  // worker's update point, zero reconnects.
   KeepAliveClient C;
   ASSERT_FALSE(C.connectTo(Srv->port()));
 
@@ -491,7 +505,7 @@ TEST_F(AdminServerTest, PatchPostedMidTrafficAppliesOnSameConnection) {
   EXPECT_EQ(Post->Status, 202);
   EXPECT_NE(Post->Body.find("\"tx\""), std::string::npos);
 
-  // The idle hook commits within a few poll cycles.
+  // The worker commits within a few poll cycles.
   for (int Spin = 0; Spin != 500 && RT.updatesApplied() == 0; ++Spin)
     std::this_thread::sleep_for(std::chrono::milliseconds(2));
   ASSERT_EQ(RT.updatesApplied(), 1u);
@@ -592,14 +606,11 @@ TEST(FastServerLimitsTest, BufferCapEnforcedOnPersistentConnection) {
   DocStore Docs;
   Docs.put("/x.html", "x");
   ASSERT_FALSE(App.init(std::move(Docs)));
-  Server Srv(appHandler(App));
-  Srv.setMaxRequestBytes(4096);
-  ASSERT_FALSE(Srv.listenOn(0));
-  std::atomic<bool> Stop{false};
-  std::thread Loop([&] {
-    Error E = Srv.runUntil([&] { return Stop.load(); }, 5);
-    EXPECT_FALSE(E) << E.str();
-  });
+  net::PoolOptions O;
+  O.MaxRequestBytes = 4096;
+  net::ReactorPool Srv(appHandler(App), O);
+  Srv.setUpdateRuntime(RT);
+  ASSERT_FALSE(Srv.start());
 
   // A well-formed keep-alive exchange first: the connection persists.
   KeepAliveClient C;
@@ -647,18 +658,17 @@ TEST(FastServerLimitsTest, BufferCapEnforcedOnPersistentConnection) {
   }
   ::close(Fd);
   EXPECT_TRUE(Rejected);
-
-  Stop.store(true);
-  Loop.join();
 }
 
 TEST_F(FastServerTest, GracefulStopDrainsBackpressuredPipelinedRequests) {
   // Four pipelined requests for a large body against a tiny client
-  // receive window: at stop() time the server is guaranteed to hold
-  // both unsent output and buffered not-yet-served requests.  A
+  // receive window: at requestStop() time the server is guaranteed to
+  // hold both unsent output and buffered not-yet-served requests.  A
   // graceful stop must serve and flush all of it before closing —
-  // the old shutdown() raced the loop and dropped them.
+  // an immediate close() would drop them.
   App.docs().put("/big.bin", syntheticBody(1u << 20, 7));
+  ReactorLoop Rx(App);
+  ASSERT_FALSE(Rx.start());
 
   int Fd = ::socket(AF_INET, SOCK_STREAM, 0);
   ASSERT_GE(Fd, 0);
@@ -667,7 +677,7 @@ TEST_F(FastServerTest, GracefulStopDrainsBackpressuredPipelinedRequests) {
   sockaddr_in Addr{};
   Addr.sin_family = AF_INET;
   Addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  Addr.sin_port = htons(Srv->port());
+  Addr.sin_port = htons(Rx.R.port());
   ASSERT_EQ(::connect(Fd, reinterpret_cast<sockaddr *>(&Addr),
                       sizeof(Addr)),
             0);
@@ -679,10 +689,10 @@ TEST_F(FastServerTest, GracefulStopDrainsBackpressuredPipelinedRequests) {
 
   // Wait until at least one response started flowing, then stop while
   // later pipelined requests are still queued behind backpressure.
-  for (int Spin = 0; Spin != 1000 && Srv->requestsServed() == 0; ++Spin)
+  for (int Spin = 0; Spin != 1000 && Rx.R.requestsServed() == 0; ++Spin)
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  ASSERT_GT(Srv->requestsServed(), 0u);
-  Srv->stop();
+  ASSERT_GT(Rx.R.requestsServed(), 0u);
+  Rx.R.requestStop();
 
   // Every byte of all four responses arrives, then EOF.
   std::string Raw;
@@ -702,17 +712,19 @@ TEST_F(FastServerTest, GracefulStopDrainsBackpressuredPipelinedRequests) {
   EXPECT_EQ(Raw.size(), 4 * ((1u << 20) + Raw.find("\r\n\r\n") + 4));
 
   // The loop thread exits on its own once the drain completes.
-  Loop.join();
-  EXPECT_TRUE(Srv->drained());
+  Rx.join();
+  EXPECT_TRUE(Rx.R.drainComplete());
 }
 
 TEST_F(FastServerTest, GracefulStopClosesIdleKeepAliveConnections) {
+  ReactorLoop Rx(App);
+  ASSERT_FALSE(Rx.start());
   int Fd = ::socket(AF_INET, SOCK_STREAM, 0);
   ASSERT_GE(Fd, 0);
   sockaddr_in Addr{};
   Addr.sin_family = AF_INET;
   Addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  Addr.sin_port = htons(Srv->port());
+  Addr.sin_port = htons(Rx.R.port());
   ASSERT_EQ(::connect(Fd, reinterpret_cast<sockaddr *>(&Addr),
                       sizeof(Addr)),
             0);
@@ -727,22 +739,24 @@ TEST_F(FastServerTest, GracefulStopClosesIdleKeepAliveConnections) {
     Raw.append(Buf, static_cast<size_t>(N));
   }
 
-  // The connection is now an idle keep-alive conn; stop() must close
-  // it instead of leaving the client hanging.
-  Srv->stop();
+  // The connection is now an idle keep-alive conn; requestStop() must
+  // close it instead of leaving the client hanging.
+  Rx.R.requestStop();
   ssize_t N = ::recv(Fd, Buf, sizeof(Buf), 0);
   EXPECT_EQ(N, 0); // clean EOF, not a timeout or reset
   ::close(Fd);
-  Loop.join();
-  EXPECT_TRUE(Srv->drained());
+  Rx.join();
+  EXPECT_TRUE(Rx.R.drainComplete());
 }
 
 TEST_F(FastServerTest, DrainDeadlineForceClosesStalledPeer) {
   // A client that requests a large body and then never reads it keeps
   // unsent output pending forever; the drain deadline must force-close
-  // it so stop() cannot be wedged by one stalled peer.
+  // it so a stop cannot be wedged by one stalled peer.
   App.docs().put("/big.bin", syntheticBody(4u << 20, 9));
-  Srv->setDrainTimeout(100);
+  ReactorLoop Rx(App);
+  Rx.R.setDrainTimeout(100);
+  ASSERT_FALSE(Rx.start());
 
   int Fd = ::socket(AF_INET, SOCK_STREAM, 0);
   ASSERT_GE(Fd, 0);
@@ -751,23 +765,23 @@ TEST_F(FastServerTest, DrainDeadlineForceClosesStalledPeer) {
   sockaddr_in Addr{};
   Addr.sin_family = AF_INET;
   Addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  Addr.sin_port = htons(Srv->port());
+  Addr.sin_port = htons(Rx.R.port());
   ASSERT_EQ(::connect(Fd, reinterpret_cast<sockaddr *>(&Addr),
                       sizeof(Addr)),
             0);
   std::string Req = "GET /big.bin HTTP/1.1\r\nHost: h\r\n\r\n";
   ASSERT_EQ(::send(Fd, Req.data(), Req.size(), 0),
             static_cast<ssize_t>(Req.size()));
-  for (int Spin = 0; Spin != 1000 && Srv->requestsServed() == 0; ++Spin)
+  for (int Spin = 0; Spin != 1000 && Rx.R.requestsServed() == 0; ++Spin)
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
 
   auto Begin = std::chrono::steady_clock::now();
-  Srv->stop();
-  Loop.join(); // must return: the stalled conn is cut at the deadline
+  Rx.R.requestStop();
+  Rx.join(); // must return: the stalled conn is cut at the deadline
   auto Ms = std::chrono::duration_cast<std::chrono::milliseconds>(
                 std::chrono::steady_clock::now() - Begin)
                 .count();
-  EXPECT_TRUE(Srv->drained());
+  EXPECT_TRUE(Rx.R.drainComplete());
   EXPECT_LT(Ms, 3000);
   ::close(Fd);
 }
@@ -778,16 +792,16 @@ TEST(ServerLifecycleTest, DoubleListenIsARealError) {
   DocStore Docs;
   Docs.put("/x.html", "x");
   ASSERT_FALSE(App.init(std::move(Docs)));
-  Server Srv(appHandler(App));
-  ASSERT_FALSE(Srv.listenOn(0));
-  uint16_t Port = Srv.port();
-  // A second listenOn must fail loudly (not assert, not leak an fd) and
+  net::Reactor R(appHandler(App));
+  ASSERT_FALSE(R.open({}));
+  uint16_t Port = R.port();
+  // A second open must fail loudly (not assert, not leak an fd) and
   // leave the original listener serving.
-  Error E = Srv.listenOn(0);
+  Error E = R.open({});
   EXPECT_TRUE(static_cast<bool>(E));
   EXPECT_NE(E.str().find("already listening"), std::string::npos);
-  EXPECT_EQ(Srv.port(), Port);
-  Srv.shutdown();
+  EXPECT_EQ(R.port(), Port);
+  R.close();
 }
 
 TEST(ServerLifecycleTest, ShutdownAndRebind) {
@@ -796,15 +810,15 @@ TEST(ServerLifecycleTest, ShutdownAndRebind) {
   DocStore Docs;
   Docs.put("/x.html", "x");
   ASSERT_FALSE(App.init(std::move(Docs)));
-  Server Srv(appHandler(App));
-  ASSERT_FALSE(Srv.listenOn(0));
-  uint16_t Port = Srv.port();
+  net::Reactor R(appHandler(App));
+  ASSERT_FALSE(R.open({}));
+  uint16_t Port = R.port();
   EXPECT_GT(Port, 0u);
-  Srv.shutdown();
+  R.close();
   // Listening again picks a fresh ephemeral port.
-  ASSERT_FALSE(Srv.listenOn(0));
-  EXPECT_GT(Srv.port(), 0u);
-  Srv.shutdown();
+  ASSERT_FALSE(R.open({}));
+  EXPECT_GT(R.port(), 0u);
+  R.close();
 }
 
 } // namespace

@@ -609,7 +609,7 @@ protected:
   }
 
   /// Stages \p Artifact over the wire and waits until the fleet serves
-  /// \p CType (commits land at the reactors' idle hooks).
+  /// \p CType (commits land at the pool workers' update points).
   void commitAndObserve(uint16_t Port, const std::string &Artifact,
                         const std::string &CType) {
     Expected<FetchResult> R =

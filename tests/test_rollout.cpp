@@ -24,6 +24,7 @@
 #include "support/FaultInject.h"
 #include "support/MemoryBuffer.h"
 #include "support/StringUtil.h"
+#include "trace/Trace.h"
 
 #include <gtest/gtest.h>
 
@@ -310,7 +311,7 @@ TEST_F(RolloutPoolTest, RollChainsDrainFromReactorIdle) {
   WAIT_FOR(RT.updatesApplied() >= 1);
   EXPECT_EQ(RT.rollingCommits(), 1u);
 
-  // No more commits, no explicit flush: the workers' idle hook detaches
+  // No more commits, no explicit flush: the workers' idle point detaches
   // the chain once every registered worker has quiesced past it.
   WAIT_FOR(App.MapUrl.slot()->rollDepth() == 0);
 }
@@ -472,6 +473,9 @@ TEST(StagingWatchdogTest, StalledStagingTimesOutAndUnblocksTheQueue) {
 /// the same recording is written there (the CI lane validates and
 /// uploads it as a build artifact).
 TEST_F(RolloutPoolTest, TraceCoversTheWholeUpdateLifecycle) {
+  // Tx ids restart at 1 per Runtime but the recorder is process-wide:
+  // drop earlier tests' spans so none can join this update's tree.
+  trace::Recorder::instance().clear();
   // Attach a journal so the Intent/Seal fsync spans join the tree.
   persist::UpdateJournal::Options JO;
   JO.Sync = false;

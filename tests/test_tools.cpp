@@ -7,7 +7,6 @@
 #include "flashed/App.h"
 #include "flashed/Client.h"
 #include "flashed/Patches.h"
-#include "flashed/Server.h"
 #include "net/ReactorPool.h"
 #include "patch/Manifest.h"
 #include "runtime/UpdateController.h"
@@ -16,7 +15,6 @@
 
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <cstdio>
 #include <cstdlib>
 #include <thread>
@@ -183,18 +181,13 @@ TEST_F(ToolsTest, UpdatectlDrivesALiveServer) {
   flashed::DocStore Docs;
   Docs.put("/doc.html", "<html>doc</html>");
   ASSERT_FALSE(App.init(std::move(Docs)));
-  flashed::Server Srv(
+  net::ReactorPool Srv(
       [&App](const flashed::RequestHead &Head, std::string_view Raw,
              std::string &Out, flashed::SharedBody &Body) {
         App.handleInto(Head, Raw, Out, Body);
       });
-  Srv.setIdleHook([&RT] { RT.updatePoint(); });
-  ASSERT_FALSE(Srv.listenOn(0));
-  std::atomic<bool> Stop{false};
-  std::thread Loop([&] {
-    Error E = Srv.runUntil([&] { return Stop.load(); }, 5);
-    EXPECT_FALSE(E) << E.str();
-  });
+  Srv.setUpdateRuntime(RT);
+  ASSERT_FALSE(Srv.start());
   std::string Port = std::to_string(Srv.port());
 
   // v1 bug visible over the wire.
@@ -222,7 +215,7 @@ TEST_F(ToolsTest, UpdatectlDrivesALiveServer) {
   ASSERT_TRUE(Log);
   EXPECT_NE(Log->find("committed"), std::string::npos);
   EXPECT_EQ(run(toolPath("dsu-updatectl") + " status " + Port, Out), 0);
-  // The single-worker facade has no pool: `status --workers` must say so.
+  // The app has no pool attached: `status --workers` must say so.
   EXPECT_EQ(run(toolPath("dsu-updatectl") + " status " + Port +
                     " --workers",
                 Out),
@@ -247,8 +240,6 @@ TEST_F(ToolsTest, UpdatectlDrivesALiveServer) {
             0);
 
   std::remove(Artifact.c_str());
-  Stop.store(true);
-  Loop.join();
 }
 
 TEST_F(ToolsTest, UpdatectlSurfacesPerWorkerStateAndMetrics) {

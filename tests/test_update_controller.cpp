@@ -2,14 +2,15 @@
 ///
 /// The transactional update API under concurrency: N threads stage
 /// patches through the UpdateController while an update thread drains
-/// update points (and, in the live test, while the FlashEd event loop
-/// serves real traffic and commits at its idle hook).  Asserts the FIFO
-/// commit guarantee and that no transaction is lost or double-applied.
+/// update points (and, in the live test, while a 1-worker FlashEd pool
+/// serves real traffic and commits at its worker's update point).
+/// Asserts the FIFO commit guarantee and that no transaction is lost or
+/// double-applied.
 
 #include "flashed/App.h"
 #include "flashed/Client.h"
 #include "flashed/Patches.h"
-#include "flashed/Server.h"
+#include "net/ReactorPool.h"
 #include "patch/PatchBuilder.h"
 #include "runtime/UpdateController.h"
 
@@ -139,7 +140,8 @@ TEST(UpdateControllerTest, MalformedArtifactBecomesStageFailed) {
 }
 
 /// The live scenario: FlashEd serves requests on its event loop while
-/// patches are staged asynchronously and committed at the idle hook.
+/// patches are staged asynchronously and committed at the worker's
+/// update point.
 TEST(UpdateControllerTest, StagingUnderLiveTrafficCommitsAtIdleHook) {
   Runtime RT;
   FlashedApp App(RT);
@@ -149,17 +151,12 @@ TEST(UpdateControllerTest, StagingUnderLiveTrafficCommitsAtIdleHook) {
   Docs.fillSynthetic(8, 512);
   ASSERT_FALSE(App.init(std::move(Docs)));
 
-  Server Srv([&App](const RequestHead &Head, std::string_view Raw,
-                    std::string &Out, SharedBody &Body) {
+  net::ReactorPool Srv([&App](const RequestHead &Head, std::string_view Raw,
+                              std::string &Out, SharedBody &Body) {
     App.handleInto(Head, Raw, Out, Body);
   });
-  Srv.setIdleHook([&RT] { RT.updatePoint(); });
-  ASSERT_FALSE(Srv.listenOn(0));
-  std::atomic<bool> Stop{false};
-  std::thread Loop([&] {
-    Error E = Srv.runUntil([&] { return Stop.load(); }, 5);
-    EXPECT_FALSE(E) << E.str();
-  });
+  Srv.setUpdateRuntime(RT);
+  ASSERT_FALSE(Srv.start());
 
   // Continuous traffic on one thread...
   std::atomic<bool> TrafficStop{false};
@@ -187,7 +184,7 @@ TEST(UpdateControllerTest, StagingUnderLiveTrafficCommitsAtIdleHook) {
     Handles.push_back(Ctl.stagePatch(std::move(P)));
   Ctl.waitIdle();
 
-  // Commits happen at the server's idle hook, not on this thread.
+  // Commits happen at the worker's update point, not on this thread.
   for (int Spin = 0; Spin != 500 && RT.updatesApplied() < 5; ++Spin)
     std::this_thread::sleep_for(std::chrono::milliseconds(2));
   EXPECT_EQ(RT.updatesApplied(), 5u);
@@ -208,9 +205,6 @@ TEST(UpdateControllerTest, StagingUnderLiveTrafficCommitsAtIdleHook) {
   Expected<FetchResult> R = httpGet(Srv.port(), "/doc.html?q=1");
   ASSERT_TRUE(R);
   EXPECT_EQ(R->Status, 200); // P1's query fix is live
-
-  Stop.store(true);
-  Loop.join();
 }
 
 } // namespace
