@@ -22,7 +22,7 @@ Error StagedUpdate::commit() {
   if (!valid())
     return Error::make(ErrorCode::EC_Invalid,
                        "commit of an empty StagedUpdate handle");
-  return RT->commitStagedTx(Tx);
+  return RT->commitTx(Tx, /*Rolling=*/false);
 }
 
 Error StagedUpdate::abort() {
@@ -387,46 +387,30 @@ Expected<StagedUpdate> Runtime::stage(Patch P, uint64_t JournalSeq) {
   return StagedUpdate(this, std::move(Tx));
 }
 
-Error Runtime::enqueue(const StagedUpdate &U) {
-  if (!U.valid())
-    return Error::make(ErrorCode::EC_Invalid,
-                       "enqueue of an empty StagedUpdate handle");
-  if (!Queue.enqueue(U.Tx))
-    return Error::make(ErrorCode::EC_Invalid,
-                       "transaction %llu is already queued",
-                       static_cast<unsigned long long>(U.Tx->id()));
-  return Error::success();
-}
-
-void Runtime::requestUpdate(Patch P) {
+StagedUpdate Runtime::requestUpdate(Patch P) {
   std::shared_ptr<UpdateTransaction> Tx = makeTransaction(P.Id);
   Tx->P = std::move(P);
   // Enqueue before staging: queue position — and therefore commit order
   // — is fixed by submission order, not by how long staging takes.
   Queue.enqueue(Tx);
   (void)stageInto(*Tx); // a failure is recorded in the update log
-}
-
-Error Runtime::requestUpdateFromFile(const std::string &Path) {
-  Expected<Patch> P = loadPatchFile(Types, Exports, Path);
-  if (!P)
-    return P.takeError();
-  requestUpdate(std::move(*P));
-  return Error::success();
+  return StagedUpdate(this, std::move(Tx));
 }
 
 // --- Commit (the update thread) ------------------------------------------
 
-
-Error Runtime::commitStagedTx(const std::shared_ptr<UpdateTransaction> &TxP) {
+Error Runtime::commitTx(const std::shared_ptr<UpdateTransaction> &Tx,
+                        bool Rolling, uint64_t CanaryMask,
+                        std::vector<RollEntry *> *GatedOut,
+                        bool *NeedsBarrier) {
   std::lock_guard<std::mutex> G(CommitLock);
-  return commitStagedTxLocked(TxP, /*Rolling=*/false, nullptr);
+  return commitTxLocked(Tx, Rolling, CanaryMask, GatedOut, NeedsBarrier);
 }
 
-Error Runtime::commitStagedTxLocked(
-    const std::shared_ptr<UpdateTransaction> &TxP, bool Rolling,
-    bool *NeedsBarrier, uint64_t CanaryMask,
-    std::vector<RollEntry *> *GatedOut) {
+Error Runtime::commitTxLocked(const std::shared_ptr<UpdateTransaction> &TxP,
+                              bool Rolling, uint64_t CanaryMask,
+                              std::vector<RollEntry *> *GatedOut,
+                              bool *NeedsBarrier) {
   UpdateTransaction &Tx = *TxP;
   if (ActivationTracker::currentDepth() != 0)
     return Error::make(
@@ -446,11 +430,11 @@ Error Runtime::commitStagedTxLocked(
                        updatePhaseName(Expect));
 
   std::string PatchId = Tx.patchId();
+  const char *Mode = CanaryMask != UINT64_MAX ? "canary"
+                     : Rolling                ? "rolling"
+                                              : "barrier";
   trace::ScopedUpdateId TraceId(Tx.id());
-  trace::Span CommitSp("commit",
-                       CanaryMask != UINT64_MAX ? "canary"
-                       : Rolling                ? "rolling"
-                                                : "barrier");
+  trace::Span CommitSp("commit", Mode);
   Timer CommitTimer;
   auto FailCommit = [&](Error E) {
     {
@@ -578,16 +562,14 @@ Error Runtime::commitStagedTxLocked(
     Tx.Rec.CommitMs = CommitMs;
     Tx.Rec.TotalMs = Tx.Rec.StageMs + CommitMs;
     Tx.Rec.TransformMs = Tx.Rec.BuildMs + StateMark;
-    Tx.Rec.CommitMode = CanaryMask != UINT64_MAX ? "canary"
-                        : Rolling                ? "rolling"
-                                                 : "barrier";
+    Tx.Rec.CommitMode = Mode;
     Tx.Rec.StageToCommitUs = StageToCommitUs;
     Done = Tx.Rec;
   }
   finalize(Tx, UpdatePhase::Committed, nullptr);
   DSU_LOG_INFO("patch %s committed (%s): staged %.3fms (verify %.3f, "
                "prepare %.3f, build %.3f) + pause %.3fms%s",
-               PatchId.c_str(), Rolling ? "rolling" : "barrier",
+               PatchId.c_str(), Mode,
                Done.StageMs, Done.VerifyMs, Done.PrepareMs, Done.BuildMs,
                Done.CommitMs,
                Done.StateRebuilt ? " [state rebuilt at commit]" : "");
@@ -595,6 +577,18 @@ Error Runtime::commitStagedTxLocked(
 }
 
 // --- Rolling (barrier-free) commits of code-only patches -----------------
+
+Runtime::PendingCommit Runtime::commitModeOf(const UpdateTransaction &T) {
+  if (T.HeldForRollout.load(std::memory_order_acquire))
+    return PendingCommit::None; // the rollout controller commits this one
+  UpdatePhase P = T.phase();
+  if (P == UpdatePhase::Staging || P == UpdatePhase::Committing)
+    return PendingCommit::None;
+  if (P != UpdatePhase::Ready)
+    return PendingCommit::Rolling; // terminal: collection needs no barrier
+  return T.CodeOnly.load(std::memory_order_acquire) ? PendingCommit::Rolling
+                                                    : PendingCommit::Barrier;
+}
 
 Runtime::PendingCommit Runtime::pendingCommitMode() const {
   // While a canary rollout is in flight the rollout controller owns the
@@ -604,56 +598,7 @@ Runtime::PendingCommit Runtime::pendingCommitMode() const {
   if (RolloutActive.load(std::memory_order_acquire))
     return PendingCommit::None;
   std::shared_ptr<UpdateTransaction> Front = Queue.front();
-  if (!Front)
-    return PendingCommit::None;
-  if (Front->HeldForRollout.load(std::memory_order_acquire))
-    return PendingCommit::None;
-  UpdatePhase P = Front->phase();
-  if (P == UpdatePhase::Staging || P == UpdatePhase::Committing)
-    return PendingCommit::None;
-  if (P != UpdatePhase::Ready)
-    return PendingCommit::Rolling; // terminal: collection needs no barrier
-  return Front->CodeOnly.load(std::memory_order_acquire)
-             ? PendingCommit::Rolling
-             : PendingCommit::Barrier;
-}
-
-unsigned Runtime::commitRollingFront() {
-  if (RolloutActive.load(std::memory_order_acquire))
-    return 0; // a canary rollout owns the commit pipeline
-  std::lock_guard<std::mutex> G(CommitLock);
-  if (ActivationTracker::currentDepth() != 0)
-    return 0; // not a quiescent point on this thread; try again later
-  flushRetiredBindingsLocked();
-  unsigned Committed = 0;
-  while (true) {
-    std::shared_ptr<UpdateTransaction> Tx =
-        Queue.popActionableIf([](const UpdateTransaction &T) {
-          if (T.HeldForRollout.load(std::memory_order_acquire))
-            return false; // the rollout controller commits this one
-          return T.phase() != UpdatePhase::Ready ||
-                 T.CodeOnly.load(std::memory_order_acquire);
-        });
-    if (!Tx)
-      break;
-    if (Tx->phase() != UpdatePhase::Ready)
-      continue; // terminal (failed/aborted): already logged, collect
-    bool NeedsBarrier = false;
-    Error E = commitStagedTxLocked(Tx, /*Rolling=*/true, &NeedsBarrier);
-    if (NeedsBarrier) {
-      // Reclassified at revalidation: back to the front, in its
-      // original commit-order position, for the barrier to take.
-      Queue.pushFront(std::move(Tx));
-      break;
-    }
-    if (E)
-      DSU_LOG_WARN("rolling update rejected: tx %llu (%s): %s",
-                   static_cast<unsigned long long>(Tx->id()),
-                   Tx->patchId().c_str(), E.str().c_str());
-    else
-      ++Committed;
-  }
-  return Committed;
+  return Front ? commitModeOf(*Front) : PendingCommit::None;
 }
 
 void Runtime::flushRetiredBindings() {
@@ -675,15 +620,6 @@ void Runtime::maybeFlushRetiredBindings() {
   if (ActivationTracker::currentDepth() != 0)
     return;
   flushRetiredBindingsLocked();
-}
-
-Error Runtime::commitCanaryFront(const std::shared_ptr<UpdateTransaction> &Tx,
-                                 uint64_t CanaryMask,
-                                 std::vector<RollEntry *> &GatedOut,
-                                 bool *NeedsBarrier) {
-  std::lock_guard<std::mutex> G(CommitLock);
-  return commitStagedTxLocked(Tx, /*Rolling=*/true, NeedsBarrier, CanaryMask,
-                              &GatedOut);
 }
 
 void Runtime::annotateRollout(const std::shared_ptr<UpdateTransaction> &Tx,
@@ -777,11 +713,15 @@ Error Runtime::abortStagedTx(const std::shared_ptr<UpdateTransaction> &TxP) {
   }
 }
 
-unsigned Runtime::updatePoint() {
+unsigned Runtime::updatePoint(PendingCommit Upto) {
   if (!Queue.pending())
     return 0;
   if (RolloutActive.load(std::memory_order_acquire))
     return 0; // a canary rollout owns the commit pipeline
+  bool Rolling = Upto == PendingCommit::Rolling;
+  // One committer drains the whole front, so commit order is queue order
+  // even when several workers reach their update points at once.
+  std::lock_guard<std::mutex> G(CommitLock);
   if (ActivationTracker::currentDepth() != 0) {
     // Updateable code is active on this thread: not a safe point.  The
     // transactions stay queued for the next (quiescent) update point,
@@ -790,15 +730,29 @@ unsigned Runtime::updatePoint() {
                   ActivationTracker::currentDepth());
     return 0;
   }
+  if (Rolling)
+    flushRetiredBindingsLocked(); // each rolling commit grows a chain
   unsigned Committed = 0;
+  auto Accept = [Upto](const UpdateTransaction &T) {
+    PendingCommit M = commitModeOf(T);
+    return M != PendingCommit::None && M <= Upto;
+  };
   while (std::shared_ptr<UpdateTransaction> Tx =
-             Queue.popActionableIf([](const UpdateTransaction &T) {
-               return !T.HeldForRollout.load(std::memory_order_acquire);
-             })) {
+             Queue.popActionableIf(Accept)) {
     if (Tx->phase() != UpdatePhase::Ready)
       continue; // stage-failed or aborted: already recorded, just collect
-    if (Error E = commitStagedTx(Tx))
-      DSU_LOG_WARN("update rejected: tx %llu (%s): %s",
+    bool NeedsBarrier = false;
+    Error E =
+        commitTxLocked(Tx, Rolling, UINT64_MAX, nullptr, &NeedsBarrier);
+    if (NeedsBarrier) {
+      // A rolling commit reclassified at revalidation: back to the
+      // front, in its original commit-order position, for the barrier.
+      Queue.pushFront(std::move(Tx));
+      break;
+    }
+    if (E)
+      DSU_LOG_WARN("%s rejected: tx %llu (%s): %s",
+                   Rolling ? "rolling update" : "update",
                    static_cast<unsigned long long>(Tx->id()),
                    Tx->patchId().c_str(), E.str().c_str());
     else

@@ -17,13 +17,18 @@
 /// program mutation beyond append-only type/transformer definitions, so
 /// the serving pause at updatePoint() is only the commit cost.
 ///
-/// Thread model: any thread may stage updates (Runtime::stage, or the
-/// UpdateController's worker); exactly the program's chosen update thread
-/// calls updatePoint()/applyNow()/StagedUpdate::commit() (single-updater
-/// discipline, as in the paper where the program updates itself at its
-/// own update points).  Violations are reported as EC_Busy — distinct
-/// from EC_Invalid — naming the discipline broken, so operator surfaces
-/// can answer "retry at a quiescent point".
+/// Thread model: any thread may stage updates (Runtime::stage,
+/// requestUpdate, or the UpdateController's worker).  Every commit goes
+/// through one entry, serialized internally: the update point
+/// updatePoint() drains the queue front (a rolling drain from any
+/// quiescent worker, a barrier drain from the one designated committer),
+/// and applyNow()/StagedUpdate::commit() commit one transaction on the
+/// caller's thread.  A commit must run where no updateable frame is
+/// active on the calling thread (single-updater discipline, as in the
+/// paper where the program updates itself at its own update points).
+/// Violations are reported as EC_Busy — distinct from EC_Invalid —
+/// naming the discipline broken, so operator surfaces can answer "retry
+/// at a quiescent point".
 ///
 //===----------------------------------------------------------------------===//
 
@@ -129,24 +134,11 @@ public:
   /// two-phase protocol.
   Expected<StagedUpdate> stage(Patch P, uint64_t JournalSeq = 0);
 
-  /// Queues a staged transaction for the next update point (FIFO with
-  /// everything else queued).
-  Error enqueue(const StagedUpdate &U);
-
   /// Stages \p P on the calling thread and queues it for the next update
-  /// point.  A staging failure is recorded in the update log; the
+  /// point; returns the queued transaction's handle.  A staging failure
+  /// is recorded in the update log (the handle is then terminal); the
   /// failed transaction never blocks the queue.
-  void requestUpdate(Patch P);
-
-  /// Loads a patch artifact and stages + queues it.
-  Error requestUpdateFromFile(const std::string &Path);
-
-  /// The update point.  Near-free when nothing is actionable; otherwise
-  /// commits every *ready* transaction at the front of the queue, in
-  /// FIFO order, pausing only for commit cost (binding swings + state
-  /// swaps) — never for verification or link preparation, which already
-  /// ran at stage time.  Returns the number of transactions committed.
-  unsigned updatePoint();
+  StagedUpdate requestUpdate(Patch P);
 
   /// Stages and immediately commits one patch (the caller asserts this
   /// is a safe point on the update thread).  Refused with EC_Busy when
@@ -161,17 +153,32 @@ public:
   /// — no global quiescence needed — Barrier for anything that migrates
   /// state or bumps types, None when nothing is actionable.  The
   /// multi-core serving plane consults this at each worker's idle point
-  /// to decide between commitRollingFront() and arming the barrier.
+  /// to decide between a rolling updatePoint() and arming the barrier.
+  /// Ordered: an update point that may commit up to Barrier also takes
+  /// Rolling fronts.
   enum class PendingCommit { None, Rolling, Barrier };
   PendingCommit pendingCommitMode() const;
 
-  /// Commits every code-only transaction at the queue front as rolling
-  /// updates — bindings swing behind epoch redirection, each reader
-  /// thread adopts the new code at its own quiescent point, no worker
-  /// parks.  Stops at the first transaction that needs the barrier
-  /// (left at the front).  Callable from any quiescent thread; commits
-  /// are serialized internally.  Returns transactions committed.
-  unsigned commitRollingFront();
+  /// The update point.  Near-free when nothing is actionable; otherwise
+  /// commits every *ready* transaction at the front of the queue, in
+  /// FIFO order, up to commit mode \p Upto, pausing only for commit cost
+  /// (binding swings + state swaps) — never for verification or link
+  /// preparation, which already ran at stage time.  Terminal fronts
+  /// (failed, aborted) are collected on the way.
+  ///
+  ///  - Barrier (the default): the caller asserts global quiescence;
+  ///    every ready front commits.
+  ///  - Rolling: only code-only fronts commit, as rolling updates —
+  ///    bindings swing behind epoch redirection and each reader thread
+  ///    adopts the new code at its own quiescent point, so no worker
+  ///    parks.  Stops at the first front that needs the barrier (left
+  ///    at the front).  Callable from any quiescent thread.
+  ///  - None: a no-op.
+  ///
+  /// Commits are serialized internally.  Returns 0 while a canary
+  /// rollout owns the commit plane or updateable code is active on this
+  /// thread; otherwise the number of transactions committed.
+  unsigned updatePoint(PendingCommit Upto = PendingCommit::Barrier);
 
   /// Successfully committed rolling (barrier-free) updates.
   uint64_t rollingCommits() const {
@@ -309,16 +316,11 @@ private:
 
   std::shared_ptr<UpdateTransaction> makeTransaction(std::string PatchId);
 
-  /// Commits a held-for-rollout transaction as a canary-gated rolling
-  /// update: only workers in \p CanaryMask adopt the new bindings; the
-  /// published (gated) RollEntries are appended to \p GatedOut for the
-  /// RolloutController to resolve.  Demotes to *NeedsBarrier exactly
-  /// like a plain rolling commit when revalidation discovers state
-  /// migration.
-  Error commitCanaryFront(const std::shared_ptr<UpdateTransaction> &Tx,
-                          uint64_t CanaryMask,
-                          std::vector<RollEntry *> &GatedOut,
-                          bool *NeedsBarrier);
+  /// How an update point would take \p T were it the queue front:
+  /// Rolling for a code-only or terminal transaction, Barrier for a
+  /// state-migrating one, None while it is staging, committing, or held
+  /// for a rollout.
+  static PendingCommit commitModeOf(const UpdateTransaction &T);
 
   /// Records a rollout verdict ("promoted" / "rolled-back") on \p Tx's
   /// live record and on its already-appended update-log entry, so the
@@ -337,20 +339,27 @@ private:
   /// record appended to the log.
   Error stageInto(UpdateTransaction &Tx);
 
-  /// Commits one ready transaction on the calling (update) thread.
-  Error commitStagedTx(const std::shared_ptr<UpdateTransaction> &Tx);
+  /// The one commit entry: commits ready transaction \p Tx, serialized
+  /// with every other committer by CommitLock.  With \p Rolling set, the
+  /// binding swings go through the epoch redirection instead of assuming
+  /// global quiescence; if commit-time revalidation discovers the plan is
+  /// no longer code-only, the transaction is returned to Ready,
+  /// *NeedsBarrier is set, and no program state changes.  A \p
+  /// CanaryMask other than UINT64_MAX gates a rolling commit for the
+  /// RolloutController: only workers in the mask adopt the new bindings,
+  /// and the published (gated) RollEntries are appended to \p GatedOut
+  /// for the controller to resolve.
+  Error commitTx(const std::shared_ptr<UpdateTransaction> &Tx, bool Rolling,
+                 uint64_t CanaryMask = UINT64_MAX,
+                 std::vector<RollEntry *> *GatedOut = nullptr,
+                 bool *NeedsBarrier = nullptr);
 
-  /// The commit body, with committers already serialized by CommitLock.
-  /// With \p Rolling set, the binding swings go through the epoch
-  /// redirection instead of assuming global quiescence; if commit-time
-  /// revalidation discovers the plan is no longer code-only, the
-  /// transaction is returned to Ready, *NeedsBarrier is set, and no
-  /// program state changes.  \p CanaryMask / \p GatedOut thread the
-  /// canary gate through to Linker::commit (see commitCanaryFront).
-  Error commitStagedTxLocked(const std::shared_ptr<UpdateTransaction> &Tx,
-                             bool Rolling, bool *NeedsBarrier,
-                             uint64_t CanaryMask = UINT64_MAX,
-                             std::vector<RollEntry *> *GatedOut = nullptr);
+  /// commitTx() with CommitLock already held (the update-point drain
+  /// holds it across the whole queue front).
+  Error commitTxLocked(const std::shared_ptr<UpdateTransaction> &Tx,
+                       bool Rolling, uint64_t CanaryMask,
+                       std::vector<RollEntry *> *GatedOut,
+                       bool *NeedsBarrier);
 
   /// Registers an abort request; see StagedUpdate::abort().
   Error abortStagedTx(const std::shared_ptr<UpdateTransaction> &Tx);
@@ -390,8 +399,8 @@ private:
   std::atomic<uint64_t> StagingDeadlineMs{0};
 
   /// Set while a RolloutController drives the commit plane; worker-side
-  /// commit paths (updatePoint, commitRollingFront, pendingCommitMode)
-  /// stand down so no commit can stack on an unresolved canary gate.
+  /// commit paths (updatePoint, pendingCommitMode) stand down so no
+  /// commit can stack on an unresolved canary gate.
   std::atomic<bool> RolloutActive{false};
 
   /// Bumped on every commit; a transaction prepared against an older

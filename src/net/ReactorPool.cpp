@@ -324,7 +324,7 @@ void ReactorPool::maybeEnterBarrier(unsigned Idx) {
     case Runtime::PendingCommit::None:
       return;
     case Runtime::PendingCommit::Rolling:
-      TheRuntime->commitRollingFront();
+      TheRuntime->updatePoint(Runtime::PendingCommit::Rolling);
       // Anything left at the front now needs the barrier; the next
       // idle point (any worker's) arms it.
       return;

@@ -18,6 +18,8 @@
 #ifndef DSU_NET_WORKERSTATS_H
 #define DSU_NET_WORKERSTATS_H
 
+#include "support/Histogram.h"
+
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
@@ -63,18 +65,9 @@ struct alignas(64) WorkerStats {
   std::atomic<uint64_t> ServeMaxUs{0}; ///< worst single handler run
 
   void notePause(uint64_t Us) {
-    for (size_t I = 0; I != NumPauseBuckets; ++I)
-      if (Us <= PauseBucketUs[I]) {
-        PauseBuckets[I].fetch_add(1, std::memory_order_relaxed);
-        break;
-      }
+    noteBucketed(PauseBucketUs, PauseBuckets, PauseMaxUs, Us);
     Pauses.fetch_add(1, std::memory_order_relaxed);
     PauseTotalUs.fetch_add(Us, std::memory_order_relaxed);
-    uint64_t Prev = PauseMaxUs.load(std::memory_order_relaxed);
-    while (Us > Prev &&
-           !PauseMaxUs.compare_exchange_weak(Prev, Us,
-                                             std::memory_order_relaxed))
-      ;
   }
 
   void noteRequest() { Requests.fetch_add(1, std::memory_order_relaxed); }
@@ -84,16 +77,7 @@ struct alignas(64) WorkerStats {
   void noteServe(uint64_t Us, bool ServerError) {
     Serves.fetch_add(1, std::memory_order_relaxed);
     ServeTotalUs.fetch_add(Us, std::memory_order_relaxed);
-    for (size_t I = 0; I != NumServeBuckets; ++I)
-      if (Us <= ServeBucketUs[I]) {
-        ServeBuckets[I].fetch_add(1, std::memory_order_relaxed);
-        break;
-      }
-    uint64_t Prev = ServeMaxUs.load(std::memory_order_relaxed);
-    while (Us > Prev &&
-           !ServeMaxUs.compare_exchange_weak(Prev, Us,
-                                             std::memory_order_relaxed))
-      ;
+    noteBucketed(ServeBucketUs, ServeBuckets, ServeMaxUs, Us);
     if (ServerError)
       Errors5xx.fetch_add(1, std::memory_order_relaxed);
   }

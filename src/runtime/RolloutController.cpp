@@ -234,7 +234,7 @@ void RolloutController::runOne(std::shared_ptr<UpdateTransaction> Tx,
       R.PatchId = Tx->patchId();
     });
     bool NeedsBarrier = false;
-    Error E = RT.commitCanaryFront(Tx, Mask, Gated, &NeedsBarrier);
+    Error E = RT.commitTx(Tx, /*Rolling=*/true, Mask, &Gated, &NeedsBarrier);
     if (NeedsBarrier) {
       // Revalidation discovered state migration; fall back to the
       // degenerate barrier form below.
@@ -259,9 +259,8 @@ void RolloutController::runOne(std::shared_ptr<UpdateTransaction> Tx,
       R.CanaryMask = 0;
       R.PatchId = Tx->patchId();
     });
-    Error E = H.RunQuiescent
-                  ? H.RunQuiescent([&] { return RT.commitStagedTx(Tx); })
-                  : RT.commitStagedTx(Tx);
+    auto Commit = [&] { return RT.commitTx(Tx, /*Rolling=*/false); };
+    Error E = H.RunQuiescent ? H.RunQuiescent(Commit) : Commit();
     if (E)
       return Fail("barrier commit rejected: " + E.str());
   }

@@ -14,20 +14,8 @@ bool UpdateQueue::enqueue(std::shared_ptr<UpdateTransaction> Tx) {
   return true;
 }
 
-std::shared_ptr<UpdateTransaction> UpdateQueue::popActionable() {
-  std::lock_guard<std::mutex> G(Lock);
-  if (Items.empty() || !actionable(*Items.front())) {
-    refreshLocked();
-    return nullptr;
-  }
-  std::shared_ptr<UpdateTransaction> Tx = std::move(Items.front());
-  Items.pop_front();
-  refreshLocked();
-  return Tx;
-}
-
-std::shared_ptr<UpdateTransaction>
-UpdateQueue::popActionableIf(bool (*Accept)(const UpdateTransaction &)) {
+std::shared_ptr<UpdateTransaction> UpdateQueue::popActionableIf(
+    const std::function<bool(const UpdateTransaction &)> &Accept) {
   std::lock_guard<std::mutex> G(Lock);
   if (Items.empty() || !actionable(*Items.front()) ||
       !Accept(*Items.front())) {

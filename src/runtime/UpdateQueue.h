@@ -23,6 +23,7 @@
 
 #include <atomic>
 #include <deque>
+#include <functional>
 #include <memory>
 #include <mutex>
 #include <vector>
@@ -43,18 +44,14 @@ public:
 
   /// Pops and returns the front transaction if it is actionable —
   /// ready to commit, or already terminal (failed, aborted, or
-  /// committed directly through its handle) and awaiting collection;
-  /// nullptr otherwise.  The FIFO guarantee lives here: a staging (or
-  /// mid-commit) front blocks everything behind it.
-  std::shared_ptr<UpdateTransaction> popActionable();
-
-  /// popActionable() gated by an extra predicate, evaluated on the front
-  /// transaction under the queue lock: pops only when the front is both
-  /// actionable and accepted by \p Accept.  The rolling-commit path uses
-  /// it to take code-only (or terminal) fronts while leaving a
+  /// committed directly through its handle) and awaiting collection —
+  /// and accepted by \p Accept, evaluated on the front under the queue
+  /// lock; nullptr otherwise.  The FIFO guarantee lives here: a staging
+  /// (or mid-commit) front blocks everything behind it.  A rolling
+  /// update point accepts only fronts that need no barrier, leaving a
   /// state-migrating front in place for the barrier.
-  std::shared_ptr<UpdateTransaction>
-  popActionableIf(bool (*Accept)(const UpdateTransaction &));
+  std::shared_ptr<UpdateTransaction> popActionableIf(
+      const std::function<bool(const UpdateTransaction &)> &Accept);
 
   /// The front transaction without popping (nullptr when empty).
   std::shared_ptr<UpdateTransaction> front() const;

@@ -56,7 +56,10 @@ TEST_F(NativePatchTest, AppliesAndChangesBehaviour) {
   EXPECT_EQ(Fib(20), 6765);
   EXPECT_EQ(Scale(3), 3000);
 
-  ASSERT_FALSE(RT.requestUpdateFromFile(patchPath("mathlib_v2.so")));
+  Expected<Patch> P =
+      loadPatchFile(RT.types(), RT.exports(), patchPath("mathlib_v2.so"));
+  ASSERT_TRUE(P) << P.takeError().str();
+  RT.requestUpdate(std::move(*P));
   ASSERT_EQ(RT.updatePoint(), 1u);
 
   // Same results where semantics agree, new semantics where they differ.
@@ -84,8 +87,10 @@ TEST_F(NativePatchTest, AppliesAndChangesBehaviour) {
 }
 
 TEST_F(NativePatchTest, IllTypedPatchRejectedWithoutMutation) {
-  Error E = RT.requestUpdateFromFile(patchPath("badpatch_type_mismatch.so"));
-  ASSERT_FALSE(E) << E.str(); // loading succeeds; applying must fail
+  Expected<Patch> P = loadPatchFile(RT.types(), RT.exports(),
+                                    patchPath("badpatch_type_mismatch.so"));
+  ASSERT_TRUE(P) << P.takeError().str(); // loading succeeds; applying fails
+  RT.requestUpdate(std::move(*P));
   EXPECT_EQ(RT.updatePoint(), 0u);
 
   auto Log = RT.updateLog();
@@ -130,7 +135,10 @@ TEST(FlashedNativePatchTest, P1FixesQueryParsing) {
   std::string Request = "GET /doc.html?q=1 HTTP/1.0\r\n\r\n";
   EXPECT_NE(App.handle(Request).find("404"), std::string::npos);
 
-  ASSERT_FALSE(RT.requestUpdateFromFile(patchPath("p1_parsefix.so")));
+  Expected<Patch> P =
+      loadPatchFile(RT.types(), RT.exports(), patchPath("p1_parsefix.so"));
+  ASSERT_TRUE(P) << P.takeError().str();
+  RT.requestUpdate(std::move(*P));
   ASSERT_EQ(RT.updatePoint(), 1u);
 
   std::string After = App.handle(Request);

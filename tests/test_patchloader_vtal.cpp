@@ -230,7 +230,9 @@ func xform (a: int, b: int) -> int {
 TEST_F(VtalPatchTest, RoundTripThroughFile) {
   std::string Path = ::testing::TempDir() + "dsu_triple.dsup";
   ASSERT_FALSE(writeFile(Path, TripleManifest));
-  ASSERT_FALSE(RT.requestUpdateFromFile(Path));
+  Expected<Patch> P = loadPatchFile(RT.types(), RT.exports(), Path);
+  ASSERT_TRUE(P) << P.takeError().str();
+  RT.requestUpdate(std::move(*P));
   EXPECT_EQ(RT.updatePoint(), 1u);
   EXPECT_EQ(Double(4), 19); // 12 + 7
   std::remove(Path.c_str());

@@ -6,7 +6,9 @@
 /// global barrier; a worker stuck mid-request neither blocks a rolling
 /// commit nor observes it mid-request; the stage->commit latency lands
 /// within one poll timeout under idle load; and DocStore hot
-/// replacement is safe with mutex-free readers.
+/// replacement is safe with mutex-free readers.  The rolling drain
+/// (updatePoint(PendingCommit::Rolling)) is also driven directly,
+/// without a pool.
 ///
 /// Run alone with `ctest -L epoch`.
 
@@ -18,6 +20,7 @@
 #include "net/ReactorPool.h"
 #include "patch/PatchBuilder.h"
 #include "patch/PatchLoader.h"
+#include "runtime/RolloutController.h"
 #include "runtime/UpdateController.h"
 #ifndef DSU_VTAL_NO_NATIVE
 #include "epoch/Epoch.h"
@@ -237,6 +240,91 @@ TEST_F(RollingPoolTest, MixedQueueRollsThenBarriers) {
   ASSERT_GE(Log.size(), 2u);
   EXPECT_EQ(Log[Log.size() - 2].CommitMode, "rolling");
   EXPECT_EQ(Log[Log.size() - 1].CommitMode, "barrier");
+}
+
+/// The rolling drain itself, without a pool: updatePoint(Rolling)
+/// collects a terminal front, commits code-only fronts, and stops at the
+/// first state-migrating one, which the barrier drain then takes — in
+/// queue order.  While a canary rollout owns the commit plane, neither
+/// drain commits anything.
+TEST(RollingDrainTest, RollingDrainStopsAtTheFirstBarrierFront) {
+  Runtime RT;
+  auto F = RT.defineUpdateable("pair.first", &retOne);
+  auto S = RT.defineUpdateable("pair.second", &retOne);
+  ASSERT_TRUE(F);
+  ASSERT_TRUE(S);
+  ASSERT_FALSE(RT.defineNamedType(VersionedName{"dcell", 1},
+                                  RT.types().intType()));
+  Expected<StateCell *> Cell =
+      RT.defineState("d.cell", RT.types().namedType("dcell", 1),
+                     std::make_shared<int64_t>(3));
+  ASSERT_TRUE(Cell) << Cell.takeError().str();
+
+  Expected<Patch> X = makePairPatch(RT, 2);
+  Expected<Patch> A = makePairPatch(RT, 3);
+  Expected<Patch> B = makeMigratingPatch(RT, "dcell", 1);
+  Expected<Patch> C = makePairPatch(RT, 4);
+  ASSERT_TRUE(X && A && B && C);
+  StagedUpdate Aborted = RT.requestUpdate(std::move(*X));
+  ASSERT_FALSE(Aborted.abort());
+  RT.requestUpdate(std::move(*A));
+  StagedUpdate Migrating = RT.requestUpdate(std::move(*B));
+  RT.requestUpdate(std::move(*C));
+  ASSERT_EQ(RT.queueDepth(), 4u);
+
+  // Rolling: the aborted front is collected, A commits, B stays put.
+  EXPECT_EQ(RT.updatePoint(Runtime::PendingCommit::Rolling), 1u);
+  EXPECT_EQ((*F)(0), 3);
+  EXPECT_EQ(RT.rollingCommits(), 1u);
+  EXPECT_EQ(RT.queueDepth(), 2u);
+  EXPECT_EQ(RT.frontTxId(), Migrating.id());
+  EXPECT_EQ(RT.pendingCommitMode(), Runtime::PendingCommit::Barrier);
+  EXPECT_EQ(RT.updatePoint(Runtime::PendingCommit::Rolling), 0u);
+
+  // Barrier: B, then C.
+  EXPECT_EQ(RT.updatePoint(), 2u);
+  EXPECT_EQ(RT.queueDepth(), 0u);
+  EXPECT_EQ((*Cell)->type()->str(), "%dcell@2");
+  EXPECT_EQ((*F)(0), 4);
+  std::vector<UpdateRecord> Log = RT.updateLog();
+  ASSERT_EQ(Log.size(), 4u);
+  EXPECT_EQ(Log[0].Phase, "aborted");
+  EXPECT_EQ(Log[1].CommitMode, "rolling");
+  EXPECT_EQ(Log[2].CommitMode, "barrier");
+  EXPECT_EQ(Log[3].CommitMode, "barrier");
+
+  // A rollout holds the commit plane for its whole observation window.
+  RolloutController Rollouts(RT, {});
+  RolloutOptions RO;
+  RO.WindowMs = 1000;
+  Expected<uint64_t> Id = Rollouts.startArtifactText(R"dsu(
+(patch
+  (id "drain-rollout")
+  (description "a rollout that holds the commit plane")
+  (provides
+    (fn (name "drain.extra")
+        (type "fn(int) -> int")
+        (vtal-fn "extra")))
+  (vtal-module
+"module drain_rollout
+func extra (x: int) -> int {
+  load x
+  ret
+}"))
+)dsu",
+                                                     "drain-test", RO);
+  ASSERT_TRUE(Id) << Id.takeError().str();
+  WAIT_FOR(RT.rolloutActive());
+  Expected<Patch> D = makePairPatch(RT, 5);
+  ASSERT_TRUE(D);
+  RT.requestUpdate(std::move(*D));
+  EXPECT_EQ(RT.updatePoint(Runtime::PendingCommit::Rolling), 0u);
+  EXPECT_EQ(RT.updatePoint(), 0u);
+  EXPECT_EQ((*F)(0), 4);
+  Rollouts.waitIdle();
+  EXPECT_EQ(Rollouts.rollout(*Id)->Verdict, "promoted");
+  EXPECT_EQ(RT.updatePoint(), 1u); // rollout tx collected, D committed
+  EXPECT_EQ((*F)(0), 5);
 }
 
 /// A code-only VTAL patch whose functions the native tier compiles at

@@ -244,8 +244,10 @@ TEST_F(PipelineTest, TransformerValidationInBuilder) {
 }
 
 TEST_F(PipelineTest, RequestUpdateFromMissingFileFails) {
-  EXPECT_TRUE(RT.requestUpdateFromFile("/nonexistent/patch.so"));
-  EXPECT_TRUE(RT.requestUpdateFromFile("/nonexistent/patch.dsup"));
+  EXPECT_FALSE(
+      loadPatchFile(RT.types(), RT.exports(), "/nonexistent/patch.so"));
+  EXPECT_FALSE(
+      loadPatchFile(RT.types(), RT.exports(), "/nonexistent/patch.dsup"));
 }
 
 // --- The transactional surface -------------------------------------------
@@ -289,8 +291,8 @@ TEST_F(PipelineTest, AbortedTransactionNeverApplies) {
   Patch P = cantFail(PatchBuilder(RT.types(), "fact-v2")
                          .provide("app.fact", &factV2)
                          .build());
-  StagedUpdate U = cantFail(RT.stage(std::move(P)));
-  ASSERT_FALSE(RT.enqueue(U));
+  StagedUpdate U = RT.requestUpdate(std::move(P));
+  EXPECT_EQ(U.phase(), UpdatePhase::Ready);
   EXPECT_TRUE(RT.updatePending());
 
   ASSERT_FALSE(U.abort());
@@ -336,15 +338,12 @@ TEST_F(PipelineTest, CommitRefusedInsideUpdateableCodeIsBusy) {
 }
 
 TEST_F(PipelineTest, DirectlyCommittedHandleDoesNotWedgeTheQueue) {
-  // A transaction can be enqueued *and* committed directly through its
-  // handle; the queue must collect the terminal entry instead of
-  // blocking FIFO behind it forever.
+  // A queued transaction can be committed directly through its handle;
+  // the queue must collect the terminal entry instead of blocking FIFO
+  // behind it forever.
   auto Fact = cantFail(RT.defineUpdateable("app.fact", &factV1));
-  StagedUpdate A = cantFail(
-      RT.stage(cantFail(PatchBuilder(RT.types(), "A")
-                            .provide("app.fact", &factV2)
-                            .build())));
-  ASSERT_FALSE(RT.enqueue(A));
+  StagedUpdate A = RT.requestUpdate(cantFail(
+      PatchBuilder(RT.types(), "A").provide("app.fact", &factV2).build()));
   ASSERT_FALSE(A.commit()); // jumped the queue via the handle
   RT.requestUpdate(cantFail(PatchBuilder(RT.types(), "B")
                                 .provide("app.fact", &factV1)
