@@ -30,6 +30,9 @@
 #include <vector>
 
 namespace dsu {
+
+class JsonWriter;
+
 namespace analysis {
 
 enum class Severity : uint8_t {
@@ -55,6 +58,11 @@ struct Finding {
   uint32_t PC = 0;
   bool HasPC = false;
 };
+
+/// Writes \p F as one JSON object: severity, code and message, then fn
+/// and pc when the finding anchors to an instruction.  The element form
+/// of GET /admin/lint's "findings" and of `dsu-patchlint --json`.
+void writeFindingJson(JsonWriter &W, const Finding &F);
 
 /// The whole-patch analysis result.
 struct AnalysisReport {

@@ -31,6 +31,7 @@
 #include "patch/Patch.h"
 #include "runtime/UpdateableRegistry.h"
 #include "state/Transform.h"
+#include "support/Json.h"
 #include "support/StringUtil.h"
 #include "types/Compat.h"
 #include "vtal/Module.h"
@@ -62,6 +63,18 @@ const char *analysis::severityName(Severity S) {
     return "error";
   }
   return "info";
+}
+
+void analysis::writeFindingJson(JsonWriter &W, const Finding &F) {
+  W.beginObject();
+  W.key("severity").value(severityName(F.Sev));
+  W.key("code").value(F.Code);
+  W.key("message").value(F.Message);
+  if (!F.Fn.empty())
+    W.key("fn").value(F.Fn);
+  if (F.HasPC)
+    W.key("pc").value(F.PC);
+  W.endObject();
 }
 
 namespace {

@@ -70,57 +70,26 @@ public:
 
   /// Enables the /admin control plane on the fast-path handler, staging
   /// POSTed patch artifacts through \p Ctl (off the serve thread) and
-  /// committing them at the serving pool's update point:
-  ///
-  ///   POST /admin/patches        stage the request body (a .dsup patch
-  ///                              artifact); answers 202 with the tx id
-  ///   GET  /admin/updates        the update log + queued transactions
-  ///                              (phase, per-stage timings, failures)
-  ///   GET  /admin/status         counters, queue depth, and — with a
-  ///                              pool attached — per-worker state
-  ///   GET  /admin/metrics        text-format counters: per-worker
-  ///                              request/connection/bytes totals and
-  ///                              the update-pause histogram
-  ///   POST /admin/rollback?name=F  roll one updateable back; EC_Busy
-  ///                              surfaces as a retryable 503
-  ///   POST /admin/rollout        stage the body and drive it through a
-  ///                              metric-gated canary rollout; query
-  ///                              params canary_workers, window_ms,
-  ///                              max_error_delta, max_latency_delta_us,
-  ///                              min_samples, max_canary_traps; answers
-  ///                              202 with the rollout id
-  ///   GET  /admin/rollouts       every rollout's state, verdict, gate
-  ///                              reason and group counters (?id=N for
-  ///                              one)
-  ///   GET  /admin/lint?id=N      the update-safety analyzer's full
-  ///                              finding list for one transaction
-  ///                              (severity, code, message, fn, pc)
-  ///
-  /// The admin surface is part of the control plane, not the updateable
-  /// request pipeline: handleStaticInto/the E2 baseline never see it.
+  /// committing them at the serving pool's update point.  The endpoint
+  /// list lives with the code, in flashed/Admin.cpp.  The admin surface
+  /// is part of the control plane, not the updateable request pipeline:
+  /// handleStaticInto/the E2 baseline never see it.
   void enableAdmin(UpdateController &Ctl) {
     Admin = &Ctl;
     wireUpdateWake();
   }
   bool adminEnabled() const { return Admin != nullptr; }
 
-  /// Attaches the multi-core serving plane: /admin/status grows a
-  /// per-worker state array, /admin/metrics reports each worker's
-  /// counters and pause histogram, and POST /admin/rollback executes
-  /// through the pool's update barrier (all workers quiescent) instead
-  /// of directly on the serving thread.
+  /// Attaches the multi-core serving plane: per-worker rows in
+  /// /admin/status and /admin/metrics, and POST /admin/rollback at the
+  /// pool's update barrier instead of on the serving thread.
   void attachPool(net::ReactorPool &P) {
     Pool = &P;
     wireUpdateWake();
   }
 
-  /// Attaches the durable update journal's admin surface:
-  /// /admin/status grows a "journal" object (boots, clean-vs-crash
-  /// previous boot, chain length, quarantine and replay counters) and
-  /// GET /admin/journal serves the decoded record history —
-  /// ?quarantined=1 narrows it to the quarantine table.  The journal is
-  /// attached to the runtime separately (Runtime::attachJournal); this
-  /// only wires the read side.
+  /// Attaches the update journal's read side (/admin/status "journal",
+  /// GET /admin/journal); the runtime writes it (Runtime::attachJournal).
   void attachJournal(persist::UpdateJournal &J) { Journal = &J; }
 
   /// The canary rollout control plane behind POST /admin/rollout,
@@ -186,7 +155,10 @@ private:
   /// The miss path's copy-update-publish of the cache snapshot.
   void fillCache(const std::string &Path, const SharedBody &Doc);
 
-  /// Serves one /admin request into \p Out.
+  /// Targets under this prefix go to handleAdmin() once admin is on.
+  static constexpr std::string_view AdminPrefix = "/admin/";
+
+  /// Serves one /admin request into \p Out (flashed/Admin.cpp).
   void handleAdmin(const RequestHead &Head, std::string_view Raw,
                    std::string &Out);
 

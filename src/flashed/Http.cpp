@@ -238,7 +238,8 @@ const char *dsu::flashed::statusText(int Code) {
 void dsu::flashed::appendHttpResponseHead(std::string &Out, int Code,
                                           std::string_view ContentType,
                                           size_t ContentLength,
-                                          bool KeepAlive) {
+                                          bool KeepAlive,
+                                          std::string_view ExtraHeaders) {
   char Line[128];
   int N = std::snprintf(Line, sizeof(Line), "HTTP/1.1 %d %s\r\n", Code,
                         statusText(Code));
@@ -248,14 +249,17 @@ void dsu::flashed::appendHttpResponseHead(std::string &Out, int Code,
   N = std::snprintf(Line, sizeof(Line), "\r\nContent-Length: %zu\r\n",
                     ContentLength);
   Out.append(Line, static_cast<size_t>(N));
+  Out += ExtraHeaders;
   Out += KeepAlive ? "Connection: keep-alive\r\n\r\n"
                    : "Connection: close\r\n\r\n";
 }
 
 void dsu::flashed::appendHttpResponse(std::string &Out, int Code,
                                       std::string_view ContentType,
-                                      std::string_view Body, bool KeepAlive) {
-  appendHttpResponseHead(Out, Code, ContentType, Body.size(), KeepAlive);
+                                      std::string_view Body, bool KeepAlive,
+                                      std::string_view ExtraHeaders) {
+  appendHttpResponseHead(Out, Code, ContentType, Body.size(), KeepAlive,
+                         ExtraHeaders);
   Out += Body;
 }
 

@@ -24,7 +24,8 @@
 ///
 /// One response serializer, appendHttpResponseHead(), writes HTTP/1.1
 /// framing with an explicit Connection header into a reusable buffer,
-/// for one-shot and keep-alive exchanges alike.
+/// for one-shot and keep-alive exchanges and the /admin control plane
+/// alike.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -92,14 +93,17 @@ const char *statusText(int Code);
 /// Appends a response head for a body of \p ContentLength bytes to
 /// \p Out (which is typically a connection's reusable output buffer).
 /// Emits HTTP/1.1 framing with an explicit Connection header.
+/// \p ExtraHeaders is zero or more complete header lines, each ending in
+/// CRLF (e.g. "Retry-After: 0\r\n"), written before Connection.
 void appendHttpResponseHead(std::string &Out, int Code,
                             std::string_view ContentType,
-                            size_t ContentLength, bool KeepAlive);
+                            size_t ContentLength, bool KeepAlive,
+                            std::string_view ExtraHeaders = {});
 
 /// Appends a complete response (head + body) to \p Out.
 void appendHttpResponse(std::string &Out, int Code,
                         std::string_view ContentType, std::string_view Body,
-                        bool KeepAlive);
+                        bool KeepAlive, std::string_view ExtraHeaders = {});
 
 /// ASCII case-insensitive equality (header names, connection tokens).
 bool asciiCaseEqual(std::string_view A, std::string_view B);

@@ -2,7 +2,7 @@
 
 #include "trace/Profile.h"
 
-#include "support/StringUtil.h"
+#include "support/Json.h"
 
 #include <algorithm>
 
@@ -85,37 +85,26 @@ void ProfileRegistry::clearForTest() {
 std::string dsu::trace::profileJson(size_t K) {
   std::vector<HotFn> Rows = ProfileRegistry::instance().ranking(K);
   ProfileRegistry::Totals T = ProfileRegistry::instance().totals();
-  std::string Out = formatString(
-      "{\"total_calls\":%llu,\"total_fuel\":%llu,\"total_traps\":%llu,"
-      "\"functions\":[",
-      static_cast<unsigned long long>(T.Calls),
-      static_cast<unsigned long long>(T.Fuel),
-      static_cast<unsigned long long>(T.Traps));
-  for (size_t I = 0; I != Rows.size(); ++I) {
-    const HotFn &R = Rows[I];
-    if (I)
-      Out += ',';
-    Out += "{\"patch\":\"";
-    jsonEscapeTo(Out, R.PatchId);
-    Out += "\",\"module\":\"";
-    jsonEscapeTo(Out, R.Module);
-    Out += "\",\"fn\":\"";
-    jsonEscapeTo(Out, R.Fn);
-    uint64_t AvgFuel = R.Calls ? R.SelfFuel / R.Calls : 0;
-    uint64_t AvgSampleUs = R.Samples ? R.SampledUs / R.Samples : 0;
-    Out += formatString(
-        "\",\"tier\":\"%s\",\"calls\":%llu,\"self_fuel\":%llu,"
-        "\"avg_fuel\":%llu,\"traps\":%llu,\"sampled_us\":%llu,"
-        "\"samples\":%llu,\"avg_sample_us\":%llu}",
-        R.Tier ? "native" : "interp",
-        static_cast<unsigned long long>(R.Calls),
-        static_cast<unsigned long long>(R.SelfFuel),
-        static_cast<unsigned long long>(AvgFuel),
-        static_cast<unsigned long long>(R.Traps),
-        static_cast<unsigned long long>(R.SampledUs),
-        static_cast<unsigned long long>(R.Samples),
-        static_cast<unsigned long long>(AvgSampleUs));
+  std::string Out;
+  JsonWriter W(Out);
+  W.beginObject().key("total_calls").value(T.Calls);
+  W.key("total_fuel").value(T.Fuel);
+  W.key("total_traps").value(T.Traps);
+  W.key("functions").beginArray();
+  for (const HotFn &R : Rows) {
+    W.beginObject().key("patch").value(R.PatchId);
+    W.key("module").value(R.Module);
+    W.key("fn").value(R.Fn);
+    W.key("tier").value(R.Tier ? "native" : "interp");
+    W.key("calls").value(R.Calls);
+    W.key("self_fuel").value(R.SelfFuel);
+    W.key("avg_fuel").value(R.Calls ? R.SelfFuel / R.Calls : 0);
+    W.key("traps").value(R.Traps);
+    W.key("sampled_us").value(R.SampledUs);
+    W.key("samples").value(R.Samples);
+    W.key("avg_sample_us").value(R.Samples ? R.SampledUs / R.Samples : 0);
+    W.endObject();
   }
-  Out += "]}";
+  W.endArray().endObject();
   return Out;
 }

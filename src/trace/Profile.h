@@ -138,7 +138,7 @@ private:
   std::vector<std::shared_ptr<ModuleProfile>> Profiles;
 };
 
-/// The `GET /admin/profile` document: `{"functions":[{...}],…}`,
+/// The `GET /admin/profile` document: `{…, "functions": [{…}, …]}`,
 /// ranked hottest-first, at most \p K rows (0 = all).
 std::string profileJson(size_t K);
 

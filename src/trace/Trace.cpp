@@ -2,7 +2,7 @@
 
 #include "trace/Trace.h"
 
-#include "support/StringUtil.h"
+#include "support/Json.h"
 
 #include <algorithm>
 #include <chrono>
@@ -237,35 +237,26 @@ struct SpanNode {
   std::vector<size_t> Children;
 };
 
-void appendSpanJson(std::string &Out, const std::vector<SpanNode> &Nodes,
-                    size_t I) {
+void writeSpan(JsonWriter &W, const std::vector<SpanNode> &Nodes, size_t I) {
   const SpanNode &N = Nodes[I];
   const char *KindName = N.E->Kind == EventKind::Instant
                              ? "instant"
                              : (N.E->Kind == EventKind::Begin ? "interval"
                                                               : "span");
-  Out += "{\"category\":\"";
-  if (N.E->Category)
-    jsonEscapeTo(Out, N.E->Category);
-  Out += "\",\"name\":\"";
-  if (N.E->Name)
-    jsonEscapeTo(Out, N.E->Name);
-  Out += formatString("\",\"kind\":\"%s\",\"tid\":%u,\"start_us\":%llu,"
-                      "\"dur_us\":%llu,\"arg\":%llu",
-                      KindName, N.E->Tid,
-                      static_cast<unsigned long long>(N.E->StartUs),
-                      static_cast<unsigned long long>(N.EndUs - N.E->StartUs),
-                      static_cast<unsigned long long>(N.E->Arg));
+  W.beginObject().key("category").value(N.E->Category ? N.E->Category : "");
+  W.key("name").value(N.E->Name ? N.E->Name : "");
+  W.key("kind").value(KindName);
+  W.key("tid").value(N.E->Tid);
+  W.key("start_us").value(N.E->StartUs);
+  W.key("dur_us").value(N.EndUs - N.E->StartUs);
+  W.key("arg").value(N.E->Arg);
   if (!N.Children.empty()) {
-    Out += ",\"children\":[";
-    for (size_t C = 0; C != N.Children.size(); ++C) {
-      if (C)
-        Out += ',';
-      appendSpanJson(Out, Nodes, N.Children[C]);
-    }
-    Out += ']';
+    W.key("children").beginArray();
+    for (size_t C : N.Children)
+      writeSpan(W, Nodes, C);
+    W.endArray();
   }
-  Out += '}';
+  W.endObject();
 }
 
 } // namespace
@@ -343,23 +334,23 @@ std::string dsu::trace::spanTreeJson(uint64_t UpdateId) {
       St.push_back(I);
   }
 
-  std::string Out = formatString(
-      "{\"update\":%llu,\"events\":%zu,\"dropped\":%llu,\"spans\":[",
-      static_cast<unsigned long long>(UpdateId), Mine.size(),
-      static_cast<unsigned long long>(R.dropped()));
-  for (size_t I = 0; I != Roots.size(); ++I) {
-    if (I)
-      Out += ',';
-    appendSpanJson(Out, Nodes, Roots[I]);
-  }
-  Out += "]}";
+  std::string Out;
+  JsonWriter W(Out);
+  W.beginObject().key("update").value(UpdateId);
+  W.key("events").value(Mine.size());
+  W.key("dropped").value(R.dropped());
+  W.key("spans").beginArray();
+  for (size_t Root : Roots)
+    writeSpan(W, Nodes, Root);
+  W.endArray().endObject();
   return Out;
 }
 
 std::string dsu::trace::chromeTraceJson(uint64_t FilterUpdateId) {
   std::vector<EventCopy> All = Recorder::instance().snapshot();
-  std::string Out = "{\"traceEvents\":[";
-  bool First = true;
+  std::string Out;
+  JsonWriter W(Out);
+  W.beginObject().key("traceEvents").beginArray();
   for (const EventCopy &E : All) {
     if (FilterUpdateId && E.UpdateId != FilterUpdateId)
       continue;
@@ -378,31 +369,21 @@ std::string dsu::trace::chromeTraceJson(uint64_t FilterUpdateId) {
       Ph = "e";
       break;
     }
-    if (!First)
-      Out += ',';
-    First = false;
-    Out += formatString("{\"ph\":\"%s\",\"pid\":1,\"tid\":%u,\"ts\":%llu",
-                        Ph, E.Tid,
-                        static_cast<unsigned long long>(E.StartUs));
+    W.beginObject().key("ph").value(Ph);
+    W.key("pid").value(1);
+    W.key("tid").value(E.Tid);
+    W.key("ts").value(E.StartUs);
     if (E.Kind == EventKind::Complete)
-      Out += formatString(",\"dur\":%llu",
-                          static_cast<unsigned long long>(E.DurUs));
+      W.key("dur").value(E.DurUs);
     if (E.Kind == EventKind::Instant)
-      Out += ",\"s\":\"t\"";
+      W.key("s").value("t");
     if (E.Kind == EventKind::Begin || E.Kind == EventKind::End)
-      Out += formatString(",\"id\":%llu",
-                          static_cast<unsigned long long>(E.UpdateId));
-    Out += ",\"cat\":\"";
-    if (E.Category)
-      jsonEscapeTo(Out, E.Category);
-    Out += "\",\"name\":\"";
-    if (E.Name)
-      jsonEscapeTo(Out, E.Name);
-    Out += formatString(
-        "\",\"args\":{\"update\":%llu,\"arg\":%llu}}",
-        static_cast<unsigned long long>(E.UpdateId),
-        static_cast<unsigned long long>(E.Arg));
+      W.key("id").value(E.UpdateId);
+    W.key("cat").value(E.Category ? E.Category : "");
+    W.key("name").value(E.Name ? E.Name : "");
+    W.key("args").beginObject().key("update").value(E.UpdateId);
+    W.key("arg").value(E.Arg).endObject().endObject();
   }
-  Out += "]}";
+  W.endArray().endObject();
   return Out;
 }

@@ -230,11 +230,11 @@ void notePhase(Phase P, uint64_t Us);
 
 /// The span tree of update \p UpdateId: Complete events nested by time
 /// containment per thread, Begin/End pairs synthesized into spans,
-/// Instant events as leaves.  `{"update":N,"events":M,"spans":[...]}`.
+/// Instant events as leaves.  `{"update": N, "events": M, "spans": [...]}`.
 std::string spanTreeJson(uint64_t UpdateId);
 
 /// All recorded events in Chrome trace-event JSON (Perfetto-loadable):
-/// `{"traceEvents":[{"ph":"X","ts":…,"dur":…,…},…]}`.  When
+/// `{"traceEvents": [{"ph": "X", "ts": …, "dur": …, …}, …]}`.  When
 /// \p FilterUpdateId is nonzero only that update's events are emitted.
 std::string chromeTraceJson(uint64_t FilterUpdateId = 0);
 

@@ -355,6 +355,25 @@ TEST_F(RolloutPoolTest, BusyControlPlaneIsRetriedWithBackoff) {
   EXPECT_EQ(All[1].Verdict, "promoted");
 }
 
+/// Threshold parameters are untrusted input: one that is present but
+/// does not parse, is not finite or does not fit answers 400 and starts
+/// no rollout, instead of silently disabling (NaN) or zeroing (junk) the
+/// error gate, or truncating the canary size.
+TEST_F(RolloutPoolTest, MalformedThresholdsAreRefused) {
+  for (const char *Query :
+       {"?max_error_delta=nan", "?max_error_delta=abc",
+        "?canary_workers=4294967297"}) {
+    Expected<FetchResult> R =
+        httpPost(Pool->port(), std::string("/admin/rollout") + Query,
+                 GoodMapUrlPatch, "application/x-dsu-patch");
+    ASSERT_TRUE(R) << R.takeError().str();
+    EXPECT_EQ(R->Status, 400) << Query << ": " << R->Body;
+    EXPECT_EQ(R->Body.rfind("{\"error\": \"", 0), 0u) << R->Body;
+  }
+  EXPECT_TRUE(App.rollouts().rollouts().empty());
+  EXPECT_EQ(RT.updateLog().size(), 0u);
+}
+
 /// dsu-updatectl rollout drives the whole loop from outside the process:
 /// POST, poll, verdict, exit code.
 TEST_F(RolloutPoolTest, UpdatectlRolloutCommandReportsTheVerdict) {
@@ -510,50 +529,50 @@ TEST_F(RolloutPoolTest, TraceCoversTheWholeUpdateLifecycle) {
     ASSERT_TRUE(T) << T.takeError().str();
     ASSERT_EQ(T->Status, 200);
     Tree = T->Body;
-    if (countOccurrencesOf(Tree, "\"name\":\"adopt\"") >= kWorkers &&
-        Tree.find("\"name\":\"seal\"") != std::string::npos)
+    if (countOccurrencesOf(Tree, "\"name\": \"adopt\"") >= kWorkers &&
+        Tree.find("\"name\": \"seal\"") != std::string::npos)
       break;
     std::this_thread::sleep_for(std::chrono::milliseconds(2));
   }
   stopLoad();
 
-  EXPECT_NE(Tree.find("\"update\":" + std::to_string(Rec.TxId)),
+  EXPECT_NE(Tree.find("\"update\": " + std::to_string(Rec.TxId)),
             std::string::npos);
   // Controller pickup: the cross-thread backlog interval.
-  EXPECT_NE(Tree.find("\"name\":\"backlog\""), std::string::npos) << Tree;
+  EXPECT_NE(Tree.find("\"name\": \"backlog\""), std::string::npos) << Tree;
   // Staging: artifact load, whole-patch analysis, the staging pipeline
   // with per-function verification and link preparation inside it.
-  EXPECT_NE(Tree.find("\"name\":\"artifact.load\""), std::string::npos);
-  EXPECT_NE(Tree.find("\"name\":\"analyze\""), std::string::npos);
-  EXPECT_NE(Tree.find("\"name\":\"pipeline\""), std::string::npos);
-  EXPECT_NE(Tree.find("\"category\":\"verify\",\"name\":\"rollout_good."
+  EXPECT_NE(Tree.find("\"name\": \"artifact.load\""), std::string::npos);
+  EXPECT_NE(Tree.find("\"name\": \"analyze\""), std::string::npos);
+  EXPECT_NE(Tree.find("\"name\": \"pipeline\""), std::string::npos);
+  EXPECT_NE(Tree.find("\"category\": \"verify\", \"name\": \"rollout_good."
                       "map_url\""),
             std::string::npos)
       << Tree;
-  EXPECT_NE(Tree.find("\"category\":\"link\",\"name\":\"prepare\""),
+  EXPECT_NE(Tree.find("\"category\": \"link\", \"name\": \"prepare\""),
             std::string::npos);
   // Queue wait, then the canary-masked rolling commit.
-  EXPECT_NE(Tree.find("\"category\":\"queue\",\"name\":\"wait\""),
+  EXPECT_NE(Tree.find("\"category\": \"queue\", \"name\": \"wait\""),
             std::string::npos);
-  EXPECT_NE(Tree.find("\"category\":\"commit\",\"name\":\"canary\""),
+  EXPECT_NE(Tree.find("\"category\": \"commit\", \"name\": \"canary\""),
             std::string::npos)
       << Tree;
   // Per-worker adoption of the rolling commit (no barrier parks: a
   // canary rollout must never arm the barrier).
-  EXPECT_GE(countOccurrencesOf(Tree, "\"name\":\"adopt\""), kWorkers)
+  EXPECT_GE(countOccurrencesOf(Tree, "\"name\": \"adopt\""), kWorkers)
       << Tree;
-  EXPECT_EQ(Tree.find("\"name\":\"park\""), std::string::npos);
+  EXPECT_EQ(Tree.find("\"name\": \"park\""), std::string::npos);
   // Rollout observation and verdict.
-  EXPECT_NE(Tree.find("\"name\":\"observe\""), std::string::npos);
-  EXPECT_NE(Tree.find("\"name\":\"gate.poll\""), std::string::npos);
-  EXPECT_NE(Tree.find("\"name\":\"verdict.promoted\""), std::string::npos)
+  EXPECT_NE(Tree.find("\"name\": \"observe\""), std::string::npos);
+  EXPECT_NE(Tree.find("\"name\": \"gate.poll\""), std::string::npos);
+  EXPECT_NE(Tree.find("\"name\": \"verdict.promoted\""), std::string::npos)
       << Tree;
   // Durable journal appends: the Intent during staging, the Seal after
   // the verdict.
-  EXPECT_NE(Tree.find("\"category\":\"journal\",\"name\":\"intent\""),
+  EXPECT_NE(Tree.find("\"category\": \"journal\", \"name\": \"intent\""),
             std::string::npos)
       << Tree;
-  EXPECT_NE(Tree.find("\"category\":\"journal\",\"name\":\"seal\""),
+  EXPECT_NE(Tree.find("\"category\": \"journal\", \"name\": \"seal\""),
             std::string::npos)
       << Tree;
 
@@ -562,8 +581,8 @@ TEST_F(RolloutPoolTest, TraceCoversTheWholeUpdateLifecycle) {
       httpGet(Pool->port(), "/admin/trace?export=chrome");
   ASSERT_TRUE(Chrome) << Chrome.takeError().str();
   EXPECT_EQ(Chrome->Status, 200);
-  EXPECT_EQ(Chrome->Body.rfind("{\"traceEvents\":[", 0), 0u);
-  EXPECT_NE(Chrome->Body.find("\"ph\":\"X\""), std::string::npos);
+  EXPECT_EQ(Chrome->Body.rfind("{\"traceEvents\": [", 0), 0u);
+  EXPECT_NE(Chrome->Body.find("\"ph\": \"X\""), std::string::npos);
   if (const char *Path = std::getenv("DSU_TRACE_EXPORT_PATH")) {
     ASSERT_FALSE(writeFile(Path, Chrome->Body));
   }

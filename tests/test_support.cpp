@@ -2,6 +2,7 @@
 
 #include "support/Error.h"
 #include "support/Hashing.h"
+#include "support/Json.h"
 #include "support/MemoryBuffer.h"
 #include "support/SExpr.h"
 #include "support/StringUtil.h"

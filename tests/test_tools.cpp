@@ -1,8 +1,10 @@
 //===- tests/test_tools.cpp - CLI tool integration tests ------*- C++ -*-===//
 ///
-/// Drives the installed command-line tools (dsu-vtal, dsu-patchgen) as
-/// subprocesses, checking exit codes and artifacts — the offline half of
-/// the update workflow.
+/// Drives the installed command-line tools (dsu-vtal, dsu-patchgen,
+/// dsu-patchlint, dsu-updatectl) as subprocesses, checking exit codes
+/// and artifacts — the offline half of the update workflow.
+
+#include "JsonValidator.h"
 
 #include "flashed/App.h"
 #include "flashed/Client.h"
@@ -166,6 +168,33 @@ TEST_F(ToolsTest, PatchgenRejectsMissingInput) {
   EXPECT_NE(run(toolPath("dsu-patchgen") + " /no/such.vm /no/such2.vm",
                 tmpPath("miss.out")),
             0);
+}
+
+TEST_F(ToolsTest, PatchlintJsonReportIsValidJson) {
+  if (!fileExists(toolPath("dsu-patchlint")))
+    GTEST_SKIP() << "dsu-patchlint not built";
+  // The report the CI lint job keeps, over every shipped artifact.
+  std::string Out = tmpPath("lint.json");
+  std::string Cmd = toolPath("dsu-patchlint") + " --json " +
+                    DSU_SOURCE_DIR "/patches/*.dsup > " + Out;
+  ASSERT_EQ(run(Cmd), 0);
+  Expected<std::string> Report = readFile(Out);
+  ASSERT_TRUE(Report);
+  testjson::JsonValidator V;
+  ASSERT_TRUE(V.parse(*Report))
+      << "invalid JSON at byte " << V.ErrorAt << ": " << *Report;
+  using testjson::Keys;
+  EXPECT_EQ(V.Shapes[""], std::vector<Keys>({{"lint", "errors_total", "ok"}}));
+  ASSERT_FALSE(V.Shapes["lint[]"].empty());
+  for (const Keys &K : V.Shapes["lint[]"])
+    EXPECT_EQ(K, (Keys{"file", "patch", "ok", "errors", "warnings",
+                       "analysis_ms", "code_only_predicted", "findings"}));
+  for (const Keys &K : V.Shapes["lint[].findings[]"]) {
+    ASSERT_GE(K.size(), 3u);
+    EXPECT_EQ(Keys(K.begin(), K.begin() + 3),
+              (Keys{"severity", "code", "message"}));
+  }
+  std::remove(Out.c_str());
 }
 
 TEST_F(ToolsTest, UpdatectlDrivesALiveServer) {

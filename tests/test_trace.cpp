@@ -155,20 +155,20 @@ TEST(TraceSpanTreeTest, NestsByTimeContainmentPerThread) {
     R.complete("stage", "other", 100, 10);
   }
   std::string J = spanTreeJson(Id);
-  EXPECT_NE(J.find("\"update\":9004"), std::string::npos);
-  EXPECT_NE(J.find("\"events\":4"), std::string::npos);
+  EXPECT_NE(J.find("\"update\": 9004"), std::string::npos);
+  EXPECT_NE(J.find("\"events\": 4"), std::string::npos);
   EXPECT_EQ(J.find("\"other\""), std::string::npos);
   // The pipeline span is the single root and carries children.
-  size_t Pipeline = J.find("\"name\":\"pipeline\"");
+  size_t Pipeline = J.find("\"name\": \"pipeline\"");
   ASSERT_NE(Pipeline, std::string::npos);
-  size_t Children = J.find("\"children\":[", Pipeline);
+  size_t Children = J.find("\"children\": [", Pipeline);
   ASSERT_NE(Children, std::string::npos);
-  EXPECT_LT(Children, J.find("\"name\":\"verify\""));
-  EXPECT_LT(Children, J.find("\"name\":\"link\""));
-  EXPECT_NE(J.find("\"arg\":42"), std::string::npos);
+  EXPECT_LT(Children, J.find("\"name\": \"verify\""));
+  EXPECT_LT(Children, J.find("\"name\": \"link\""));
+  EXPECT_NE(J.find("\"arg\": 42"), std::string::npos);
   // verify and link are siblings: link is not inside verify's subtree.
-  EXPECT_LT(J.find("\"name\":\"verify\""), J.find("\"name\":\"link\""));
-  EXPECT_EQ(countOccurrences(J, "\"children\":["), 1u);
+  EXPECT_LT(J.find("\"name\": \"verify\""), J.find("\"name\": \"link\""));
+  EXPECT_EQ(countOccurrences(J, "\"children\": ["), 1u);
 }
 
 TEST(TraceSpanTreeTest, PairsCrossThreadBeginEndByUpdateId) {
@@ -180,10 +180,10 @@ TEST(TraceSpanTreeTest, PairsCrossThreadBeginEndByUpdateId) {
   std::string J = spanTreeJson(Id);
   // The pair is synthesized into one interval span with a finite
   // duration (not left dangling to "now").
-  size_t At = J.find("\"name\":\"backlog\"");
+  size_t At = J.find("\"name\": \"backlog\"");
   ASSERT_NE(At, std::string::npos);
-  EXPECT_NE(J.find("\"kind\":\"interval\""), std::string::npos);
-  EXPECT_EQ(countOccurrences(J, "\"name\":\"backlog\""), 1u);
+  EXPECT_NE(J.find("\"kind\": \"interval\""), std::string::npos);
+  EXPECT_EQ(countOccurrences(J, "\"name\": \"backlog\""), 1u);
 }
 
 TEST(TraceChromeExportTest, EmitsTraceEventJson) {
@@ -199,15 +199,15 @@ TEST(TraceChromeExportTest, EmitsTraceEventJson) {
   R.end("ctl", "backlog", Id);
 
   std::string J = chromeTraceJson(Id);
-  EXPECT_EQ(J.find("{\"traceEvents\":["), 0u);
-  EXPECT_NE(J.find("\"ph\":\"X\""), std::string::npos);
-  EXPECT_NE(J.find("\"dur\":20"), std::string::npos);
-  EXPECT_NE(J.find("\"ph\":\"i\""), std::string::npos);
-  EXPECT_NE(J.find("\"s\":\"t\""), std::string::npos);
-  EXPECT_NE(J.find("\"ph\":\"b\""), std::string::npos);
-  EXPECT_NE(J.find("\"ph\":\"e\""), std::string::npos);
-  EXPECT_NE(J.find("\"id\":9006"), std::string::npos);
-  EXPECT_NE(J.find("\"args\":{\"update\":9006"), std::string::npos);
+  EXPECT_EQ(J.find("{\"traceEvents\": ["), 0u);
+  EXPECT_NE(J.find("\"ph\": \"X\""), std::string::npos);
+  EXPECT_NE(J.find("\"dur\": 20"), std::string::npos);
+  EXPECT_NE(J.find("\"ph\": \"i\""), std::string::npos);
+  EXPECT_NE(J.find("\"s\": \"t\""), std::string::npos);
+  EXPECT_NE(J.find("\"ph\": \"b\""), std::string::npos);
+  EXPECT_NE(J.find("\"ph\": \"e\""), std::string::npos);
+  EXPECT_NE(J.find("\"id\": 9006"), std::string::npos);
+  EXPECT_NE(J.find("\"args\": {\"update\": 9006"), std::string::npos);
 
   // Unfiltered export includes everything; the filter excludes other
   // updates' events.
@@ -329,10 +329,10 @@ TEST(VtalProfilerTest, RankingSurfacesTheInjectedHotFunction) {
   EXPECT_GT(T.Fuel, 0u);
 
   std::string J = profileJson(3);
-  EXPECT_NE(J.find("\"fn\":\"hot\""), std::string::npos);
-  EXPECT_NE(J.find("\"total_calls\":600"), std::string::npos);
+  EXPECT_NE(J.find("\"fn\": \"hot\""), std::string::npos);
+  EXPECT_NE(J.find("\"total_calls\": 600"), std::string::npos);
   // Ranked hottest-first: hot's row precedes outer's.
-  EXPECT_LT(J.find("\"fn\":\"hot\""), J.find("\"fn\":\"outer\""));
+  EXPECT_LT(J.find("\"fn\": \"hot\""), J.find("\"fn\": \"outer\""));
 }
 
 TEST(VtalProfilerTest, CountsTrapsAndSamplesActivationTime) {

@@ -8,9 +8,9 @@
 ///
 ///   dsu-patchlint [--json] [--env flashed|none] [--fuel N] <file.dsup>...
 ///
-///   --json          machine-readable output (one object; "lint" array
-///                   with per-file finding lists) — what the CI lint job
-///                   consumes
+///   --json          machine-readable output (one line, one object:
+///                   "lint" array with per-file finding lists) — what
+///                   the CI lint job consumes
 ///   --env flashed   lint against the FlashEd program image (types,
 ///                   exports, updateable slots, state cells) — the
 ///                   default, since shipped patches target it
@@ -30,6 +30,7 @@
 #include "core/Runtime.h"
 #include "flashed/App.h"
 #include "patch/PatchLoader.h"
+#include "support/Json.h"
 #include "support/MemoryBuffer.h"
 #include "support/StringUtil.h"
 #include "support/Timer.h"
@@ -151,54 +152,30 @@ int main(int argc, char **argv) {
   }
 
   if (Json) {
-    std::string J = "{\n  \"lint\": [";
-    bool FirstFile = true;
+    std::string J;
+    JsonWriter W(J);
+    W.beginObject().key("lint").beginArray();
     for (const FileResult &FR : Results) {
-      J += FirstFile ? "\n" : ",\n";
-      FirstFile = false;
-      J += "    {\"file\": \"";
-      jsonEscapeTo(J, FR.File);
-      J += "\", \"patch\": \"";
-      jsonEscapeTo(J, FR.PatchId);
-      J += "\"";
+      W.beginObject().key("file").value(FR.File);
+      W.key("patch").value(FR.PatchId);
+      const analysis::AnalysisReport &R = FR.Report;
+      W.key("ok").value(!FR.LoadErr && !R.errorCount());
       if (FR.LoadErr) {
-        J += ", \"ok\": false, \"load_error\": \"";
-        jsonEscapeTo(J, FR.LoadErr.str());
-        J += "\"}";
+        W.key("load_error").value(FR.LoadErr.str()).endObject();
         continue;
       }
-      const analysis::AnalysisReport &R = FR.Report;
-      J += formatString(", \"ok\": %s, \"errors\": %zu, "
-                        "\"warnings\": %zu, \"analysis_ms\": %.3f, "
-                        "\"code_only_predicted\": %s, \"findings\": [",
-                        R.errorCount() ? "false" : "true", R.errorCount(),
-                        R.warningCount(), R.AnalysisMs,
-                        R.CodeOnlyPredicted ? "true" : "false");
-      bool FirstF = true;
-      for (const analysis::Finding &F : R.Findings) {
-        J += FirstF ? "" : ", ";
-        FirstF = false;
-        J += "{\"severity\": \"";
-        J += analysis::severityName(F.Sev);
-        J += "\", \"code\": \"";
-        jsonEscapeTo(J, F.Code);
-        J += "\", \"message\": \"";
-        jsonEscapeTo(J, F.Message);
-        J += '"';
-        if (!F.Fn.empty()) {
-          J += ", \"fn\": \"";
-          jsonEscapeTo(J, F.Fn);
-          J += '"';
-        }
-        if (F.HasPC)
-          J += formatString(", \"pc\": %u", F.PC);
-        J += '}';
-      }
-      J += "]}";
+      W.key("errors").value(R.errorCount());
+      W.key("warnings").value(R.warningCount());
+      W.key("analysis_ms").value(R.AnalysisMs, 3);
+      W.key("code_only_predicted").value(R.CodeOnlyPredicted);
+      W.key("findings").beginArray();
+      for (const analysis::Finding &F : R.Findings)
+        analysis::writeFindingJson(W, F);
+      W.endArray().endObject();
     }
-    J += formatString("\n  ],\n  \"errors_total\": %zu,\n  \"ok\": %s\n}\n",
-                      ErrorsTotal, AnyFailed ? "false" : "true");
-    std::printf("%s", J.c_str());
+    W.endArray().key("errors_total").value(ErrorsTotal);
+    W.key("ok").value(!AnyFailed).endObject();
+    std::printf("%s\n", J.c_str());
     return AnyFailed ? 1 : 0;
   }
 

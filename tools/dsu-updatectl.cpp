@@ -139,8 +139,8 @@ int finish(Expected<FetchResult> R, bool MidCommand = false) {
   return R->Status / 100;
 }
 
-/// Pulls `"Key": <number>` out of a flat JSON body (the control plane's
-/// bodies are formatString-generated, so the quoting is exact).
+/// Pulls `"Key": <number>` out of a flat JSON body (the control plane
+/// writes every body through support/Json.h, so the spacing is exact).
 bool jsonNumber(const std::string &Body, const char *Key, uint64_t &Out) {
   std::string Needle = std::string("\"") + Key + "\": ";
   size_t At = Body.find(Needle);
