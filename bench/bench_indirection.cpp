@@ -31,16 +31,17 @@ namespace {
 
 int64_t work(int64_t A, int64_t B) { return A * 31 + B; }
 
-std::string strWork(std::string S) {
-  S += 'x';
-  return S;
+SharedStr strWork(SharedStr S) {
+  std::string R = S;
+  R += 'x';
+  return R;
 }
 
 struct Env {
   TypeContext Ctx;
   UpdateableRegistry Reg;
   Updateable<int64_t(int64_t, int64_t)> Work;
-  Updateable<std::string(std::string)> StrWork;
+  Updateable<SharedStr(SharedStr)> StrWork;
 
   Env() {
     Work = cantFail(defineUpdateable(Reg, Ctx, "bench.work", &work));
@@ -125,7 +126,7 @@ void BM_DirectCallString(benchmark::State &State) {
   auto Fn = &strWork;
   benchmark::DoNotOptimize(Fn);
   for (auto _ : State) {
-    std::string R = Fn("GET /doc.html");
+    SharedStr R = Fn("GET /doc.html");
     benchmark::DoNotOptimize(R);
   }
 }
@@ -134,7 +135,7 @@ BENCHMARK(BM_DirectCallString);
 void BM_UpdateableString(benchmark::State &State) {
   auto &H = env().StrWork;
   for (auto _ : State) {
-    std::string R = H("GET /doc.html");
+    SharedStr R = H("GET /doc.html");
     benchmark::DoNotOptimize(R);
   }
 }

@@ -114,7 +114,7 @@ int main() {
   applyAndWait(makePatchP3(App), "P3");
   show("served from the *migrated* cache", C, "/paper.html");
   {
-    auto Stats = cantFail(bindUpdateable<std::string()>(
+    auto Stats = cantFail(bindUpdateable<SharedStr()>(
                               RT.updateables(), RT.types(),
                               "flashed.cache_stats"),
                           "cache_stats");
@@ -129,7 +129,7 @@ int main() {
                                                     RT.types(),
                                                     "flashed.log_count"),
                           "log_count");
-    auto Recent = cantFail(bindUpdateable<std::string()>(
+    auto Recent = cantFail(bindUpdateable<SharedStr()>(
                                RT.updateables(), RT.types(),
                                "flashed.log_recent"),
                            "log_recent");

@@ -69,8 +69,8 @@ TransformFn v2toV3() {
 struct Replica {
   Runtime RT;
   StateCell *Cell = nullptr;
-  Updateable<std::string(std::string)> Get;
-  Updateable<void(std::string, std::string)> Put;
+  Updateable<SharedStr(SharedStr)> Get;
+  Updateable<void(SharedStr, SharedStr)> Put;
 
   void init() {
     TypeContext &Ctx = RT.types();
@@ -82,17 +82,17 @@ struct Replica {
                                    std::make_shared<KvV1>()),
                     "cell");
     StateCell *C = Cell;
-    Get = cantFail(RT.defineUpdateableFn<std::string, std::string>(
+    Get = cantFail(RT.defineUpdateableFn<SharedStr, SharedStr>(
                        "kv.get",
-                       [C](std::string K) -> std::string {
+                       [C](SharedStr K) -> SharedStr {
                          auto &Rows = C->get<KvV1>()->Rows;
                          auto It = Rows.find(K);
                          return It == Rows.end() ? "<missing>" : It->second;
                        }),
                    "get");
-    Put = cantFail(RT.defineUpdateableFn<void, std::string, std::string>(
+    Put = cantFail(RT.defineUpdateableFn<void, SharedStr, SharedStr>(
                        "kv.put",
-                       [C](std::string K, std::string V) {
+                       [C](SharedStr K, SharedStr V) {
                          C->get<KvV1>()->Rows[K] = std::move(V);
                        }),
                    "put");
@@ -111,8 +111,8 @@ struct Replica {
             .transformer({{"kvrec", 1}, {"kvrec", 2}}, v1toV2())
             .provideBinding(
                 "kv.get", Ctx.fnType({Ctx.stringType()}, Ctx.stringType()),
-                makeClosureBinding<std::string, std::string>(
-                    [C](std::string K) -> std::string {
+                makeClosureBinding<SharedStr, SharedStr>(
+                    [C](SharedStr K) -> SharedStr {
                       auto &Rows = C->get<KvV2>()->Rows;
                       auto It = Rows.find(K);
                       if (It == Rows.end())
@@ -124,8 +124,8 @@ struct Replica {
                 "kv.put",
                 Ctx.fnType({Ctx.stringType(), Ctx.stringType()},
                            Ctx.unitType()),
-                makeClosureBinding<void, std::string, std::string>(
-                    [C, Clock](std::string K, std::string V) {
+                makeClosureBinding<void, SharedStr, SharedStr>(
+                    [C, Clock](SharedStr K, SharedStr V) {
                       C->get<KvV2>()->Rows[K] = RowV2{std::move(V),
                                                       ++*Clock};
                     }))
@@ -157,8 +157,8 @@ struct Replica {
             .transformer({{"kvrec", 2}, {"kvrec", 3}}, v2toV3())
             .provideBinding(
                 "kv.get", Ctx.fnType({Ctx.stringType()}, Ctx.stringType()),
-                makeClosureBinding<std::string, std::string>(
-                    [C](std::string K) -> std::string {
+                makeClosureBinding<SharedStr, SharedStr>(
+                    [C](SharedStr K) -> SharedStr {
                       auto &Rows = C->get<KvV3>()->Rows;
                       auto It = Rows.find(K);
                       if (It == Rows.end())
@@ -173,8 +173,8 @@ struct Replica {
                 "kv.put",
                 Ctx.fnType({Ctx.stringType(), Ctx.stringType()},
                            Ctx.unitType()),
-                makeClosureBinding<void, std::string, std::string>(
-                    [C](std::string K, std::string V) {
+                makeClosureBinding<void, SharedStr, SharedStr>(
+                    [C](SharedStr K, SharedStr V) {
                       C->get<KvV3>()->Rows[K] =
                           RowV3{std::move(V), 0, 0};
                     }))

@@ -61,10 +61,10 @@ struct MetaV2 {
   int64_t Height;
 };
 
-std::string resizeV8(std::string Path, int64_t W) {
-  return "resized-v8:" + Path + ":" + std::to_string(W);
+SharedStr resizeV8(SharedStr Path, int64_t W) {
+  return "resized-v8:" + Path.str() + ":" + std::to_string(W);
 }
-std::string thumbnailV8(std::string Path) { return "thumb:" + Path; }
+SharedStr thumbnailV8(SharedStr Path) { return "thumb:" + Path.str(); }
 
 } // namespace
 
@@ -103,10 +103,10 @@ int main() {
                      std::make_shared<MetaV1>(MetaV1{"/hero.png", 1024})),
       "cell");
   auto Resize = cantFail(
-      RT.defineUpdateableFn<std::string, std::string, int64_t>(
+      RT.defineUpdateableFn<SharedStr, SharedStr, int64_t>(
           "imgserv.resize",
-          [](std::string Path, int64_t W) {
-            return "resized-v7:" + Path + ":" + std::to_string(W);
+          [](SharedStr Path, int64_t W) -> SharedStr {
+            return "resized-v7:" + Path.str() + ":" + std::to_string(W);
           }),
       "resize");
 
@@ -142,7 +142,7 @@ int main() {
               Meta->get<MetaV2>()->Path.c_str(),
               static_cast<long long>(Meta->get<MetaV2>()->Width),
               static_cast<long long>(Meta->get<MetaV2>()->Height));
-  auto Thumb = cantFail(bindUpdateable<std::string(std::string)>(
+  auto Thumb = cantFail(bindUpdateable<SharedStr(SharedStr)>(
                             RT.updateables(), Ctx, "imgserv.thumbnail"),
                         "thumbnail");
   std::printf("new fn: thumbnail = %s\n", Thumb("/hero.png").c_str());

@@ -35,7 +35,7 @@ int64_t factV2(int64_t N) {
 }
 
 // A deliberately wrong-typed "fix" (string instead of int).
-std::string evilFact(std::string S) { return S; }
+SharedStr evilFact(SharedStr S) { return S; }
 
 } // namespace
 

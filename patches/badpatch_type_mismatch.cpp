@@ -8,8 +8,9 @@
 ///
 //===----------------------------------------------------------------------===//
 
+#include "patch/NativeAbi.h"
+
 #include <cstdint>
-#include <string>
 
 namespace {
 
@@ -27,6 +28,6 @@ const char *Manifest = R"dsu(
 
 extern "C" const char *dsu_patch_manifest() { return Manifest; }
 
-extern "C" int64_t dsu_bad_fib(void *, std::string S) {
+extern "C" int64_t dsu_bad_fib(void *, dsu::SharedStr S) {
   return static_cast<int64_t>(S.size());
 }

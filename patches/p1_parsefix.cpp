@@ -13,6 +13,8 @@
 ///
 //===----------------------------------------------------------------------===//
 
+#include "patch/NativeAbi.h"
+
 #include <string>
 
 namespace {
@@ -64,6 +66,6 @@ extern "C" const char *dsu_patch_manifest() { return Manifest; }
 
 /// Uniform ABI: fn(string) -> string becomes
 /// std::string(void *reserved, std::string).
-extern "C" std::string dsu_p1_parse_target(void *, std::string Raw) {
+extern "C" dsu::SharedStr dsu_p1_parse_target(void *, dsu::SharedStr Raw) {
   return parseTargetV2(Raw);
 }

@@ -9,7 +9,7 @@
 /// \code
 ///   dsu::Runtime RT;
 ///   auto Greet = dsu::cantFail(
-///       RT.defineUpdateable<std::string, std::string>("greet", &greetV1));
+///       RT.defineUpdateable<SharedStr, SharedStr>("greet", &greetV1));
 ///   ...
 ///   while (Running) {
 ///     RT.updatePoint();           // applies queued patches when safe

@@ -9,21 +9,27 @@
 /// same decomposition the paper's updateable compilation performs on
 /// Flash's handler chain:
 ///
-///   flashed.parse_target : fn(string) -> string   raw head -> "GET /p"
+///   flashed.parse_target : fn(string) -> string   raw request -> "GET /p"
 ///   flashed.map_url      : fn(string) -> string   target -> document path
 ///   flashed.mime_type    : fn(string) -> string   path -> content type
 ///   flashed.cache_get    : fn(string) -> string   path -> body ("" miss)
 ///   flashed.cache_put    : fn(string, string) -> unit
 ///   flashed.log_access   : fn(string, int) -> unit
 ///
+/// Every `string` here is a SharedStr (support/SharedStr.h): a stage
+/// passes the request, the path and the body along as pointer copies,
+/// so cache_get hands out the cached bytes themselves and cache_put
+/// stores the document store's bytes without copying them.
+///
 /// The response cache lives in the dsu state cell "flashed.cache" typed
 /// %flashed_cache@1, so the P3 patch can migrate it.  handleInto() is
-/// the one served path: it routes every stage through the updateable
-/// handles and writes the response into a connection's output buffer.
-/// handleStaticInto() calls the same version-1 implementations directly,
-/// giving the static baseline of the throughput experiment (E2), and
-/// handle() is an in-memory adapter over handleInto() for callers
-/// without a socket.
+/// the one served path: every body comes out of cache_get or, on a
+/// miss, the document store and then cache_put — so rebinding any of
+/// the six stages changes what is served.  It writes the response into
+/// a connection's output buffer.  handleStaticInto() calls the same
+/// version-1 implementations directly, giving the static baseline of
+/// the throughput experiment (E2), and handle() is an in-memory adapter
+/// over handleInto() for callers without a socket.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -35,6 +41,7 @@
 #include "flashed/DocStore.h"
 #include "flashed/Http.h"
 #include "runtime/RolloutController.h"
+#include "support/SharedStr.h"
 
 #include <atomic>
 #include <memory>
@@ -112,6 +119,8 @@ public:
 
   /// The static-baseline twin of handleInto() (no updateable
   /// indirection) — the "static Flash" column of E2's keep-alive mode.
+  /// It calls cacheGetV1/cachePutV1 directly, so it is valid only while
+  /// the cache cell is still %flashed_cache@1 (before P3).
   void handleStaticInto(const RequestHead &Head, std::string_view Raw,
                         std::string &Out, SharedBody &Body);
 
@@ -124,36 +133,30 @@ public:
   }
 
   // Typed pipeline handles (valid after init()).
-  Updateable<std::string(std::string)> ParseTarget;
-  Updateable<std::string(std::string)> MapUrl;
-  Updateable<std::string(std::string)> MimeType;
-  Updateable<std::string(std::string)> CacheGet;
-  Updateable<void(std::string, std::string)> CachePut;
-  Updateable<void(std::string, int64_t)> LogAccess;
+  Updateable<SharedStr(SharedStr)> ParseTarget;
+  Updateable<SharedStr(SharedStr)> MapUrl;
+  Updateable<SharedStr(SharedStr)> MimeType;
+  Updateable<SharedStr(SharedStr)> CacheGet;
+  Updateable<void(SharedStr, SharedStr)> CachePut;
+  Updateable<void(SharedStr, int64_t)> LogAccess;
 
   // Version-1 pipeline implementations, shared by the updateable initial
   // bindings, the static baseline, and the patch definitions (which know
   // exactly which v1 behaviours they replace).
-  static std::string parseTargetV1(std::string Raw);
-  static std::string mapUrlV1(std::string Target);
-  static std::string mimeTypeV1(std::string Path);
-  std::string cacheGetV1(std::string Path);
-  void cachePutV1(std::string Path, std::string Body);
-  static void logAccessV1(std::string Path, int64_t Status);
+  static SharedStr parseTargetV1(SharedStr Raw);
+  static SharedStr mapUrlV1(SharedStr Target);
+  static SharedStr mimeTypeV1(SharedStr Path);
+  SharedStr cacheGetV1(SharedStr Path);
+  void cachePutV1(SharedStr Path, SharedStr Body);
+  static void logAccessV1(SharedStr Path, int64_t Status);
 
 private:
-  template <typename HParse, typename HMap, typename HMime, typename HLog>
+  template <typename HParse, typename HMap, typename HMime, typename HGet,
+            typename HPut, typename HLog>
   void handleIntoWith(const RequestHead &Head, std::string_view Raw,
                       std::string &Out, SharedBody &Body, HParse &&Parse,
-                      HMap &&Map, HMime &&Mime, HLog &&Log);
-
-  /// Version-aware zero-copy body lookup: reads the published cache
-  /// snapshot lock-free (bumping V2 hit counters in place), falling
-  /// back to the document store and filling the cache on a miss.
-  SharedBody lookupBody(const std::string &Path);
-
-  /// The miss path's copy-update-publish of the cache snapshot.
-  void fillCache(const std::string &Path, const SharedBody &Doc);
+                      HMap &&Map, HMime &&Mime, HGet &&Get, HPut &&Put,
+                      HLog &&Log);
 
   /// Targets under this prefix go to handleAdmin() once admin is on.
   static constexpr std::string_view AdminPrefix = "/admin/";

@@ -7,10 +7,10 @@
 /// last-access stamps.  The dsu named type `%flashed_cache@N` describes
 /// the cell; these structs are the C++ representations at each version.
 ///
-/// Bodies are held as shared_ptr<const string>: the string-typed
-/// updateable stages (`flashed.cache_get` et al.) copy on the way out —
-/// that marshalling is part of what E2 measures — while the serving fast
-/// path shares the same bytes with the socket layer without copying.
+/// Bodies are held as shared_ptr<const string>, the pointer a SharedStr
+/// wraps: `flashed.cache_get` hands a hit's bytes out and
+/// `flashed.cache_put` stores them without copying, and the served path
+/// shares the same bytes with the socket layer.
 ///
 //===----------------------------------------------------------------------===//
 

@@ -24,34 +24,38 @@ int64_t nowMs() {
 
 // --- P1: parse_target v2 — strip query strings and fragments. ----------
 
-std::string parseTargetV2(std::string Raw) {
-  std::string Parsed = FlashedApp::parseTargetV1(Raw);
-  if (!Parsed.empty() && Parsed[0] == '!')
+SharedStr parseTargetV2(SharedStr Raw) {
+  SharedStr Parsed = FlashedApp::parseTargetV1(std::move(Raw));
+  std::string_view P = Parsed;
+  size_t Q = P.find_first_of("?#");
+  if ((!P.empty() && P[0] == '!') || Q == std::string_view::npos)
     return Parsed;
-  size_t Q = Parsed.find_first_of("?#");
-  return Q == std::string::npos ? Parsed : Parsed.substr(0, Q);
+  return SharedStr(P.substr(0, Q));
 }
 
 // --- P2: mime_type v2, map_url v2, new default_doc. ----------------------
 
-std::string defaultDocV1() { return "/index.html"; }
+SharedStr defaultDocV1() { return "/index.html"; }
 
-std::string mimeTypeV2(std::string Path) {
-  size_t Dot = Path.rfind('.');
-  std::string Ext = Dot == std::string::npos ? "" : Path.substr(Dot + 1);
+SharedStr mimeTypeV2(SharedStr Path) {
+  std::string_view P = Path;
+  size_t Dot = P.rfind('.');
+  std::string_view Ext =
+      Dot == std::string_view::npos ? "" : P.substr(Dot + 1);
   std::string Mime = mimeForExtension(Ext);
   if (startsWith(Mime, "text/"))
     Mime += "; charset=utf-8";
   return Mime;
 }
 
-std::string mapUrlV2(std::string Target) {
+SharedStr mapUrlV2(SharedStr Target) {
   if (DocStore::isUnsafePath(Target))
     return "!403 forbidden";
   if (Target.empty() || Target == "/")
     return defaultDocV1();
-  if (Target.back() == '/')
-    return Target.substr(0, Target.size() - 1);
+  std::string_view T = Target;
+  if (T.back() == '/')
+    return SharedStr(T.substr(0, T.size() - 1));
   return Target;
 }
 
@@ -117,28 +121,30 @@ Expected<Patch> dsu::flashed::makePatchP3(FlashedApp &App) {
   // cache from another thread while requests are served, and the
   // serving path never takes a mutex.
   FlashedApp *AppPtr = &App;
-  auto CacheGetV2 = [AppPtr](std::string Path) -> std::string {
+  auto CacheGetV2 = [AppPtr](SharedStr Path) -> SharedStr {
     StateCell *Cell = AppPtr->cacheCell();
     epoch::Guard G;
     auto *C = Cell->live<const CacheV2>();
     auto It = C->Entries.find(Path);
     if (It == C->Entries.end())
-      return "";
+      return SharedStr();
     const_cast<CacheEntryV2 &>(It->second).noteHit(nowMs());
+    // Statistics mutated: a migration staged from an older snapshot
+    // must still rebuild at commit.
     Cell->noteMutation();
-    return *It->second.Body;
+    return It->second.Body;
   };
-  auto CachePutV2 = [AppPtr](std::string Path, std::string Body) {
+  auto CachePutV2 = [AppPtr](SharedStr Path, SharedStr Body) {
     CacheEntryV2 E;
-    E.Body = std::make_shared<const std::string>(std::move(Body));
+    E.Body = std::move(Body).shared();
     E.LastAccessMs.store(nowMs(), std::memory_order_relaxed);
     StateCell *Cell = AppPtr->cacheCell();
     std::lock_guard<std::mutex> G(Cell->payloadLock());
     auto Next = std::make_shared<CacheV2>(*Cell->get<CacheV2>());
-    Next->Entries[Path] = std::move(E);
+    Next->Entries[Path.str()] = std::move(E);
     Cell->publish(std::move(Next));
   };
-  auto CacheStats = [AppPtr]() -> std::string {
+  auto CacheStats = [AppPtr]() -> SharedStr {
     StateCell *Cell = AppPtr->cacheCell();
     epoch::Guard G;
     auto *C = Cell->live<const CacheV2>();
@@ -158,17 +164,17 @@ Expected<Patch> dsu::flashed::makePatchP3(FlashedApp &App) {
       .transformer(Bump, std::move(Migrate))
       .provideBinding("flashed.cache_get",
                       Ctx.fnType({Ctx.stringType()}, Ctx.stringType()),
-                      makeClosureBinding<std::string, std::string>(
+                      makeClosureBinding<SharedStr, SharedStr>(
                           CacheGetV2, 0, "patch:P3"))
       .provideBinding("flashed.cache_put",
                       Ctx.fnType({Ctx.stringType(), Ctx.stringType()},
                                  Ctx.unitType()),
-                      makeClosureBinding<void, std::string, std::string>(
+                      makeClosureBinding<void, SharedStr, SharedStr>(
                           CachePutV2, 0, "patch:P3"))
       .provideBinding("flashed.cache_stats",
                       Ctx.fnType({}, Ctx.stringType()),
-                      makeClosureBinding<std::string>(CacheStats, 0,
-                                                      "patch:P3"))
+                      makeClosureBinding<SharedStr>(CacheStats, 0,
+                                                    "patch:P3"))
       .build();
 }
 
@@ -177,7 +183,7 @@ Expected<Patch> dsu::flashed::makePatchP4(FlashedApp &App) {
   UpdateableRegistry &Reg = App.runtime().updateables();
 
   // The richer interface: log_access2(path, status, micros).
-  auto LogAccess2 = [](std::string Path, int64_t Status, int64_t Micros) {
+  auto LogAccess2 = [](SharedStr Path, int64_t Status, int64_t Micros) {
     (void)Path;
     (void)Status;
     (void)Micros;
@@ -186,10 +192,10 @@ Expected<Patch> dsu::flashed::makePatchP4(FlashedApp &App) {
   // forwards with a default detail argument — the paper's answer to
   // signature changes, which are not type-compatible replacements.
   UpdateableRegistry *RegPtr = &Reg;
-  auto Shim = [RegPtr](std::string Path, int64_t Status) {
+  auto Shim = [RegPtr](SharedStr Path, int64_t Status) {
     UpdateableSlot *Slot = RegPtr->lookup("flashed.log_access2");
     assert(Slot && "P4 installs log_access2 before the shim runs");
-    Updateable<void(std::string, int64_t, int64_t)> Target(Slot);
+    Updateable<void(SharedStr, int64_t, int64_t)> Target(Slot);
     Target(std::move(Path), Status, /*Micros=*/0);
   };
 
@@ -200,13 +206,13 @@ Expected<Patch> dsu::flashed::makePatchP4(FlashedApp &App) {
           "flashed.log_access2",
           Ctx.fnType({Ctx.stringType(), Ctx.intType(), Ctx.intType()},
                      Ctx.unitType()),
-          makeClosureBinding<void, std::string, int64_t, int64_t>(
+          makeClosureBinding<void, SharedStr, int64_t, int64_t>(
               LogAccess2, 0, "patch:P4"))
       .provideBinding(
           "flashed.log_access",
           Ctx.fnType({Ctx.stringType(), Ctx.intType()}, Ctx.unitType()),
-          makeClosureBinding<void, std::string, int64_t>(Shim, 0,
-                                                         "patch:P4"))
+          makeClosureBinding<void, SharedStr, int64_t>(Shim, 0,
+                                                       "patch:P4"))
       .build();
 }
 
@@ -219,7 +225,7 @@ Expected<Patch> dsu::flashed::makePatchP5(FlashedApp &App) {
   // migrates via transformers; new state ships with the patch).
   auto Log = std::make_shared<AccessLog>();
 
-  auto LogAccessV3 = [Log](std::string Path, int64_t Status) {
+  auto LogAccessV3 = [Log](SharedStr Path, int64_t Status) {
     ++Log->Total;
     Log->Recent.push_back(formatString("%lld %s",
                                        static_cast<long long>(Status),
@@ -228,7 +234,7 @@ Expected<Patch> dsu::flashed::makePatchP5(FlashedApp &App) {
       Log->Recent.pop_front();
   };
   auto LogCount = [Log]() -> int64_t { return Log->Total; };
-  auto LogRecent = [Log]() -> std::string {
+  auto LogRecent = [Log]() -> SharedStr {
     std::string Out;
     for (const std::string &Line : Log->Recent) {
       Out += Line;
@@ -240,7 +246,7 @@ Expected<Patch> dsu::flashed::makePatchP5(FlashedApp &App) {
   // Also forward from the P4 interface if it is installed, so both entry
   // points feed the same log.
   UpdateableRegistry *RegPtr = &Reg;
-  auto LogAccess2V2 = [Log, RegPtr](std::string Path, int64_t Status,
+  auto LogAccess2V2 = [Log, RegPtr](SharedStr Path, int64_t Status,
                                     int64_t Micros) {
     (void)RegPtr;
     ++Log->Total;
@@ -257,20 +263,20 @@ Expected<Patch> dsu::flashed::makePatchP5(FlashedApp &App) {
       .provideBinding(
           "flashed.log_access",
           Ctx.fnType({Ctx.stringType(), Ctx.intType()}, Ctx.unitType()),
-          makeClosureBinding<void, std::string, int64_t>(LogAccessV3, 0,
-                                                         "patch:P5"))
+          makeClosureBinding<void, SharedStr, int64_t>(LogAccessV3, 0,
+                                                       "patch:P5"))
       .provideBinding(
           "flashed.log_access2",
           Ctx.fnType({Ctx.stringType(), Ctx.intType(), Ctx.intType()},
                      Ctx.unitType()),
-          makeClosureBinding<void, std::string, int64_t, int64_t>(
+          makeClosureBinding<void, SharedStr, int64_t, int64_t>(
               LogAccess2V2, 0, "patch:P5"))
       .provideBinding("flashed.log_count", Ctx.fnType({}, Ctx.intType()),
                       makeClosureBinding<int64_t>(LogCount, 0, "patch:P5"))
       .provideBinding("flashed.log_recent",
                       Ctx.fnType({}, Ctx.stringType()),
-                      makeClosureBinding<std::string>(LogRecent, 0,
-                                                      "patch:P5"))
+                      makeClosureBinding<SharedStr>(LogRecent, 0,
+                                                    "patch:P5"))
       .build();
 }
 

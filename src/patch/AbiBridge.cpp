@@ -32,24 +32,24 @@ Expected<Binding> dsu::makeUniformBinding(const Type *FnTy, void *Addr,
 
 namespace {
 
-template <typename T> Value toValue(const T &V);
-template <> Value toValue<int64_t>(const int64_t &V) {
+template <typename T> Value toValue(T V);
+template <> Value toValue<int64_t>(int64_t V) {
   return Value::makeInt(V);
 }
-template <> Value toValue<double>(const double &V) {
+template <> Value toValue<double>(double V) {
   return Value::makeFloat(V);
 }
-template <> Value toValue<bool>(const bool &V) { return Value::makeBool(V); }
-template <> Value toValue<std::string>(const std::string &V) {
-  return Value::makeStr(V);
+template <> Value toValue<bool>(bool V) { return Value::makeBool(V); }
+template <> Value toValue<SharedStr>(SharedStr V) {
+  return Value::makeStr(std::move(V));
 }
 
 template <typename T> T fromValue(const Value &V);
 template <> int64_t fromValue<int64_t>(const Value &V) { return V.asInt(); }
 template <> double fromValue<double>(const Value &V) { return V.asFloat(); }
 template <> bool fromValue<bool>(const Value &V) { return V.asBool(); }
-template <> std::string fromValue<std::string>(const Value &V) {
-  return V.asStr();
+template <> SharedStr fromValue<SharedStr>(const Value &V) {
+  return V.asShared();
 }
 
 /// Builds a typed closure binding around a Value-level callable.  A trap
@@ -64,7 +64,7 @@ Binding makeValueBindingTyped(vtal::HostFn Impl, uint32_t Version,
       [Impl = std::move(Impl), Traps](Args... As) -> R {
         std::vector<Value> Vs;
         Vs.reserve(sizeof...(Args));
-        (Vs.push_back(toValue<std::decay_t<Args>>(As)), ...);
+        (Vs.push_back(toValue<std::decay_t<Args>>(std::move(As))), ...);
         Expected<Value> Res = Impl(Vs);
         if (!Res) {
           Traps->fetch_add(1, std::memory_order_relaxed);
@@ -102,7 +102,7 @@ template <typename Fn> void forEachScalar(Fn F) {
   F(static_cast<int64_t *>(nullptr));
   F(static_cast<double *>(nullptr));
   F(static_cast<bool *>(nullptr));
-  F(static_cast<std::string *>(nullptr));
+  F(static_cast<SharedStr *>(nullptr));
 }
 
 /// Registers all signatures with result \p R up to arity 2.
@@ -127,14 +127,14 @@ const FactoryTable &factoryTable() {
     registerForResult<int64_t>(T, Ctx);
     registerForResult<double>(T, Ctx);
     registerForResult<bool>(T, Ctx);
-    registerForResult<std::string>(T, Ctx);
+    registerForResult<SharedStr>(T, Ctx);
     // A hand-picked set of arity-3 shapes used by FlashEd-style request
     // pipelines; extend here if patch code needs more.
-    registerSig<std::string, std::string, std::string, int64_t>(T, Ctx);
-    registerSig<std::string, std::string, std::string, std::string>(T, Ctx);
-    registerSig<std::string, std::string, int64_t, int64_t>(T, Ctx);
+    registerSig<SharedStr, SharedStr, SharedStr, int64_t>(T, Ctx);
+    registerSig<SharedStr, SharedStr, SharedStr, SharedStr>(T, Ctx);
+    registerSig<SharedStr, SharedStr, int64_t, int64_t>(T, Ctx);
     registerSig<int64_t, int64_t, int64_t, int64_t>(T, Ctx);
-    registerSig<void, std::string, std::string, int64_t>(T, Ctx);
+    registerSig<void, SharedStr, SharedStr, int64_t>(T, Ctx);
     return T;
   }();
   return Table;

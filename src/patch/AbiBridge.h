@@ -7,7 +7,7 @@
 /// *Native backend*: patch shared objects export their provides with C
 /// linkage in the "uniform invoker ABI" — the C++ ABI signature
 /// `R sym(void *reserved, Args...)` where the scalar mapping is
-/// int -> int64_t, float -> double, bool -> bool, string -> std::string,
+/// int -> int64_t, float -> double, bool -> bool, string -> SharedStr,
 /// unit -> void.  The leading reserved pointer makes the exported symbol
 /// directly installable as Binding::Invoker with zero per-call adaptation
 /// (and sidesteps C++ name mangling, the friction point of doing the
@@ -18,7 +18,9 @@
 /// makeValueBinding() wraps a vtal::HostFn-shaped callable in a typed
 /// trampoline selected at runtime from the function's dsu type.  The
 /// trampoline table covers all scalar signatures up to arity 3 — the
-/// shape budget of VTAL patch code.
+/// shape budget of VTAL patch code.  A string crosses in either
+/// direction as a pointer copy: vtal::Value holds the same shared buffer
+/// a SharedStr does.
 ///
 //===----------------------------------------------------------------------===//
 

@@ -10,8 +10,8 @@
 ///    manifest;
 ///  - one uniform-ABI function per provide:
 ///    `R sym(void *reserved, Args...)` with the scalar mapping
-///    int -> int64_t, float -> double, bool -> bool, string -> std::string
-///    (by value), unit -> void;
+///    int -> int64_t, float -> double, bool -> bool,
+///    string -> dsu::SharedStr (by value; support/SharedStr.h), unit -> void;
 ///  - one `DsuNativeTransformOut sym(void *old_data)` per transformer.
 ///
 /// All exports use `extern "C"` so dlsym never sees C++ mangled names —
@@ -22,6 +22,8 @@
 
 #ifndef DSU_PATCH_NATIVEABI_H
 #define DSU_PATCH_NATIVEABI_H
+
+#include "support/SharedStr.h"
 
 extern "C" {
 

@@ -275,10 +275,20 @@ void RolloutController::runOne(std::shared_ptr<UpdateTransaction> Tx,
   double CanRate = 0, CtlRate = 0;
   uint64_t Traps = 0;
   std::string TripReason;
+  // Stall evidence: since StallSince, every poll saw a canary request
+  // in its handler and no canary serve completed.
+  bool CanInFlight = false;
+  auto StallSince = CommitAt;
 
   auto Sample = [&] {
     GroupSample Can1, Ctl1;
     sampleGroups(Mask, Can1, Ctl1);
+    // Each worker notes a request before its handler runs and the serve
+    // after, and sampleGroups reads Requests first, so a finished
+    // request never reads as in flight.
+    CanInFlight = Can1.Requests > Can1.Serves;
+    if (!CanInFlight || Can1.Serves - Can0.Serves != DCan.Serves)
+      StallSince = std::chrono::steady_clock::now();
     DCan = {Can1.Requests - Can0.Requests, Can1.Serves - Can0.Serves,
             Can1.Errors - Can0.Errors, Can1.ServeUs - Can0.ServeUs};
     DCtl = {Ctl1.Requests - Ctl0.Requests, Ctl1.Serves - Ctl0.Serves,
@@ -341,14 +351,19 @@ void RolloutController::runOne(std::shared_ptr<UpdateTransaction> Tx,
                                 "control %.0fus exceeds max delta %.0fus",
                                 CanMean, CtlMean, Opts.MaxLatencyDeltaUs);
   }
-  if (TripReason.empty() && DCan.Requests >= 1 && DCan.Serves == 0)
-    // Requests entered canary handlers but none completed in the whole
-    // window: the patch wedged its callers (e.g. a fuel bomb still
-    // burning).  No completed serve means no error sample either, so
-    // only this gate can catch it.
-    TripReason = formatString("stall gate: %llu request(s) entered the "
-                              "canary and none completed within %llums",
-                              static_cast<unsigned long long>(DCan.Requests),
+  double StalledMs = elapsedMsSince(StallSince);
+  if (TripReason.empty() && CanInFlight &&
+      StalledMs >= static_cast<double>(Opts.WindowMs) / 2)
+    // A canary request has been in its handler, with no canary serve
+    // completing, for at least half the window: the patch wedged its
+    // caller (e.g. a fuel bomb still burning).  A stuck request yields
+    // no error sample, so only this gate can catch it.  A serve that
+    // completed earlier (old code finishing just after the commit) does
+    // not hide the stall.
+    TripReason = formatString("stall gate: a canary request has run for "
+                              "%.0fms with no canary serve completing "
+                              "(window %llums)",
+                              StalledMs,
                               static_cast<unsigned long long>(Opts.WindowMs));
 
   double DetectMs = elapsedMsSince(CommitAt);

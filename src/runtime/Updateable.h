@@ -9,7 +9,9 @@
 /// CTypeOf<T> maps the C++ scalar types used in updateable signatures to
 /// dsu type descriptors so definitions can be typechecked end to end:
 ///   int64_t -> int, double -> float, bool -> bool,
-///   std::string -> string, void -> unit.
+///   SharedStr -> string, void -> unit.
+/// SharedStr is the one C++ form of `string` in both argument and result
+/// position, so a string crosses a stage as a pointer copy.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -17,6 +19,7 @@
 #define DSU_RUNTIME_UPDATEABLE_H
 
 #include "runtime/UpdateableRegistry.h"
+#include "support/SharedStr.h"
 #include "types/Type.h"
 
 #include <cstdint>
@@ -38,7 +41,7 @@ template <> struct CTypeOf<double> {
 template <> struct CTypeOf<bool> {
   static const Type *get(TypeContext &Ctx) { return Ctx.boolType(); }
 };
-template <> struct CTypeOf<std::string> {
+template <> struct CTypeOf<SharedStr> {
   static const Type *get(TypeContext &Ctx) { return Ctx.stringType(); }
 };
 template <> struct CTypeOf<void> {
@@ -55,6 +58,12 @@ template <typename Sig> class Updateable;
 
 /// Typed handle over an UpdateableSlot.
 template <typename R, typename... Args> class Updateable<R(Args...)> {
+  // Only mapped types: a handle must call a binding through the same
+  // C++ ABI the binding was built for.
+  static_assert(((sizeof(CTypeOf<R>) != 0) && ... &&
+                 (sizeof(CTypeOf<Args>) != 0)),
+                "updateable signature uses a type with no dsu mapping");
+
 public:
   Updateable() = default;
   explicit Updateable(UpdateableSlot *Slot) : Slot(Slot) {}

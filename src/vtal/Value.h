@@ -12,6 +12,7 @@
 #ifndef DSU_VTAL_VALUE_H
 #define DSU_VTAL_VALUE_H
 
+#include "support/SharedStr.h"
 #include "vtal/Module.h"
 
 #include <cassert>
@@ -45,10 +46,12 @@ public:
     X.B = V;
     return X;
   }
-  static Value makeStr(std::string V) {
+  /// Wraps the shared bytes of \p V without copying them; a std::string
+  /// or a literal converts to SharedStr (one move or copy).
+  static Value makeStr(SharedStr V) {
     Value X;
     X.Kind = ValKind::VK_Str;
-    X.S = std::make_shared<const std::string>(std::move(V));
+    X.S = std::move(V).shared();
     return X;
   }
   static Value makeUnit() { return Value(); }
@@ -73,6 +76,11 @@ public:
   const std::string &asStr() const {
     assert(Kind == ValKind::VK_Str && S && "not a string");
     return *S;
+  }
+  /// The string's shared bytes, without copying them.
+  SharedStr asShared() const {
+    assert(Kind == ValKind::VK_Str && S && "not a string");
+    return SharedStr(S);
   }
 
   /// Debug rendering, e.g. "int(42)".

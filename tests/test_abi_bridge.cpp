@@ -52,7 +52,7 @@ TEST_F(AbiBridgeTest, ValueBindingMarshalsEachKind) {
       },
       1, "test"));
   UpdateableSlot *Slot = cantFail(Reg.define("f", FnTy, std::move(B)));
-  Updateable<std::string(int64_t, std::string)> H(Slot);
+  Updateable<SharedStr(int64_t, SharedStr)> H(Slot);
   EXPECT_EQ(H(42, "answer"), "answer:42");
 }
 
@@ -82,7 +82,7 @@ TEST_F(AbiBridgeTest, UnitResultBinding) {
       },
       1, "test"));
   UpdateableSlot *Slot = cantFail(Reg.define("h", FnTy, std::move(B)));
-  Updateable<void(std::string)> H(Slot);
+  Updateable<void(SharedStr)> H(Slot);
   H("x");
   H("y");
   EXPECT_EQ(Calls, 2);
@@ -101,6 +101,37 @@ TEST_F(AbiBridgeTest, TrapContained) {
   UpdateableSlot *Slot = cantFail(Reg.define("t", FnTy, std::move(B)));
   Updateable<int64_t(int64_t)> H(Slot);
   EXPECT_EQ(H(5), 0);
+}
+
+TEST_F(AbiBridgeTest, StringsCrossAsPointers) {
+  // fn(string) -> string returning its argument: the bytes the caller
+  // passed come back as the same object, in both directions.
+  const Type *FnTy = ty("fn(string) -> string");
+  Binding B = cantFail(makeValueBinding(
+      Ctx, FnTy,
+      [](const std::vector<Value> &Args) -> Expected<Value> {
+        return Args[0];
+      },
+      1, "test"));
+  UpdateableSlot *Slot = cantFail(Reg.define("id", FnTy, std::move(B)));
+  Updateable<SharedStr(SharedStr)> H(Slot);
+  SharedStr In(std::string(4096, 'b'));
+  EXPECT_EQ(H(In).shared(), In.shared());
+}
+
+TEST_F(AbiBridgeTest, TrappedStringStageYieldsEmptyString) {
+  const Type *FnTy = ty("fn(string) -> string");
+  Binding B = cantFail(makeValueBinding(
+      Ctx, FnTy,
+      [](const std::vector<Value> &) -> Expected<Value> {
+        return Error::make(ErrorCode::EC_Invalid, "division by zero");
+      },
+      1, "test"));
+  UpdateableSlot *Slot = cantFail(Reg.define("trap", FnTy, std::move(B)));
+  Updateable<SharedStr(SharedStr)> H(Slot);
+  SharedStr R = H("x");
+  EXPECT_EQ(R, "");
+  ASSERT_NE(R.shared(), nullptr);
 }
 
 TEST_F(AbiBridgeTest, UnsupportedSignatureFailsCleanly) {

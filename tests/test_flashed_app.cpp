@@ -6,6 +6,7 @@
 
 #include "flashed/App.h"
 #include "flashed/Patches.h"
+#include "patch/PatchBuilder.h"
 
 #include <gtest/gtest.h>
 
@@ -107,7 +108,7 @@ TEST_F(FlashedAppTest, P2ExtendsMimeAndMapping) {
   EXPECT_NE(App.handle(get("/doc.html/")).find("200 OK"),
             std::string::npos);
   // New function exists.
-  auto DefaultDoc = cantFail(bindUpdateable<std::string()>(
+  auto DefaultDoc = cantFail(bindUpdateable<SharedStr()>(
       RT.updateables(), RT.types(), "flashed.default_doc"));
   EXPECT_EQ(DefaultDoc(), "/index.html");
 }
@@ -133,9 +134,9 @@ TEST_F(FlashedAppTest, P3MigratesLiveCache) {
   EXPECT_EQ(V2->Entries.at("/doc.html").Hits, 2);
 
   // And the new stats function reports them.
-  auto Stats = cantFail(bindUpdateable<std::string()>(
+  auto Stats = cantFail(bindUpdateable<SharedStr()>(
       RT.updateables(), RT.types(), "flashed.cache_stats"));
-  EXPECT_NE(Stats().find("hits=2"), std::string::npos);
+  EXPECT_NE(Stats().str().find("hits=2"), std::string::npos);
 
   // Serving still works end to end.
   EXPECT_NE(App.handle(get("/doc.html")).find("200 OK"),
@@ -148,7 +149,7 @@ TEST_F(FlashedAppTest, P4ShimsSignatureChange) {
   App.handle(get("/doc.html"));
   // ...and the new wide interface exists.
   auto Log2 =
-      cantFail(bindUpdateable<void(std::string, int64_t, int64_t)>(
+      cantFail(bindUpdateable<void(SharedStr, int64_t, int64_t)>(
           RT.updateables(), RT.types(), "flashed.log_access2"));
   Log2("/x", 200, 1234);
   EXPECT_EQ(App.LogAccess.version(), 2u);
@@ -163,7 +164,7 @@ TEST_F(FlashedAppTest, P5IntroducesAccessLog) {
 
   auto Count = cantFail(bindUpdateable<int64_t()>(
       RT.updateables(), RT.types(), "flashed.log_count"));
-  auto Recent = cantFail(bindUpdateable<std::string()>(
+  auto Recent = cantFail(bindUpdateable<SharedStr()>(
       RT.updateables(), RT.types(), "flashed.log_recent"));
   EXPECT_GE(Count(), 2);
   std::string R = Recent();
@@ -193,6 +194,110 @@ TEST_F(FlashedAppTest, FullSeriesAppliesInOrder) {
   for (const UpdateRecord &Rec : Log)
     EXPECT_TRUE(Rec.Succeeded) << Rec.PatchId << ": " << Rec.FailureReason;
 }
+
+TEST_F(FlashedAppTest, ServedBodyIsTheStoredDocument) {
+  // Zero-copy through the cache stages: a miss serves the document
+  // store's bytes, cache_put stores that object, and a hit serves it
+  // again — at %flashed_cache@1 and after P3's migration to @2.
+  auto Served = [&](const std::string &Path) {
+    std::string Raw = get(Path), Out;
+    SharedBody Body;
+    App.handleInto(scanRequestHead(Raw), Raw, Out, Body);
+    return Body;
+  };
+  SharedBody Doc = App.docs().getShared("/doc.html");
+  EXPECT_EQ(Served("/doc.html"), Doc);
+  EXPECT_EQ(Served("/doc.html"), Doc);
+
+  applyPatch(makePatchP3(App));
+  EXPECT_EQ(Served("/doc.html"), Doc);
+  SharedBody Home = App.docs().getShared("/index.html");
+  EXPECT_EQ(Served("/index.html"), Home);
+  EXPECT_EQ(Served("/index.html"), Home);
+}
+
+TEST_F(FlashedAppTest, EmptyDocumentIsServedWithoutRepublishingTheCache) {
+  // "" from cache_get means a miss, so an empty document can never hit;
+  // serving it must not publish a new cache snapshot per request.
+  App.docs().put("/empty.txt", "");
+  uint64_t Gen = 0;
+  for (int I = 0; I != 4; ++I) {
+    std::string R = App.handle(get("/empty.txt"));
+    EXPECT_NE(R.find("200 OK"), std::string::npos) << R;
+    EXPECT_NE(R.find("Content-Length: 0\r\n"), std::string::npos) << R;
+    if (I == 0)
+      Gen = App.cacheCell()->mutationGeneration();
+  }
+  EXPECT_EQ(App.cacheCell()->mutationGeneration(), Gen);
+}
+
+// Property: the served path is the updateable pipeline.  Rebinding any
+// one of the six stages through the in-process patch API changes what
+// handle() serves (or, for the two side-effect stages, what happens).
+class StageRebinding : public FlashedAppTest,
+                       public ::testing::WithParamInterface<const char *> {};
+
+TEST_P(StageRebinding, ChangesWhatIsServed) {
+  const std::string Stage = GetParam();
+  TypeContext &Ctx = RT.types();
+  const Type *Str = Ctx.stringType();
+  const Type *StrToStr = Ctx.fnType({Str}, Str);
+  auto Returning = [](const char *Result) {
+    return makeClosureBinding<SharedStr, SharedStr>(
+        [Result](SharedStr) -> SharedStr { return Result; }, 0, "test");
+  };
+  std::vector<std::string> Puts;
+  int Logs = 0;
+
+  PatchBuilder B(Ctx, "rebind-" + Stage);
+  const std::string Name = "flashed." + Stage;
+  if (Stage == "parse_target")
+    B.provideBinding(Name, StrToStr, Returning("GET /index.html"));
+  else if (Stage == "map_url")
+    B.provideBinding(Name, StrToStr, Returning("/index.html"));
+  else if (Stage == "mime_type")
+    B.provideBinding(Name, StrToStr, Returning("text/x-rebound"));
+  else if (Stage == "cache_get")
+    B.provideBinding(Name, StrToStr, Returning("PATCHED-BODY"));
+  else if (Stage == "cache_put")
+    B.provideBinding(Name, Ctx.fnType({Str, Str}, Ctx.unitType()),
+                     makeClosureBinding<void, SharedStr, SharedStr>(
+                         [&Puts](SharedStr Path, SharedStr) {
+                           Puts.push_back(Path);
+                         },
+                         0, "test"));
+  else
+    B.provideBinding(Name, Ctx.fnType({Str, Ctx.intType()}, Ctx.unitType()),
+                     makeClosureBinding<void, SharedStr, int64_t>(
+                         [&Logs](SharedStr, int64_t) { ++Logs; }, 0,
+                         "test"));
+  applyPatch(B.build());
+
+  std::string R = App.handle(get("/doc.html"));
+  ASSERT_NE(R.find("200 OK"), std::string::npos) << R;
+  std::string Body = R.substr(R.find("\r\n\r\n") + 4);
+  if (Stage == "parse_target" || Stage == "map_url") {
+    EXPECT_EQ(Body, "<html>home</html>");
+  } else if (Stage == "mime_type") {
+    EXPECT_NE(R.find("Content-Type: text/x-rebound\r\n"), std::string::npos)
+        << R;
+  } else if (Stage == "cache_get") {
+    EXPECT_EQ(Body, "PATCHED-BODY");
+  } else if (Stage == "cache_put") {
+    EXPECT_EQ(Puts, std::vector<std::string>{"/doc.html"});
+    EXPECT_TRUE(App.cacheCell()->get<CacheV1>()->Entries.empty());
+  } else {
+    EXPECT_EQ(Logs, 1);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    AllStages, StageRebinding,
+    ::testing::Values("parse_target", "map_url", "mime_type", "cache_get",
+                      "cache_put", "log_access"),
+    [](const ::testing::TestParamInfo<const char *> &Info) {
+      return std::string(Info.param);
+    });
 
 // Property: before any update, the updateable pipeline and the static
 // pipeline are observationally equivalent on every request shape.

@@ -53,6 +53,51 @@ TEST(FlashedVtalPatchTest, VerifiedParserDrivesTheServer) {
   EXPECT_GT(Rec.InstructionsVerified, 50u);
 }
 
+// A parse_target that traps on every request (division by zero).  A
+// trapped string stage yields "", which names no request target.
+const char *kTrappingParseTarget = R"dsu(
+(patch
+  (id "trapping-parse-target")
+  (description "parse_target that divides by zero")
+  (provides
+    (fn (name "flashed.parse_target")
+        (type "fn(string) -> string")
+        (vtal-fn "parse_target")))
+  (vtal-module
+"module trap_mod
+func parse_target (raw: string) -> string {
+  locals (zero: int)
+  push.i 1
+  load zero
+  div
+  store zero
+  load raw
+  ret
+}"))
+)dsu";
+
+TEST(FlashedVtalPatchTest, TrappingParseTargetAnswers500) {
+  Runtime RT;
+  FlashedApp App(RT);
+  DocStore Docs;
+  Docs.put("/doc.html", "<html>doc</html>");
+  Docs.put("/index.html", "<html>home</html>");
+  ASSERT_FALSE(App.init(std::move(Docs)));
+  // After P2, map_url("") is the default document: an empty target
+  // must not get that far.
+  cantFail(RT.applyNow(cantFail(makePatchP2(App), "P2")), "apply P2");
+  Expected<Patch> P =
+      loadVtalPatch(RT.types(), RT.exports(), kTrappingParseTarget);
+  ASSERT_TRUE(P) << P.takeError().str();
+  Error E = RT.applyNow(std::move(*P));
+  ASSERT_FALSE(E) << E.str();
+
+  std::string R = App.handle("GET /doc.html HTTP/1.0\r\n\r\n");
+  EXPECT_EQ(R.rfind("HTTP/1.1 500 ", 0), 0u) << R;
+  EXPECT_EQ(R.find("<html>home</html>"), std::string::npos) << R;
+  EXPECT_GE(App.ParseTarget.slot()->current()->trapCount(), 1u);
+}
+
 TEST(FlashedVtalPatchTest, AgreesWithNativeParserOnASweep) {
   Runtime RT;
   FlashedApp App(RT);

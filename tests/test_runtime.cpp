@@ -16,7 +16,7 @@ namespace {
 
 int64_t addV1(int64_t A, int64_t B) { return A + B; }
 int64_t addV2(int64_t A, int64_t B) { return A + B + 1000; }
-std::string greetV1(std::string Name) { return "hello " + Name; }
+SharedStr greetV1(SharedStr Name) { return "hello " + Name.str(); }
 
 class RuntimeTest : public ::testing::Test {
 protected:
@@ -119,8 +119,8 @@ TEST_F(RuntimeTest, BindUpdateableChecksType) {
   ASSERT_TRUE(Good);
   EXPECT_EQ((*Good)(1, 1), 2);
 
-  Expected<Updateable<std::string(std::string)>> Bad =
-      bindUpdateable<std::string(std::string)>(Reg, Ctx, "add");
+  Expected<Updateable<SharedStr(SharedStr)>> Bad =
+      bindUpdateable<SharedStr(SharedStr)>(Reg, Ctx, "add");
   ASSERT_FALSE(Bad);
   EXPECT_EQ(Bad.error().code(), ErrorCode::EC_TypeMismatch);
 
@@ -217,7 +217,7 @@ TEST(UpdateQueueTest, PendingFlagAndFifoDrain) {
   EXPECT_EQ(Log[1].PatchId, "b");
 }
 
-std::string qWrongSig(std::string S) { return S; }
+SharedStr qWrongSig(SharedStr S) { return S; }
 
 TEST(UpdateQueueTest, FailuresCollected) {
   Runtime RT;

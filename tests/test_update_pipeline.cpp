@@ -156,7 +156,7 @@ TEST_F(PipelineTest, BumpWithoutTransformerRejectedAtomically) {
   EXPECT_EQ(RT.updatesApplied(), 0u);
 }
 
-std::string wrongSigImpl(std::string S) { return S; }
+SharedStr wrongSigImpl(SharedStr S) { return S; }
 
 TEST_F(PipelineTest, IncompatibleProvideRejected) {
   auto Fact = cantFail(RT.defineUpdateable("app.fact", &factV1));
