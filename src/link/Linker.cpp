@@ -87,59 +87,14 @@ Error Linker::commit(LinkPlan Plan, bool Rolling, uint64_t CanaryMask,
                      std::vector<RollEntry *> *GatedOut) {
   trace::Span Sp("link", Rolling ? "commit.rolling" : "commit.barrier",
                  Plan.Unit.Provides.size());
-  if (Rolling)
-    return commitRolling(std::move(Plan), CanaryMask, GatedOut);
-  // On a mid-way failure every slot swung so far — the replacements in
-  // Provides[0, I) — is unwound.  (A slot *defined* by this commit
-  // cannot be removed — handles may already name it — but a dangling new
-  // definition is harmless; only replacements change behaviour the
-  // program can observe.)  No bookkeeping allocation on the happy path:
-  // the provide index is the undo log.
-  auto FailAtomically = [&](size_t Done, Error E) {
-    for (size_t I = Done; I-- > 0;) {
-      if (!Plan.IsReplacement[I])
-        continue;
-      if (Error R = Registry.rollback(Plan.Unit.Provides[I].Name))
-        DSU_LOG_WARN("%s: rollback of '%s' after failed commit also "
-                     "failed: %s",
-                     Plan.Unit.Name.c_str(),
-                     Plan.Unit.Provides[I].Name.c_str(), R.str().c_str());
-    }
-    return E.withContext(Plan.Unit.Name +
-                         ": commit failed mid-way; partially committed "
-                         "slots rolled back");
-  };
-
-  assert(Plan.PreparedCode.size() == Plan.Unit.Provides.size() &&
-         "commit needs the plan prepare() produced");
-  for (size_t I = 0; I != Plan.Unit.Provides.size(); ++I) {
-    ProvideRequest &Prov = Plan.Unit.Provides[I];
-    // The prepared paths skip the compatibility judgement: prepare()
-    // already ran it, and stale plans are re-prepared before commit.
-    if (Plan.IsReplacement[I]) {
-      Registry.rebindPreparedSlot(*Plan.ResolvedSlots[I], Prov.Ty,
-                                  std::move(Plan.PreparedCode[I]));
-      continue;
-    }
-    Expected<UpdateableSlot *> Slot =
-        Registry.installPreparedSlot(std::move(Plan.PreparedSlots[I]));
-    if (!Slot)
-      return FailAtomically(I, Slot.takeError());
-  }
-  DSU_LOG_DEBUG("%s: linked %zu provide(s), %zu import(s)",
-                Plan.Unit.Name.c_str(), Plan.Unit.Provides.size(),
-                Plan.Unit.Imports.size());
-  return Error::success();
-}
-
-Error Linker::commitRolling(LinkPlan Plan, uint64_t CanaryMask,
-                            std::vector<RollEntry *> *GatedOut) {
   assert(Plan.PreparedCode.size() == Plan.Unit.Provides.size() &&
          "commit needs the plan prepare() produced");
 
   // New definitions first: they are the only fallible installs, and a
   // name nobody references yet has no readers to keep consistent — so a
-  // failure here rejects the patch before any replacement swings.
+  // failure here rejects the patch before any replacement swings.  (A
+  // slot defined before the failure stays: handles may already name it,
+  // and a dangling new definition changes no behaviour.)
   for (size_t I = 0; I != Plan.Unit.Provides.size(); ++I) {
     if (Plan.IsReplacement[I])
       continue;
@@ -147,57 +102,56 @@ Error Linker::commitRolling(LinkPlan Plan, uint64_t CanaryMask,
         Registry.installPreparedSlot(std::move(Plan.PreparedSlots[I]));
     if (!Slot)
       return Slot.takeError().withContext(
-          Plan.Unit.Name + ": rolling commit rejected before any binding "
-                           "swung");
+          Plan.Unit.Name + ": commit rejected before any binding swung");
   }
 
-  // Replacements: swing every slot behind still-unpublished RollEntries
-  // (all readers keep resolving to the old binding), then lower every
-  // entry's epoch to E inside one advanceWith — the instant E becomes
-  // observable, all of them switch together.  A reader therefore sees
-  // the whole patch or none of it, decided by its own quiescent point.
-  uint64_t MinObserved = epoch::domain().minObservedEpoch();
-  std::vector<RollEntry *> NewEntries;
-  std::vector<RollEntry *> Detached;
-  for (size_t I = 0; I != Plan.Unit.Provides.size(); ++I) {
-    if (!Plan.IsReplacement[I])
-      continue;
-    RollEntry *E = Registry.rebindPreparedSlotRolling(
-        *Plan.ResolvedSlots[I], Plan.Unit.Provides[I].Ty,
-        std::move(Plan.PreparedCode[I]), MinObserved, Detached);
-    NewEntries.push_back(E);
-  }
-
-  // Canary gating: arm the gate while each entry's epoch is still
-  // unpublished (everyone resolves to Old regardless of mask), so no
-  // reader can observe a swing epoch without also observing the gate.
-  if (CanaryMask != UINT64_MAX)
-    for (RollEntry *R : NewEntries)
-      R->CanaryMask.store(CanaryMask, std::memory_order_release);
-  if (GatedOut)
-    GatedOut->insert(GatedOut->end(), NewEntries.begin(),
-                     NewEntries.end());
+  // Replacements: nothing below can fail.  The prepared swing skips the
+  // compatibility judgement: prepare() already ran it, and stale plans
+  // are re-prepared before commit.  A rolling swing first detaches the
+  // fully graced redirection chains, then leaves each slot behind a
+  // still-unpublished RollEntry (all readers keep resolving to the old
+  // binding).
+  std::vector<RollEntry *> NewEntries, Detached;
+  if (Rolling)
+    Registry.flushGracedRolls(epoch::domain().minObservedEpoch(), Detached);
+  for (size_t I = 0; I != Plan.Unit.Provides.size(); ++I)
+    if (Plan.IsReplacement[I])
+      if (RollEntry *R = Registry.swingPreparedSlot(
+              *Plan.ResolvedSlots[I], Plan.Unit.Provides[I].Ty,
+              std::move(Plan.PreparedCode[I]), Rolling))
+        NewEntries.push_back(R);
 
   if (!NewEntries.empty()) {
-    struct InstallCtx {
-      std::vector<RollEntry *> *Entries;
-    } Ctx{&NewEntries};
+    // Canary gating: arm the gate while each entry's epoch is still
+    // unpublished (everyone resolves to Old regardless of mask), so no
+    // reader can observe a swing epoch without also observing the gate.
+    if (CanaryMask != UINT64_MAX)
+      for (RollEntry *R : NewEntries)
+        R->CanaryMask.store(CanaryMask, std::memory_order_release);
+    if (GatedOut)
+      GatedOut->insert(GatedOut->end(), NewEntries.begin(),
+                       NewEntries.end());
+    // Lower every entry's epoch to E inside one advanceWith — the
+    // instant E becomes observable, all of them switch together.  A
+    // reader therefore sees the whole patch or none of it, decided by
+    // its own quiescent point.
     epoch::domain().advanceWith(
         [](uint64_t E, void *Raw) {
-          auto *C = static_cast<InstallCtx *>(Raw);
-          for (RollEntry *R : *C->Entries)
+          for (RollEntry *R : *static_cast<std::vector<RollEntry *> *>(Raw))
             R->Epoch.store(E, std::memory_order_release);
         },
-        &Ctx);
+        &NewEntries);
   }
 
-  // Superseded redirection records from earlier rolls whose grace
-  // period has fully passed: retired, not freed — an in-flight chain
-  // traversal may still touch them.
+  // Superseded redirection records whose grace period has fully
+  // passed: retired, not freed — an in-flight chain traversal may still
+  // touch them.
   for (RollEntry *R : Detached)
     epoch::retireObject(R);
 
-  DSU_LOG_DEBUG("%s: rolling-linked %zu provide(s) without a barrier",
-                Plan.Unit.Name.c_str(), Plan.Unit.Provides.size());
+  DSU_LOG_DEBUG("%s: linked %zu provide(s), %zu import(s)%s",
+                Plan.Unit.Name.c_str(), Plan.Unit.Provides.size(),
+                Plan.Unit.Imports.size(),
+                Rolling ? " without a barrier" : "");
   return Error::success();
 }

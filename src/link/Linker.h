@@ -93,9 +93,11 @@ public:
   /// Phase 2: installs every provide.  Must be called with the plan from
   /// prepare(); by the single-updater discipline (updates apply at update
   /// points), nothing can invalidate the plan in between.  All or
-  /// nothing: if an install fails mid-way, every slot already swung by
-  /// this commit is rolled back to its pre-commit binding before the
-  /// error returns, so the program is never left half-updated.
+  /// nothing, by order rather than by undo: new definitions are
+  /// installed first, because that is the only step that can fail, and
+  /// only then do the replacements swing.  A failed commit therefore
+  /// leaves every replaced slot's binding, version and history as they
+  /// were.
   ///
   /// With \p Rolling set (code-only patches, no global quiescence), the
   /// replacements swing through per-slot RollEntries and one epoch
@@ -116,9 +118,6 @@ public:
                std::vector<RollEntry *> *GatedOut = nullptr);
 
 private:
-  Error commitRolling(LinkPlan Plan, uint64_t CanaryMask,
-                      std::vector<RollEntry *> *GatedOut);
-
   UpdateableRegistry &Registry;
   SymbolTable &Symbols;
 };

@@ -97,19 +97,30 @@ void RolloutController::setRecord(
   Fn(Records[RecIdx]);
 }
 
-void RolloutController::sampleGroups(uint64_t Mask, GroupSample &Canary,
-                                     GroupSample &Control) const {
+void RolloutController::sampleGroups(
+    uint64_t Mask, GroupSample &Canary, GroupSample &Control,
+    std::vector<GroupSample> &CanaryWorkers) const {
   size_t N = H.WorkerCount ? H.WorkerCount() : 0;
+  CanaryWorkers.assign(N, GroupSample{});
   for (size_t I = 0; I != N; ++I) {
     const net::WorkerStats *S = H.Stats ? H.Stats(I) : nullptr;
     if (!S)
       continue;
+    // Requests before Serves: each worker notes a request before its
+    // handler runs and the serve after, so a finished request never
+    // reads as in flight.
+    GroupSample W{S->Requests.load(std::memory_order_relaxed),
+                  S->Serves.load(std::memory_order_relaxed),
+                  S->Errors5xx.load(std::memory_order_relaxed),
+                  S->ServeTotalUs.load(std::memory_order_relaxed)};
     bool IsCanary = I < 64 && ((Mask >> I) & 1);
     GroupSample &G = IsCanary ? Canary : Control;
-    G.Requests += S->Requests.load(std::memory_order_relaxed);
-    G.Serves += S->Serves.load(std::memory_order_relaxed);
-    G.Errors += S->Errors5xx.load(std::memory_order_relaxed);
-    G.ServeUs += S->ServeTotalUs.load(std::memory_order_relaxed);
+    G.Requests += W.Requests;
+    G.Serves += W.Serves;
+    G.Errors += W.Errors;
+    G.ServeUs += W.ServeUs;
+    if (IsCanary)
+      CanaryWorkers[I] = W;
   }
 }
 
@@ -268,27 +279,38 @@ void RolloutController::runOne(std::shared_ptr<UpdateTransaction> Tx,
   // --- Observing: compare canary vs control over the window. -------------
   auto CommitAt = std::chrono::steady_clock::now();
   GroupSample Can0, Ctl0;
-  sampleGroups(Mask, Can0, Ctl0);
+  std::vector<GroupSample> PerCanary;
+  sampleGroups(Mask, Can0, Ctl0, PerCanary);
   setRecord(RecIdx, [&](RolloutRecord &R) { R.State = "observing"; });
 
   GroupSample DCan, DCtl;
   double CanRate = 0, CtlRate = 0;
   uint64_t Traps = 0;
   std::string TripReason;
-  // Stall evidence: since StallSince, every poll saw a canary request
-  // in its handler and no canary serve completed.
-  bool CanInFlight = false;
-  auto StallSince = CommitAt;
+  // Stall evidence, per canary worker: since Since, every poll saw a
+  // request of that worker in its handler and none of its serves
+  // completed.  Per worker, because one healthy canary's serves must
+  // not hide a wedged one.
+  struct StallWatch {
+    uint64_t Serves = 0;
+    bool InFlight = false;
+    std::chrono::steady_clock::time_point Since;
+  };
+  std::vector<StallWatch> Stalls;
+  for (const GroupSample &W : PerCanary)
+    Stalls.push_back({W.Serves, false, CommitAt});
 
   auto Sample = [&] {
     GroupSample Can1, Ctl1;
-    sampleGroups(Mask, Can1, Ctl1);
-    // Each worker notes a request before its handler runs and the serve
-    // after, and sampleGroups reads Requests first, so a finished
-    // request never reads as in flight.
-    CanInFlight = Can1.Requests > Can1.Serves;
-    if (!CanInFlight || Can1.Serves - Can0.Serves != DCan.Serves)
-      StallSince = std::chrono::steady_clock::now();
+    sampleGroups(Mask, Can1, Ctl1, PerCanary);
+    auto Now = std::chrono::steady_clock::now();
+    for (size_t I = 0; I != Stalls.size() && I != PerCanary.size(); ++I) {
+      StallWatch &W = Stalls[I];
+      W.InFlight = PerCanary[I].Requests > PerCanary[I].Serves;
+      if (!W.InFlight || PerCanary[I].Serves != W.Serves)
+        W.Since = Now;
+      W.Serves = PerCanary[I].Serves;
+    }
     DCan = {Can1.Requests - Can0.Requests, Can1.Serves - Can0.Serves,
             Can1.Errors - Can0.Errors, Can1.ServeUs - Can0.ServeUs};
     DCtl = {Ctl1.Requests - Ctl0.Requests, Ctl1.Serves - Ctl0.Serves,
@@ -351,18 +373,21 @@ void RolloutController::runOne(std::shared_ptr<UpdateTransaction> Tx,
                                 "control %.0fus exceeds max delta %.0fus",
                                 CanMean, CtlMean, Opts.MaxLatencyDeltaUs);
   }
-  double StalledMs = elapsedMsSince(StallSince);
-  if (TripReason.empty() && CanInFlight &&
+  double StalledMs = 0;
+  for (const StallWatch &W : Stalls)
+    if (W.InFlight)
+      StalledMs = std::max(StalledMs, elapsedMsSince(W.Since));
+  if (TripReason.empty() &&
       StalledMs >= static_cast<double>(Opts.WindowMs) / 2)
-    // A canary request has been in its handler, with no canary serve
-    // completing, for at least half the window: the patch wedged its
-    // caller (e.g. a fuel bomb still burning).  A stuck request yields
-    // no error sample, so only this gate can catch it.  A serve that
-    // completed earlier (old code finishing just after the commit) does
-    // not hide the stall.
+    // A canary worker has had a request in its handler, with none of
+    // its serves completing, for at least half the window: the patch
+    // wedged its caller (e.g. a fuel bomb still burning).  A stuck
+    // request yields no error sample, so only this gate can catch it.
+    // A serve that completed earlier (old code finishing just after the
+    // commit), or on another canary worker, does not hide the stall.
     TripReason = formatString("stall gate: a canary request has run for "
-                              "%.0fms with no canary serve completing "
-                              "(window %llums)",
+                              "%.0fms with no serve completing on its "
+                              "worker (window %llums)",
                               StalledMs,
                               static_cast<unsigned long long>(Opts.WindowMs));
 

@@ -184,8 +184,11 @@ private:
 
   void runOne(std::shared_ptr<UpdateTransaction> Tx, RolloutOptions Opts,
               size_t RecIdx);
-  void sampleGroups(uint64_t Mask, GroupSample &Canary,
-                    GroupSample &Control) const;
+  /// Sums the workers' counters into the canary (bit set in \p Mask)
+  /// and control groups.  \p CanaryWorkers gets each canary worker's
+  /// own sample, indexed by worker (zero for control workers).
+  void sampleGroups(uint64_t Mask, GroupSample &Canary, GroupSample &Control,
+                    std::vector<GroupSample> &CanaryWorkers) const;
   uint64_t trapsInNewBindings(const std::vector<std::string> &Names) const;
   void setRecord(size_t RecIdx, const std::function<void(RolloutRecord &)> &Fn);
   Error revertProvides(const std::vector<std::string> &Names);

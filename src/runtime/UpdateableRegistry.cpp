@@ -71,104 +71,41 @@ UpdateableRegistry::lookup(const std::string &Name) const {
   return It == Slots.end() ? nullptr : It->second.get();
 }
 
-Error UpdateableRegistry::rebind(const std::string &Name, const Type *NewTy,
-                                 Binding NewBinding,
-                                 std::vector<VersionBump> *BumpsOut) {
-  if (!NewTy || !NewTy->isFunction())
-    return Error::make(ErrorCode::EC_TypeMismatch,
-                       "new binding for '%s' must have a function type",
-                       Name.c_str());
-
-  std::lock_guard<std::mutex> G(Lock);
-  auto It = Slots.find(Name);
-  if (It == Slots.end())
-    return Error::make(ErrorCode::EC_Link,
-                       "cannot rebind unknown updateable '%s'",
-                       Name.c_str());
-  UpdateableSlot &Slot = *It->second;
-
-  ReplaceCheck Check = checkReplacement(Slot.type(), NewTy);
-  if (!Check.ok())
-    return Error::make(ErrorCode::EC_TypeMismatch,
-                       "rebinding '%s' rejected: %s", Name.c_str(),
-                       Check.Reason.c_str());
-  if (BumpsOut)
-    *BumpsOut = Check.Bumps;
-
-  auto Owned = std::make_unique<Binding>(std::move(NewBinding));
-  if (Owned->Version <= Slot.newest()->Version)
-    Owned->Version = Slot.newest()->Version + 1;
-
-  DSU_LOG_INFO("rebind '%s' v%u -> v%u (%s)", Name.c_str(),
-               Slot.newest()->Version, Owned->Version,
-               Owned->Origin.c_str());
-
-  const Binding *Raw = Owned.get();
-  Slot.History.push_back(std::move(Owned));
-  Slot.TypeHistory.push_back(NewTy);
-  Slot.FnTy.store(NewTy, std::memory_order_release);
-  Slot.Current.store(Raw, std::memory_order_release);
-  return Error::success();
-}
-
-void UpdateableRegistry::rebindPreparedSlot(
-    UpdateableSlot &Slot, const Type *NewTy,
-    std::unique_ptr<Binding> NewBinding) {
-  std::lock_guard<std::mutex> G(Lock);
-  if (NewBinding->Version <= Slot.newest()->Version)
-    NewBinding->Version = Slot.newest()->Version + 1;
-  const Binding *Raw = NewBinding.get();
-  Slot.History.push_back(std::move(NewBinding));
-  Slot.TypeHistory.push_back(NewTy);
-  Slot.FnTy.store(NewTy, std::memory_order_release);
+void UpdateableRegistry::appendAndPublish(UpdateableSlot &Slot,
+                                          const Type *Ty,
+                                          std::unique_ptr<Binding> B) {
+  if (B->Version <= Slot.newest()->Version)
+    B->Version = Slot.newest()->Version + 1;
+  const Binding *Raw = B.get();
+  Slot.History.push_back(std::move(B));
+  Slot.TypeHistory.push_back(Ty);
+  Slot.FnTy.store(Ty, std::memory_order_release);
   Slot.Current.store(Raw, std::memory_order_release);
 }
 
-RollEntry *UpdateableRegistry::rebindPreparedSlotRolling(
+RollEntry *UpdateableRegistry::swingPreparedSlot(
     UpdateableSlot &Slot, const Type *NewTy,
-    std::unique_ptr<Binding> NewBinding, uint64_t MinObservedEpoch,
-    std::vector<RollEntry *> &DetachedOut) {
+    std::unique_ptr<Binding> NewBinding, bool Rolling) {
   std::lock_guard<std::mutex> G(Lock);
-  if (NewBinding->Version <= Slot.newest()->Version)
-    NewBinding->Version = Slot.newest()->Version + 1;
-
-  // Flush any chain whose whole redirection window has passed: no
-  // reader's epoch can still be below a fully graced head, so future
-  // resolutions never *enter* those entries — but an in-flight
-  // traversal may still hold pointers to them, hence epoch-retirement
-  // (by the caller) instead of free.
-  RollEntry *OldHead = Slot.Roll.load(std::memory_order_relaxed);
-  if (OldHead && chainGraced(OldHead, MinObservedEpoch)) {
-    for (RollEntry *R = OldHead; R;
-         R = R->Prev.load(std::memory_order_relaxed))
-      DetachedOut.push_back(R);
-    OldHead = nullptr;
+  RollEntry *Entry = nullptr;
+  if (Rolling) {
+    // The current binding stays reachable two ways: through the slot's
+    // history (rollback support, "old code stays resident") and through
+    // the RollEntry for readers still inside an older epoch.  Epoch
+    // stays kUnpublished (UINT64_MAX): every reader resolves to Old
+    // until the caller lowers it inside Domain::advanceWith.
+    Entry = new RollEntry();
+    Entry->Old = Slot.Current.load(std::memory_order_relaxed);
+    RollEntry *Head = Slot.Roll.load(std::memory_order_relaxed);
+    Entry->Prev.store(Head, std::memory_order_relaxed);
+    if (!Head)
+      LiveRollChains.fetch_add(1, std::memory_order_relaxed);
+    // Entry before Current: a reader that sees the new Current is
+    // guaranteed (release/acquire on Current) to also see the entry and
+    // be redirected while its epoch predates the swing.
+    Slot.Roll.store(Entry, std::memory_order_release);
   }
-
-  // The current binding stays reachable two ways: through the slot's
-  // history (rollback support, "old code stays resident") and through
-  // the RollEntry for readers still inside an older epoch.
-  const Binding *Old = Slot.Current.load(std::memory_order_relaxed);
-  auto *Entry = new RollEntry();
-  Entry->Old = Old;
-  Entry->Prev.store(OldHead, std::memory_order_relaxed);
-  // Epoch stays kUnpublished (UINT64_MAX): every reader resolves to Old
-  // until the caller lowers it inside Domain::advanceWith.
-
-  const Binding *Raw = NewBinding.get();
-  Slot.History.push_back(std::move(NewBinding));
-  Slot.TypeHistory.push_back(NewTy);
-  if (!Slot.Roll.load(std::memory_order_relaxed))
-    LiveRollChains.fetch_add(1, std::memory_order_relaxed);
-  // Entry before Current: a reader that sees the new Current is
-  // guaranteed (release/acquire on Current) to also see the entry and
-  // be redirected while its epoch predates the swing.
-  Slot.Roll.store(Entry, std::memory_order_release);
-  Slot.FnTy.store(NewTy, std::memory_order_release);
-  Slot.Current.store(Raw, std::memory_order_release);
-
-  DSU_LOG_INFO("rolling rebind '%s' -> v%u (%s)", Slot.Name.c_str(),
-               Raw->Version, Raw->Origin.c_str());
+  appendAndPublish(Slot, NewTy, std::move(NewBinding));
   return Entry;
 }
 
@@ -221,18 +158,10 @@ Error UpdateableRegistry::rollback(const std::string &Name) {
   // Reinstall the previous implementation as a *new* version.
   const Binding &Prev = *Slot.History[N - 2];
   auto Owned = std::make_unique<Binding>(Prev);
-  Owned->Version = Slot.newest()->Version + 1;
   Owned->Origin = "rollback-of:" + Slot.History[N - 1]->Origin;
-
   DSU_LOG_INFO("rollback '%s' to the v%u implementation (as v%u)",
-               Name.c_str(), Prev.Version, Owned->Version);
-
-  const Binding *Raw = Owned.get();
-  const Type *PrevTy = Slot.TypeHistory[N - 2];
-  Slot.History.push_back(std::move(Owned));
-  Slot.TypeHistory.push_back(PrevTy);
-  Slot.FnTy.store(PrevTy, std::memory_order_release);
-  Slot.Current.store(Raw, std::memory_order_release);
+               Name.c_str(), Prev.Version, Slot.newest()->Version + 1);
+  appendAndPublish(Slot, Slot.TypeHistory[N - 2], std::move(Owned));
   return Error::success();
 }
 

@@ -7,10 +7,13 @@
 /// This is the reproduction of the PLDI 2001 compilation strategy in
 /// which references to updateable definitions are indirected through a
 /// table the dynamic linker may rebind.  Readers (calls) take one atomic
-/// acquire load; writers (updates) take the registry mutex, re-run the
-/// type-compatibility judgement, and swing the pointer.  Superseded
-/// bindings are retired into the slot's history and kept alive forever
-/// (old code stays resident, as in the paper).
+/// acquire load.  Every writer — a linker commit's swing, barrier or
+/// rolling, and a rollback — goes through one append-and-publish step
+/// under the registry mutex: number the binding, append it to the
+/// slot's history, publish it with a release store.  The
+/// type-compatibility judgement runs before that, in Linker::prepare().
+/// Superseded bindings stay in the slot's history forever (old code
+/// stays resident, as in the paper).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -188,43 +191,27 @@ public:
   UpdateableSlot *lookup(const std::string &Name);
   const UpdateableSlot *lookup(const std::string &Name) const;
 
-  /// Rebinds \p Name to \p NewBinding whose type is \p NewTy.  Runs the
-  /// checkReplacement() judgement; on a version-bumped replacement the
-  /// slot's recorded type advances to \p NewTy.  \p BumpsOut, when
-  /// non-null, receives the named-type version bumps the caller (the
-  /// update engine) must have transformers for.
-  Error rebind(const std::string &Name, const Type *NewTy,
-               Binding NewBinding, std::vector<VersionBump> *BumpsOut);
+  /// The commit half of the linker's prepare/commit split, and the one
+  /// replacement swing: installs a binding the linker already validated
+  /// and heap-allocated at prepare time into a slot it already resolved,
+  /// so the update-point pause pays neither the compatibility judgement,
+  /// nor an allocation, nor a name lookup.  Sound only for plans
+  /// validated by Linker::prepare() under the single-updater discipline
+  /// (stale plans are re-prepared before commit).
+  ///
+  /// With \p Rolling set (a barrier-free commit), a RollEntry is put in
+  /// front of the new binding, epoch still unpublished, so every reader
+  /// keeps the superseded binding until the caller lowers the entry's
+  /// epoch inside Domain::advanceWith; the entry is returned.  Without
+  /// it the swing is observable at once and nullptr is returned.
+  RollEntry *swingPreparedSlot(UpdateableSlot &Slot, const Type *NewTy,
+                               std::unique_ptr<Binding> NewBinding,
+                               bool Rolling);
 
-  /// The commit half of the linker's prepare/commit split: installs a
-  /// binding the linker already validated and heap-allocated at prepare
-  /// time, into a slot it already resolved, so the update-point pause
-  /// pays neither the compatibility judgement, nor an allocation, nor a
-  /// name lookup — only the history push and two pointer swings.  Sound
-  /// only for plans validated by Linker::prepare() under the
-  /// single-updater discipline (stale plans are re-prepared before
-  /// commit); everyone else uses rebind().
-  void rebindPreparedSlot(UpdateableSlot &Slot, const Type *NewTy,
-                          std::unique_ptr<Binding> NewBinding);
-
-  /// rebindPreparedSlot()'s sibling for slots the plan *defines*: links
+  /// swingPreparedSlot()'s sibling for slots the plan *defines*: links
   /// a slot the linker constructed at prepare time into the registry.
   Expected<UpdateableSlot *>
   installPreparedSlot(std::unique_ptr<UpdateableSlot> Slot);
-
-  /// The rolling (barrier-free) variant of rebindPreparedSlot: swings
-  /// the slot *and* installs a RollEntry (epoch still unpublished) that
-  /// keeps every reader pinned at an older epoch on the superseded
-  /// binding.  Any fully graced older chain — entries whose epoch is <=
-  /// \p MinObservedEpoch — is detached and appended to \p DetachedOut
-  /// for epoch-retirement by the caller.  The caller (Linker::commit in
-  /// rolling mode) later lowers the new entries' epochs inside
-  /// Domain::advanceWith, which is what makes the swing observable.
-  RollEntry *rebindPreparedSlotRolling(UpdateableSlot &Slot,
-                                       const Type *NewTy,
-                                       std::unique_ptr<Binding> NewBinding,
-                                       uint64_t MinObservedEpoch,
-                                       std::vector<RollEntry *> &DetachedOut);
 
   /// Detaches every slot's rolling-redirection chain whose newest entry
   /// has been fully graced (epoch <= \p MinObservedEpoch, and any canary
@@ -242,7 +229,7 @@ public:
   }
 
   /// Reverts \p Name to the implementation (and recorded type) it had
-  /// before its most recent rebind.  The rollback is itself an update:
+  /// before its most recent swing.  The rollback is itself an update:
   /// it appends a fresh binding rather than erasing history, so a
   /// rollback can be rolled back.  Code-only — state transformers are
   /// one-way, so callers must not roll past a type-changing update
@@ -257,6 +244,13 @@ public:
   size_t size() const;
 
 private:
+  /// The one append-and-publish step behind every binding swing (the
+  /// caller holds Lock): numbers \p B past the slot's newest version,
+  /// appends it and \p Ty to the slot's history, and publishes the type
+  /// and then the binding.
+  static void appendAndPublish(UpdateableSlot &Slot, const Type *Ty,
+                               std::unique_ptr<Binding> B);
+
   mutable std::mutex Lock;
   std::map<std::string, std::unique_ptr<UpdateableSlot>> Slots;
   /// Number of slots whose Roll pointer is non-null; maintained under

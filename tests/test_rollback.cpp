@@ -68,12 +68,56 @@ TEST_F(RollbackTest, RollbackRestoresRecordedType) {
   const Type *NewTy = Ctx.fnType({Ctx.namedType("rec", 2)}, Ctx.unitType());
   UpdateableSlot *Slot = cantFail(RT.updateables().define(
       "app.g", OldTy, makeClosureBinding<void, int64_t>([](int64_t) {})));
-  cantFail(RT.updateables().rebind(
-      "app.g", NewTy, makeClosureBinding<void, int64_t>([](int64_t) {}),
-      nullptr));
+  Linker L(RT.updateables(), RT.exports());
+  LinkUnit Unit;
+  Unit.Provides.push_back(ProvideRequest{
+      "app.g", NewTy, makeClosureBinding<void, int64_t>([](int64_t) {})});
+  ASSERT_FALSE(L.commit(cantFail(L.prepare(std::move(Unit)))));
   EXPECT_EQ(Slot->type(), NewTy);
   ASSERT_FALSE(RT.updateables().rollback("app.g"));
   EXPECT_EQ(Slot->type(), OldTy);
+}
+
+int64_t v1000(int64_t X) { return X + 1000; }
+
+/// A patch that replaces app.f and then defines app.new, staged before
+/// the program defines app.new itself: its commit must fail at the
+/// define, the one fallible install.
+Patch replaceThenDefine(TypeContext &Ctx) {
+  return cantFail(PatchBuilder(Ctx, "fails-at-define")
+                      .provide("app.f", &v1000)
+                      .provide("app.new", &v3)
+                      .build());
+}
+
+/// After a failed commit the replaced slot keeps its version, history
+/// and behaviour, and a rollback can never reach the failed patch's code.
+void expectUntouched(Runtime &RT, Updateable<int64_t(int64_t)> &H) {
+  EXPECT_EQ(H.version(), 1u);
+  EXPECT_EQ(H.slot()->historySize(), 1u);
+  EXPECT_EQ(H(1), 2);
+  Error E = RT.rollbackUpdateable("app.f");
+  ASSERT_TRUE(E);
+  EXPECT_EQ(E.code(), ErrorCode::EC_Invalid);
+  EXPECT_EQ(H(1), 2);
+}
+
+TEST_F(RollbackTest, FailedBarrierCommitLeavesNoHistory) {
+  auto H = cantFail(RT.defineUpdateable("app.f", &v1));
+  StagedUpdate U = cantFail(RT.stage(replaceThenDefine(RT.types())));
+  cantFail(RT.defineUpdateable("app.new", &v2));
+  ASSERT_TRUE(U.commit());
+  EXPECT_EQ(U.phase(), UpdatePhase::CommitFailed);
+  expectUntouched(RT, H);
+}
+
+TEST_F(RollbackTest, FailedRollingCommitLeavesNoHistory) {
+  auto H = cantFail(RT.defineUpdateable("app.f", &v1));
+  StagedUpdate U = RT.requestUpdate(replaceThenDefine(RT.types()));
+  cantFail(RT.defineUpdateable("app.new", &v2));
+  EXPECT_EQ(RT.updatePoint(Runtime::PendingCommit::Rolling), 0u);
+  EXPECT_EQ(U.phase(), UpdatePhase::CommitFailed);
+  expectUntouched(RT, H);
 }
 
 TEST_F(RollbackTest, RefusedInsideUpdateableCode) {

@@ -438,6 +438,50 @@ TEST(RolloutBarrierModeTest, SingleWorkerFallsBackToBarrierMode) {
   Pool.stop();
 }
 
+/// The stall gate watches each canary worker on its own: with two
+/// canaries, one keeps serving while the other has a request wedged in
+/// its handler, and the serves of the healthy one must not hide the
+/// wedged one.  No pool: the controller reads fake worker counters
+/// through its hooks, and every read of canary 1 or of the control
+/// worker finds one more request served.
+TEST(RolloutStallGateTest, HealthyCanaryDoesNotHideAWedgedOne) {
+  Runtime RT;
+  FlashedApp App(RT);
+  DocStore Docs;
+  Docs.put("/doc.html", "<html>stall</html>");
+  ASSERT_FALSE(App.init(std::move(Docs)));
+
+  net::WorkerStats Stats[3]; // canaries 0 and 1, control worker 2
+  Stats[0].noteRequest();    // in its handler for good
+  RolloutController::Hooks H;
+  H.WorkerCount = [] { return size_t(3); };
+  H.Stats = [&Stats](size_t I) -> const net::WorkerStats * {
+    if (I != 0) {
+      Stats[I].noteRequest();
+      Stats[I].noteServe(10, /*ServerError=*/false);
+    }
+    return &Stats[I];
+  };
+  RolloutController Rollouts(RT, H);
+
+  RolloutOptions O;
+  O.CanaryWorkers = 2;
+  O.WindowMs = 200;
+  Expected<uint64_t> Id =
+      Rollouts.startArtifactText(GoodMapUrlPatch, "stall", O);
+  ASSERT_TRUE(Id) << Id.takeError().str();
+  Rollouts.waitIdle();
+
+  Expected<RolloutRecord> Rec = Rollouts.rollout(*Id);
+  ASSERT_TRUE(Rec);
+  EXPECT_EQ(Rec->Mode, "canary");
+  EXPECT_EQ(Rec->CanaryMask, 0x3u);
+  EXPECT_EQ(Rec->Verdict, "rolled-back");
+  EXPECT_NE(Rec->Reason.find("stall gate"), std::string::npos)
+      << Rec->Reason;
+  EXPECT_GT(Rec->CanaryServes, 0u);
+}
+
 /// Satellite: the staging watchdog.  A patch wedged in verification is
 /// aborted at the deadline with the TimedOut outcome, and the queue
 /// behind it is not head-of-line-blocked.

@@ -385,9 +385,11 @@ TEST_F(PipelineTest, RollbackForcesStagedPlanRevalidation) {
   const Type *T2 = Ctx.fnType({Ctx.namedType("rec", 2)}, Ctx.unitType());
   cantFail(RT.updateables().define(
       "app.g", T1, makeClosureBinding<void, int64_t>([](int64_t) {})));
-  cantFail(RT.updateables().rebind(
-      "app.g", T2, makeClosureBinding<void, int64_t>([](int64_t) {}),
-      nullptr));
+  Linker L(RT.updateables(), RT.exports());
+  LinkUnit Unit;
+  Unit.Provides.push_back(ProvideRequest{
+      "app.g", T2, makeClosureBinding<void, int64_t>([](int64_t) {})});
+  ASSERT_FALSE(L.commit(cantFail(L.prepare(std::move(Unit)))));
 
   StagedUpdate U = cantFail(RT.stage(cantFail(
       PatchBuilder(Ctx, "g-next")
