@@ -16,16 +16,16 @@ using namespace dsu::flashed;
 // --- Version-1 pipeline implementations ----------------------------------
 
 SharedStr FlashedApp::parseTargetV1(SharedStr Raw) {
-  Expected<HttpRequest> Req = parseHttpRequest(Raw);
-  if (!Req)
+  RequestHead Req = scanRequestHead(Raw);
+  if (!Req.Complete || Req.Malformed)
     return "!400 malformed request";
-  if (Req->Method != "GET" && Req->Method != "HEAD")
+  if (Req.Method != "GET" && Req.Method != "HEAD")
     return "!405 method not allowed";
   // Known v1 defect (fixed by patch P1): the query string is not
   // stripped, so "/doc.html?x=1" is treated as a literal document name.
-  std::string Out(Req->Method);
+  std::string Out(Req.Method);
   Out += ' ';
-  Out += Req->Target;
+  Out += Req.Target;
   return Out;
 }
 
@@ -189,6 +189,9 @@ void FlashedApp::handleIntoWith(const RequestHead &Head,
   epoch::Guard EpochScope;
   Requests.fetch_add(1, std::memory_order_relaxed);
   bool KeepAlive = Head.KeepAlive && !Head.Malformed;
+  // A HEAD response ends at its header section (RFC 9110 §9.3.2), error
+  // responses included, whatever a patched parse stage returns.
+  bool HeadOnly = Head.Method == "HEAD";
 
   auto ErrorResponse = [&](const SharedStr &Tagged) {
     int Code = std::atoi(Tagged.data() + 1);
@@ -197,8 +200,15 @@ void FlashedApp::handleIntoWith(const RequestHead &Head,
     std::string Html = "<html><body><h1>" + std::to_string(Code) + " " +
                        statusText(Code) + "</h1></body></html>\n";
     Log(Tagged, Code);
-    appendHttpResponse(Out, Code, "text/html", Html, KeepAlive);
+    appendHttpResponseHead(Out, Code, "text/html", Html.size(), KeepAlive);
+    if (!HeadOnly)
+      Out += Html;
   };
+
+  // The reactor has thrown away the framing of a head the scan rejects
+  // and closes after this response, so no stage may serve it.
+  if (!Head.Complete || Head.Malformed)
+    return ErrorResponse("!400 malformed request");
 
   SharedStr Parsed = Parse(SharedStr(Raw));
   std::string_view P = Parsed;
@@ -209,7 +219,6 @@ void FlashedApp::handleIntoWith(const RequestHead &Head,
   size_t Sp = P.find(' ');
   if (Sp == std::string_view::npos)
     return ErrorResponse("!500 parse stage returned no target");
-  bool HeadOnly = P.substr(0, Sp) == "HEAD";
 
   SharedStr Path = Map(SharedStr(P.substr(Sp + 1)));
   if (!Path.empty() && Path.data()[0] == '!')

@@ -113,7 +113,9 @@ public:
   /// Serves one request through the updateable pipeline: serializes the
   /// response head into \p Out (a reusable buffer) and hands the body as
   /// a shared pointer in \p Body, so a cached document is served without
-  /// per-request copies.  Matches net::Reactor::FastHandler.
+  /// per-request copies.  A head that is incomplete or Malformed is
+  /// answered 400 before any stage but log_access runs.  Matches
+  /// net::Reactor::FastHandler.
   void handleInto(const RequestHead &Head, std::string_view Raw,
                   std::string &Out, SharedBody &Body);
 

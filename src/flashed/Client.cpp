@@ -12,7 +12,6 @@
 #include <cerrno>
 #include <charconv>
 #include <chrono>
-#include <cstdlib>
 #include <cstring>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
@@ -125,6 +124,38 @@ Expected<ResponseFrame> scanResponse(std::string_view Buf) {
   return F;
 }
 
+/// Reads one Content-Length-framed response off \p Fd into \p Buf and
+/// consumes it, leaving any bytes behind it (pipelined responses) in
+/// \p Buf.  The one response grammar of both clients.
+Expected<FetchResult> readFramedResponse(int Fd, std::string &Buf) {
+  char Chunk[1 << 16];
+  while (true) {
+    Expected<ResponseFrame> F = scanResponse(Buf);
+    if (!F)
+      return F.takeError();
+    if (F->Complete && Buf.size() >= F->HeadBytes + F->ContentLength) {
+      FetchResult Out;
+      Out.Status = F->Status;
+      Out.Headers = Buf.substr(0, F->HeadBytes - 4);
+      Out.Body = Buf.substr(F->HeadBytes, F->ContentLength);
+      Buf.erase(0, F->HeadBytes + F->ContentLength);
+      return Out;
+    }
+    ssize_t N = ::read(Fd, Chunk, sizeof(Chunk));
+    if (N > 0) {
+      Buf.append(Chunk, static_cast<size_t>(N));
+      continue;
+    }
+    if (N < 0 && errno == EINTR)
+      continue;
+    if (N == 0)
+      return Error::make(ErrorCode::EC_IO, "connection closed mid-response");
+    if (isTimeoutErrno(errno))
+      return Error::make(ErrorCode::EC_Timeout, "read timed out");
+    return Error::make(ErrorCode::EC_IO, "read: %s", std::strerror(errno));
+  }
+}
+
 /// Backoff before retry attempt \p Attempt (0-based count of failures
 /// so far): capped exponential on the policy's base, stretched to the
 /// server's Retry-After hint when that is longer, plus up to 25%
@@ -177,37 +208,10 @@ Expected<FetchResult> dsu::flashed::httpGet(uint16_t Port,
     return E;
   }
 
-  std::string Raw;
-  char Buf[1 << 16];
-  while (true) {
-    ssize_t N = ::read(*Fd, Buf, sizeof(Buf));
-    if (N > 0) {
-      Raw.append(Buf, static_cast<size_t>(N));
-      continue;
-    }
-    if (N == 0)
-      break;
-    if (errno == EINTR)
-      continue;
-    int E = errno;
-    ::close(*Fd);
-    return Error::make(ErrorCode::EC_IO, "read: %s", std::strerror(E));
-  }
+  std::string Buf;
+  Expected<FetchResult> R = readFramedResponse(*Fd, Buf);
   ::close(*Fd);
-
-  FetchResult Out;
-  size_t HeadEnd = Raw.find("\r\n\r\n");
-  if (HeadEnd == std::string::npos)
-    return Error::make(ErrorCode::EC_Parse, "response without header end");
-  Out.Headers = Raw.substr(0, HeadEnd);
-  Out.Body = Raw.substr(HeadEnd + 4);
-
-  // "HTTP/1.0 200 OK"
-  size_t Sp = Out.Headers.find(' ');
-  if (Sp == std::string::npos)
-    return Error::make(ErrorCode::EC_Parse, "malformed status line");
-  Out.Status = std::atoi(Out.Headers.c_str() + Sp + 1);
-  return Out;
+  return R;
 }
 
 Expected<FetchResult> dsu::flashed::httpPost(uint16_t Port,
@@ -255,39 +259,12 @@ Error KeepAliveClient::sendAll(const std::string &Bytes) {
 }
 
 Expected<FetchResult> KeepAliveClient::readResponse() {
-  char Chunk[1 << 16];
-  while (true) {
-    Expected<ResponseFrame> F = scanResponse(Buf);
-    if (!F) {
-      // A parse failure leaves the stream desynced; drop the connection
-      // (and its buffered bytes) so a retry starts clean.
-      Error E = F.takeError();
-      disconnect();
-      return E;
-    }
-    if (F->Complete && Buf.size() >= F->HeadBytes + F->ContentLength) {
-      FetchResult Out;
-      Out.Status = F->Status;
-      Out.Headers = Buf.substr(0, F->HeadBytes - 4);
-      Out.Body = Buf.substr(F->HeadBytes, F->ContentLength);
-      Buf.erase(0, F->HeadBytes + F->ContentLength);
-      return Out;
-    }
-    ssize_t N = ::read(Fd, Chunk, sizeof(Chunk));
-    if (N > 0) {
-      Buf.append(Chunk, static_cast<size_t>(N));
-      continue;
-    }
-    if (N < 0 && errno == EINTR)
-      continue;
-    int E = N < 0 ? errno : 0;
+  // Any failure leaves the stream desynced or dead; drop the connection
+  // (and its buffered bytes) so a retry starts clean.
+  Expected<FetchResult> R = readFramedResponse(Fd, Buf);
+  if (!R)
     disconnect();
-    if (N == 0)
-      return Error::make(ErrorCode::EC_IO, "connection closed mid-response");
-    if (isTimeoutErrno(E))
-      return Error::make(ErrorCode::EC_Timeout, "read timed out");
-    return Error::make(ErrorCode::EC_IO, "read: %s", std::strerror(E));
-  }
+  return R;
 }
 
 Expected<FetchResult> KeepAliveClient::get(const std::string &Target,

@@ -31,7 +31,9 @@ struct FetchResult {
 };
 
 /// Performs one blocking HTTP/1.0 GET against 127.0.0.1:\p Port (a fresh
-/// TCP connection per call — the one-shot baseline path).
+/// TCP connection per call — the one-shot baseline path).  The reply is
+/// framed by its Content-Length, as KeepAliveClient reads it, not by the
+/// server closing the connection.
 Expected<FetchResult> httpGet(uint16_t Port, const std::string &Target);
 
 /// Performs one blocking HTTP/1.1 POST (Connection: close) against
@@ -117,7 +119,8 @@ private:
   /// server dropped the idle connection (shared by get()/post()).
   Expected<FetchResult> roundTrip(const std::string &Request, bool Close);
   /// Reads one Content-Length-framed response off the connection,
-  /// consuming it from the internal buffer (pipelined bytes survive).
+  /// consuming it from the internal buffer (pipelined bytes survive);
+  /// disconnects on any failure.
   Expected<FetchResult> readResponse();
 
   int Fd = -1;

@@ -130,13 +130,19 @@ RequestHead dsu::flashed::scanRequestHead(std::string_view Buffer) {
     return Head;
   }
 
-  // One pass over the header lines for the two the server frames with.
+  // One pass over the header lines: each must be a "name: value" pair,
+  // and two of them frame the request.
   std::string_view Connection;
+  unsigned Lines = 0;
   while (!Rest.empty()) {
     std::string_view Line = popHeaderLine(Rest);
+    if (Line.empty())
+      continue;
     size_t Colon = Line.find(':');
-    if (Colon == std::string_view::npos)
-      continue; // framing scan tolerates junk lines; the parser rejects them
+    if (Colon == std::string_view::npos || ++Lines > MaxHeaderLines) {
+      Head.Malformed = true;
+      return Head;
+    }
     std::string_view Name = trim(Line.substr(0, Colon));
     std::string_view Value = trim(Line.substr(Colon + 1));
     if (asciiCaseEqual(Name, "content-length")) {
@@ -150,40 +156,6 @@ RequestHead dsu::flashed::scanRequestHead(std::string_view Buffer) {
   }
   Head.KeepAlive = keepAliveFor(Head.Version, Connection);
   return Head;
-}
-
-std::string_view HttpRequest::header(std::string_view Name) const {
-  for (unsigned I = 0; I != NumHeaders; ++I)
-    if (asciiCaseEqual(Headers[I].Name, Name))
-      return Headers[I].Value;
-  return {};
-}
-
-Expected<HttpRequest> dsu::flashed::parseHttpRequest(std::string_view Raw) {
-  size_t HeadEnd, SepLen;
-  if (!findHeadEnd(Raw, HeadEnd, SepLen))
-    return Error::make(ErrorCode::EC_Parse, "incomplete request head");
-
-  std::string_view Rest = Raw.substr(0, HeadEnd);
-  std::string_view StartLine = popHeaderLine(Rest);
-
-  HttpRequest Req;
-  if (!splitStartLine(StartLine, Req.Method, Req.Target, Req.Version))
-    return Error::make(ErrorCode::EC_Parse, "malformed request line");
-
-  while (!Rest.empty()) {
-    std::string_view Line = popHeaderLine(Rest);
-    if (Line.empty())
-      continue;
-    size_t Colon = Line.find(':');
-    if (Colon == std::string_view::npos)
-      return Error::make(ErrorCode::EC_Parse, "malformed header line");
-    if (Req.NumHeaders == HttpRequest::MaxHeaders)
-      return Error::make(ErrorCode::EC_Parse, "too many header lines");
-    Req.Headers[Req.NumHeaders++] = {trim(Line.substr(0, Colon)),
-                                     trim(Line.substr(Colon + 1))};
-  }
-  return Req;
 }
 
 const char *dsu::flashed::statusText(int Code) {

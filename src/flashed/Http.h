@@ -8,19 +8,16 @@
 /// over either one-shot HTTP/1.0 exchanges or persistent (keep-alive,
 /// possibly pipelined) HTTP/1.1 connections.
 ///
-/// Two request entry points at different altitudes:
-///
-///  - scanRequestHead(): the server's framing scan.  Zero-allocation,
-///    tolerant of malformed input (it still reports where the head ends so
-///    the server can frame a 400), and extracts exactly what the event
-///    loop needs: method/target/version, Content-Length, and the
-///    version-sensitive keep-alive decision.  It is the only place that
-///    decides whether a connection persists.
-///
-///  - parseHttpRequest(): the application-level parser.  Also
-///    allocation-free: every field is a string_view into the caller's
-///    buffer, and headers land in a fixed inline array instead of the
-///    std::map the original implementation built per request.
+/// One request entry point, scanRequestHead(): a zero-allocation scan
+/// that yields method/target/version, Content-Length and the
+/// version-sensitive keep-alive decision as views into the caller's
+/// buffer.  It is the only request grammar: the reactor frames with it,
+/// and the updateable parse stage reads method and target from it.  It
+/// is also the only place that decides whether a connection persists.
+/// A head it calls Malformed (unusable start line, a header line without
+/// a colon, more than MaxHeaderLines header lines, or a Content-Length
+/// that is not a plain decimal within bounds) has unreliable framing: it
+/// is still framed so the server can answer 400 and close.
 ///
 /// One response serializer, appendHttpResponseHead(), writes HTTP/1.1
 /// framing with an explicit Connection header into a reusable buffer,
@@ -31,8 +28,6 @@
 
 #ifndef DSU_FLASHED_HTTP_H
 #define DSU_FLASHED_HTTP_H
-
-#include "support/Error.h"
 
 #include <string>
 #include <string_view>
@@ -49,12 +44,15 @@ struct RequestHead {
   size_t HeadBytes = 0;     ///< bytes up to and including the blank line
   size_t ContentLength = 0; ///< declared body size (0 when absent)
   bool Complete = false;    ///< terminating blank line was found
-  bool Malformed = false;   ///< start line unusable (serve a 400, close)
+  bool Malformed = false;   ///< head rejected (serve a 400, close)
   bool KeepAlive = false;   ///< connection survives this exchange
 
   /// Total bytes this request occupies in the input stream.
   size_t totalBytes() const { return HeadBytes + ContentLength; }
 };
+
+/// Header lines past this many make a head Malformed.
+constexpr unsigned MaxHeaderLines = 48;
 
 /// Scans one request head out of \p Buffer without allocating.  When the
 /// head is incomplete, Complete stays false and only partial fields are
@@ -62,30 +60,6 @@ struct RequestHead {
 /// HTTP/1.1 persists unless "Connection: close", HTTP/1.0 closes unless
 /// "Connection: keep-alive", HTTP/0.9 always closes.
 RequestHead scanRequestHead(std::string_view Buffer);
-
-/// A parsed HTTP request.  Every view aliases the buffer handed to
-/// parseHttpRequest(); the struct must not outlive it.
-struct HttpRequest {
-  static constexpr unsigned MaxHeaders = 48;
-
-  struct Header {
-    std::string_view Name; ///< as sent (use header() for lookups)
-    std::string_view Value;
-  };
-
-  std::string_view Method;
-  std::string_view Target; ///< request path, percent-decoding not applied
-  std::string_view Version;
-  Header Headers[MaxHeaders];
-  unsigned NumHeaders = 0;
-
-  /// Case-insensitive header lookup; empty view when absent.
-  std::string_view header(std::string_view Name) const;
-};
-
-/// Parses a full request (start line + headers, terminated by CRLFCRLF
-/// or LFLF).  Headers beyond MaxHeaders are rejected.
-Expected<HttpRequest> parseHttpRequest(std::string_view Raw);
 
 /// Standard reason phrase for a status code ("OK", "Not Found", ...).
 const char *statusText(int Code);

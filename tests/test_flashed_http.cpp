@@ -11,47 +11,60 @@ using namespace dsu::flashed;
 namespace {
 
 TEST(HttpParseTest, BasicGet) {
-  Expected<HttpRequest> R = parseHttpRequest(
-      "GET /index.html HTTP/1.0\r\nHost: example.com\r\n"
-      "User-Agent: test\r\n\r\n");
-  ASSERT_TRUE(R) << R.error().str();
-  EXPECT_EQ(R->Method, "GET");
-  EXPECT_EQ(R->Target, "/index.html");
-  EXPECT_EQ(R->Version, "HTTP/1.0");
-  EXPECT_EQ(R->header("host"), "example.com");
-  EXPECT_EQ(R->header("user-agent"), "test");
-  EXPECT_EQ(R->NumHeaders, 2u);
+  std::string Raw = "GET /index.html HTTP/1.0\r\nHost: example.com\r\n"
+                    "User-Agent: test\r\n\r\n";
+  RequestHead H = scanRequestHead(Raw);
+  ASSERT_TRUE(H.Complete);
+  EXPECT_FALSE(H.Malformed);
+  EXPECT_EQ(H.Method, "GET");
+  EXPECT_EQ(H.Target, "/index.html");
+  EXPECT_EQ(H.Version, "HTTP/1.0");
+  EXPECT_EQ(H.HeadBytes, Raw.size());
 }
 
 TEST(HttpParseTest, HeaderLookupCaseInsensitive) {
-  Expected<HttpRequest> R = parseHttpRequest(
-      "GET / HTTP/1.0\r\nX-CuStOm-KEY:  spaced value \r\n\r\n");
-  ASSERT_TRUE(R);
-  EXPECT_EQ(R->header("x-custom-key"), "spaced value");
-  EXPECT_EQ(R->header("X-Custom-Key"), "spaced value");
-  EXPECT_EQ(R->header("absent"), "");
+  // The two framing headers match by name case-insensitively, and their
+  // values are trimmed.
+  RequestHead H = scanRequestHead("GET / HTTP/1.1\r\nCoNtEnT-lEnGtH:  3 \r\n"
+                                  "CONNECTION:  Close \r\n\r\nabc");
+  ASSERT_TRUE(H.Complete);
+  EXPECT_FALSE(H.Malformed);
+  EXPECT_EQ(H.ContentLength, 3u);
+  EXPECT_FALSE(H.KeepAlive);
 }
 
 TEST(HttpParseTest, BareLfAccepted) {
-  Expected<HttpRequest> R = parseHttpRequest("GET /x HTTP/1.0\n\n");
-  ASSERT_TRUE(R);
-  EXPECT_EQ(R->Target, "/x");
+  RequestHead H = scanRequestHead("GET /x HTTP/1.0\n\n");
+  ASSERT_TRUE(H.Complete);
+  EXPECT_FALSE(H.Malformed);
+  EXPECT_EQ(H.Target, "/x");
 }
 
 TEST(HttpParseTest, Http09StyleLine) {
-  Expected<HttpRequest> R = parseHttpRequest("GET /legacy\r\n\r\n");
-  ASSERT_TRUE(R);
-  EXPECT_EQ(R->Version, "HTTP/0.9");
-  EXPECT_EQ(R->Target, "/legacy");
-  EXPECT_FALSE(scanRequestHead("GET /legacy\r\n\r\n").KeepAlive);
+  RequestHead H = scanRequestHead("GET /legacy\r\n\r\n");
+  ASSERT_TRUE(H.Complete);
+  EXPECT_FALSE(H.Malformed);
+  EXPECT_EQ(H.Version, "HTTP/0.9");
+  EXPECT_EQ(H.Target, "/legacy");
+  EXPECT_FALSE(H.KeepAlive);
 }
 
 TEST(HttpParseTest, Rejects) {
-  EXPECT_FALSE(parseHttpRequest("GET /incomplete HTTP/1.0\r\n"));
-  EXPECT_FALSE(parseHttpRequest("NOSPACES\r\n\r\n"));
-  EXPECT_FALSE(parseHttpRequest(
-      "GET / HTTP/1.0\r\nBadHeaderNoColon\r\n\r\n"));
-  EXPECT_FALSE(parseHttpRequest(""));
+  EXPECT_FALSE(scanRequestHead("GET /incomplete HTTP/1.0\r\n").Complete);
+  EXPECT_TRUE(scanRequestHead("NOSPACES\r\n\r\n").Malformed);
+  EXPECT_TRUE(
+      scanRequestHead("GET / HTTP/1.0\r\nBadHeaderNoColon\r\n\r\n")
+          .Malformed);
+  EXPECT_FALSE(scanRequestHead("").Complete);
+  // MaxHeaderLines header lines pass; one more is rejected.
+  std::string Lines;
+  for (unsigned I = 0; I != MaxHeaderLines; ++I)
+    Lines += "X-H" + std::to_string(I) + ": v\r\n";
+  EXPECT_FALSE(
+      scanRequestHead("GET / HTTP/1.1\r\n" + Lines + "\r\n").Malformed);
+  EXPECT_TRUE(
+      scanRequestHead("GET / HTTP/1.1\r\n" + Lines + "X: v\r\n\r\n")
+          .Malformed);
 }
 
 TEST(HttpParseTest, KeepAliveDefaults) {

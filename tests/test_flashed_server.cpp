@@ -72,6 +72,49 @@ struct ReactorLoop {
   std::thread Loop;
 };
 
+/// Writes \p Bytes to a fresh loopback connection in one send and
+/// returns everything the server answers until it closes.  \p Closed is
+/// false when the server kept the connection open for 2 s instead.
+std::string exchangeUntilClose(uint16_t Port, const std::string &Bytes,
+                               bool &Closed) {
+  Closed = false;
+  int Fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  if (Fd < 0)
+    return {};
+  sockaddr_in Addr{};
+  Addr.sin_family = AF_INET;
+  Addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  Addr.sin_port = htons(Port);
+  timeval Tv{2, 0};
+  ::setsockopt(Fd, SOL_SOCKET, SO_RCVTIMEO, &Tv, sizeof(Tv));
+  std::string Raw;
+  if (::connect(Fd, reinterpret_cast<sockaddr *>(&Addr), sizeof(Addr)) ==
+          0 &&
+      ::send(Fd, Bytes.data(), Bytes.size(), MSG_NOSIGNAL) ==
+          static_cast<ssize_t>(Bytes.size())) {
+    char Buf[4096];
+    while (true) {
+      ssize_t N = ::recv(Fd, Buf, sizeof(Buf), 0);
+      if (N <= 0) {
+        Closed = N == 0;
+        break;
+      }
+      Raw.append(Buf, static_cast<size_t>(N));
+    }
+  }
+  ::close(Fd);
+  return Raw;
+}
+
+/// How many responses \p Raw holds, by status line.
+size_t countResponses(std::string_view Raw) {
+  size_t N = 0;
+  for (size_t At = Raw.find("HTTP/1.1 "); At != std::string_view::npos;
+       At = Raw.find("HTTP/1.1 ", At + 1))
+    ++N;
+  return N;
+}
+
 /// FlashEd on a 1-worker ReactorPool wired to its runtime: the worker
 /// commits staged updates at its update point, which on a persistent
 /// connection falls between two requests.  The pool is declared last,
@@ -387,6 +430,76 @@ TEST_F(FastServerTest, ConnectionCloseHonored) {
   EXPECT_NE(Raw.find("HTTP/1.1 200 OK"), std::string::npos);
   EXPECT_NE(Raw.find("Connection: close"), std::string::npos);
   EXPECT_NE(Raw.find("<html>doc</html>"), std::string::npos);
+}
+
+TEST_F(FastServerTest, InvalidContentLengthAnswers400AndCloses) {
+  // RFC 9112 §6.3: the message framing is unknowable, so the server
+  // answers 400 and closes.  No stage may serve the request.
+  for (const char *Length : {"abc", "99999999999999999999999"}) {
+    SCOPED_TRACE(Length);
+    bool Closed = false;
+    std::string Raw = exchangeUntilClose(
+        Srv->port(),
+        std::string("GET /doc.html HTTP/1.1\r\nHost: h\r\nContent-Length: ") +
+            Length + "\r\n\r\n",
+        Closed);
+    EXPECT_TRUE(Closed);
+    EXPECT_EQ(Raw.rfind("HTTP/1.1 400 Bad Request\r\n", 0), 0u) << Raw;
+    EXPECT_NE(Raw.find("Connection: close\r\n"), std::string::npos) << Raw;
+    EXPECT_EQ(Raw.find("<html>doc</html>"), std::string::npos) << Raw;
+  }
+}
+
+TEST_F(FastServerTest, RejectedHeaderLinesAnswer400AndDropWhatFollows) {
+  // A header line without a colon, or one header line too many, gets a
+  // 400 and a close; a valid request pipelined behind it in the same
+  // write is never answered, since its framing is lost.
+  std::string TooMany;
+  for (unsigned I = 0; I != MaxHeaderLines + 1; ++I)
+    TooMany += "X-H" + std::to_string(I) + ": v\r\n";
+  const std::string Valid = "GET /doc.html HTTP/1.1\r\nHost: h\r\n\r\n";
+  for (const std::string &Bad :
+       {std::string("BadHeaderNoColon\r\n"), TooMany}) {
+    bool Closed = false;
+    std::string Raw = exchangeUntilClose(
+        Srv->port(),
+        "GET /doc.html HTTP/1.1\r\nHost: h\r\n" + Bad + "\r\n" + Valid,
+        Closed);
+    EXPECT_TRUE(Closed);
+    EXPECT_EQ(countResponses(Raw), 1u) << Raw;
+    EXPECT_EQ(Raw.rfind("HTTP/1.1 400 Bad Request\r\n", 0), 0u) << Raw;
+    EXPECT_NE(Raw.find("Connection: close\r\n"), std::string::npos) << Raw;
+  }
+}
+
+TEST_F(FastServerTest, HeadErrorResponseEndsAtItsHead) {
+  // RFC 9110 §9.3.2: a HEAD response carries no body, errors included.
+  // Bytes after the head would desync the keep-alive connection, and the
+  // GET behind it would not parse.
+  const std::pair<const char *, const char *> Cases[] = {
+      {"/ghost.html", "HTTP/1.1 404 Not Found\r\n"},
+      {"/../etc/passwd", "HTTP/1.1 403 Forbidden\r\n"}};
+  for (const auto &[Target, StatusLine] : Cases) {
+    SCOPED_TRACE(Target);
+    bool Closed = false;
+    std::string Raw = exchangeUntilClose(
+        Srv->port(),
+        std::string("HEAD ") + Target +
+            " HTTP/1.1\r\nHost: h\r\n\r\n"
+            "GET /doc.html HTTP/1.1\r\nHost: h\r\nConnection: close\r\n\r\n",
+        Closed);
+    EXPECT_TRUE(Closed);
+    size_t HeadEnd = Raw.find("\r\n\r\n");
+    ASSERT_NE(HeadEnd, std::string::npos) << Raw;
+    std::string Head = Raw.substr(0, HeadEnd + 4);
+    EXPECT_EQ(Head.rfind(StatusLine, 0), 0u) << Head;
+    // The Content-Length a GET would have carried.
+    EXPECT_NE(Head.find("Content-Length: 49\r\n"), std::string::npos) << Head;
+    EXPECT_NE(Head.find("Connection: keep-alive\r\n"), std::string::npos);
+    std::string Next = Raw.substr(HeadEnd + 4);
+    EXPECT_EQ(Next.rfind("HTTP/1.1 200 OK\r\n", 0), 0u) << Next;
+    EXPECT_EQ(Next.substr(Next.find("\r\n\r\n") + 4), "<html>doc</html>");
+  }
 }
 
 TEST_F(FastServerTest, PartialWritesUnderTinyReceiveBuffer) {
