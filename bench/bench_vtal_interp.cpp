@@ -18,9 +18,8 @@
 /// with a trace::ModuleProfile attached — the flight recorder's
 /// hot-function profiler — so the per-call-boundary overhead is the
 /// delta against the matching base row.  The base rows themselves carry
-/// the compiled-in-but-unattached hook cost (one null check per call
-/// boundary), which a -DDSU_VTAL_PROFILER=OFF build removes; DESIGN.md
-/// §16 records both deltas.
+/// the unattached hook cost (one null check per call boundary); DESIGN.md
+/// §16 records it.
 ///
 /// The *Native rows rerun the call-heavy and dispatch-floor workloads
 /// through the baseline compiler (vtal/native/), and the *StaticC rows

@@ -36,9 +36,7 @@
 #include "types/Compat.h"
 #include "vtal/Module.h"
 #include "vtal/Resolve.h"
-#ifndef DSU_VTAL_NO_NATIVE
 #include "vtal/native/NativeImage.h"
-#endif
 
 #include <algorithm>
 #include <deque>
@@ -844,7 +842,6 @@ void analyzeModule(const Module &M, uint64_t FuelBudget, AnalysisReport &R) {
   }
 }
 
-#ifndef DSU_VTAL_NO_NATIVE
 /// Informational pass for the native tier: names each function the
 /// baseline compiler will leave interpreted and why.  Strings are the
 /// dominant cause — string values have no raw 8-byte frame encoding, so
@@ -857,31 +854,20 @@ void findNativeUnsupported(const Module &M, AnalysisReport &R) {
   Expected<vtal::ResolvedModule> RM = vtal::linkModule(M);
   if (!RM)
     return; // link problems are auditLink's findings, not ours
-  std::vector<bool> Rep = vtal::native::NativeImage::representable(*RM);
-  for (size_t I = 0; I != RM->Functions.size(); ++I) {
-    if (Rep[I])
+  for (const vtal::ResolvedFunction &F : RM->Functions) {
+    const char *Why = vtal::native::NativeImage::unsupportedReason(F);
+    if (!Why)
       continue;
-    const vtal::ResolvedFunction &F = RM->Functions[I];
-    std::string Why;
-    if (F.Code.empty())
-      Why = "it has no body";
-    else if (F.Result == ValKind::VK_Str)
-      Why = "it returns a string";
-    else if (F.NumParams > 64)
-      Why = "it takes more than 64 parameters";
-    else
-      Why = "it has string-typed parameters or locals";
     Finding Fd;
     Fd.Sev = Severity::Info;
     Fd.Code = "native-unsupported";
     Fd.Fn = F.Src ? F.Src->Name : "";
     Fd.Message = formatString(
         "function '%s' stays interpreted under the native tier: %s",
-        Fd.Fn.c_str(), Why.c_str());
+        Fd.Fn.c_str(), Why);
     R.Findings.push_back(std::move(Fd));
   }
 }
-#endif
 
 } // namespace
 
@@ -903,10 +889,8 @@ AnalysisReport analysis::analyzePatch(const Patch &P, const AnalyzerEnv &Env,
   // Pass 3: abstract interpretation of the shipped VTAL module.
   if (P.VtalMod) {
     analyzeModule(*P.VtalMod, FuelBudget, R);
-#ifndef DSU_VTAL_NO_NATIVE
     // Pass 3b: native-tier coverage (informational).
     findNativeUnsupported(*P.VtalMod, R);
-#endif
   }
 
   // Pass 4: import/provide audit.

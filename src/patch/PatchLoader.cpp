@@ -17,7 +17,7 @@
 #include "vtal/native/NativeImage.h"
 #endif
 
-#include <atomic>
+#include <mutex>
 
 using namespace dsu;
 
@@ -84,46 +84,18 @@ struct VtalInstance {
   /// (GET /admin/profile, dsu_vtal_*_total metrics).
   std::shared_ptr<trace::ModuleProfile> Prof;
 
-  std::mutex PoolMu;
-  std::vector<std::unique_ptr<vtal::Interpreter>> Pool;
-
 #ifndef DSU_VTAL_NO_NATIVE
-  /// Native-tier state.  Img is the current compiled image (null when
-  /// the tier is off or nothing qualified); pooled interpreters pick up
-  /// the latest image at checkout, so a promotion-published image
-  /// reaches every worker without stopping any of them — the same
-  /// publish-then-converge shape as a rolling binding update.  Replaced
-  /// images stay alive while any checked-out interpreter still holds
-  /// their shared_ptr, and their code pages epoch-retire after that.
-  vtal::native::TierPolicy Policy;
-  std::shared_ptr<const vtal::native::NativeImage> Img; // guarded by PoolMu
-  std::atomic<uint64_t> EntryCalls{0};
+  /// The native image, compiled once at load from every representable
+  /// function (null when none is) and never replaced: each interpreter
+  /// gets it when it is created.
+  std::shared_ptr<const vtal::native::NativeImage> Img;
 
-  /// Applies \p Policy to the load-time interpreter's resolved form and
-  /// publishes the resulting image (if any function qualified).  \p Hot
-  /// widens the compile set beyond the small-function link set.
-  void compileTier(const vtal::Interpreter &I,
-                   const std::vector<uint32_t> &Hot) {
+  /// Compiles the load-time interpreter's resolved form into Img.
+  void compileNative() {
     using vtal::native::NativeImage;
-    using vtal::native::TierPolicy;
-    if (Policy.ModeV == TierPolicy::Mode::Off)
-      return;
-    const vtal::ResolvedModule &RM = I.resolved();
-    std::vector<bool> Mask(RM.Functions.size(), false);
-    for (size_t F = 0; F != RM.Functions.size(); ++F)
-      Mask[F] = Policy.ModeV == TierPolicy::Mode::All ||
-                RM.Functions[F].Code.size() <= Policy.SmallFnInsts;
-    {
-      std::lock_guard<std::mutex> G(PoolMu);
-      if (Img) // keep everything already compiled
-        for (size_t F = 0; F != Mask.size(); ++F)
-          Mask[F] = Mask[F] || Img->compiled(static_cast<uint32_t>(F));
-    }
-    for (uint32_t F : Hot)
-      if (F < Mask.size())
-        Mask[F] = true;
+    const vtal::ResolvedModule &RM = Interp->resolved();
     Expected<std::shared_ptr<const NativeImage>> NewImg =
-        NativeImage::compile(RM, &Mask);
+        NativeImage::compile(RM);
     if (!NewImg) {
       DSU_LOG_WARN("vtal native compile failed for '%s': %s",
                    Mod.Name.c_str(), NewImg.error().str().c_str());
@@ -131,40 +103,16 @@ struct VtalInstance {
     }
     if ((*NewImg)->compiledCount() == 0)
       return;
-    if (Prof)
-      for (size_t F = 0; F != RM.Functions.size(); ++F)
-        if ((*NewImg)->compiled(static_cast<uint32_t>(F)))
-          Prof->fn(F).Tier.store(1, std::memory_order_relaxed);
-    std::lock_guard<std::mutex> G(PoolMu);
     Img = std::move(*NewImg);
-  }
-
-  /// Promotion poll: every Policy.PromoteCheckEvery entry calls, scan
-  /// the profile for interpreted functions whose accumulated self-fuel
-  /// crossed the hot threshold and recompile with them included.
-  void maybePromote(const vtal::Interpreter &I) {
-    using vtal::native::TierPolicy;
-    if (Policy.ModeV != TierPolicy::Mode::On || !Prof)
-      return;
-    uint64_t N = EntryCalls.fetch_add(1, std::memory_order_relaxed) + 1;
-    if (N % Policy.PromoteCheckEvery != 0)
-      return;
-    std::vector<uint32_t> Hot;
-    {
-      std::lock_guard<std::mutex> G(PoolMu);
-      for (size_t F = 0; F != Prof->size(); ++F)
-        if (!(Img && Img->compiled(static_cast<uint32_t>(F))) &&
-            Prof->fn(F).SelfFuel.load(std::memory_order_relaxed) >=
-                Policy.HotSelfFuel)
-          Hot.push_back(static_cast<uint32_t>(F));
-    }
-    if (Hot.empty())
-      return;
-    DSU_LOG_INFO("vtal native tier: promoting %zu hot function(s) in '%s'",
-                 Hot.size(), Mod.Name.c_str());
-    compileTier(I, Hot);
+    for (size_t F = 0; F != RM.Functions.size(); ++F)
+      if (Img->compiled(static_cast<uint32_t>(F)))
+        Prof->fn(F).Tier.store(1, std::memory_order_relaxed);
+    Interp->setNativeImage(Img);
   }
 #endif
+
+  std::mutex PoolMu;
+  std::vector<std::unique_ptr<vtal::Interpreter>> Pool;
 
   Expected<vtal::Value> call(uint32_t FnIdx,
                              const std::vector<vtal::Value> &Args) {
@@ -182,23 +130,14 @@ struct VtalInstance {
       // load, so this is deterministic setup, not re-verification.
       I = std::make_unique<vtal::Interpreter>(Mod);
       I->setProfile(Prof.get());
+#ifndef DSU_VTAL_NO_NATIVE
+      I->setNativeImage(Img);
+#endif
       for (const auto &[Name, Fn] : Imports)
         if (Error E = I->bindImport(Name, Fn))
           return std::move(E);
     }
-#ifndef DSU_VTAL_NO_NATIVE
-    {
-      // Converge this instance onto the latest published image (no-op in
-      // steady state: one pointer compare).
-      std::lock_guard<std::mutex> G(PoolMu);
-      if (I->nativeImage() != Img.get())
-        I->setNativeImage(Img);
-    }
-#endif
     Expected<vtal::Value> R = I->callIndex(FnIdx, Args);
-#ifndef DSU_VTAL_NO_NATIVE
-    maybePromote(*I);
-#endif
     {
       std::lock_guard<std::mutex> G(PoolMu);
       Pool.push_back(std::move(I));
@@ -439,16 +378,12 @@ Expected<Patch> dsu::loadVtalPatch(TypeContext &Ctx, const SymbolTable &Syms,
     Inst->Interp->setProfile(Inst->Prof.get());
   }
 #ifndef DSU_VTAL_NO_NATIVE
-  // Native tier, compile-at-link half: baseline-compile the small
-  // functions now (policy DSU_VTAL_NATIVE: on = small + hot promotion,
-  // all = every representable function, off = interpret everything).
-  // The image attaches behind the same pooled-interpreter indirection
-  // the bindings already go through, so rolling updates, canaries and
-  // graced roll chains see no new mechanism.
-  Inst->Policy = vtal::native::TierPolicy::fromEnv();
-  Inst->compileTier(*Inst->Interp, {});
+  // Native tier: compile every representable function now.  The image
+  // attaches behind the same pooled-interpreter indirection the bindings
+  // already go through, so rolling updates, canaries and graced roll
+  // chains see no new mechanism.
+  Inst->compileNative();
   if (Inst->Img) {
-    Inst->Interp->setNativeImage(Inst->Img);
     // Link-layer visibility: each provide whose entry function compiled
     // carries its machine-code address on the binding it ships.
     for (const auto &[ProvIdx, FnIdx] : ProvideFns)

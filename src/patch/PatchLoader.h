@@ -10,8 +10,9 @@
 ///    is the same-dlopen-path reproduction.
 ///  - *VTAL patches* (`.dsup`): a manifest file with an embedded VTAL
 ///    module.  Code is machine-verified before linking and runs in the
-///    interpreter; imports call back into the program through the typed
-///    export table.
+///    interpreter, except that every function the native tier can
+///    represent is compiled to x86-64 once, at load (DESIGN.md §17);
+///    imports call back into the program through the typed export table.
 ///
 /// Loading performs no program mutation; the returned Patch is inert
 /// until the update engine applies it at an update point.

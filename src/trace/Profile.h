@@ -6,15 +6,14 @@
 /// the function actually burning it, not its callees), trap count, and
 /// sampled activation wall time.  The interpreter bumps relaxed atomics
 /// at call boundaries only — the per-instruction dispatch loop is
-/// untouched — and the hooks compile out entirely when the CMake option
-/// DSU_VTAL_PROFILER is OFF.
+/// untouched.
 ///
 /// One ModuleProfile is created per loaded VTAL patch instance and
 /// shared by every pooled interpreter executing that module; a global
 /// ProfileRegistry aggregates them for the `/admin/profile` hot-function
-/// ranking and the `dsu_vtal_{calls,fuel,traps}_total` metrics.  This is
-/// the measurement the ROADMAP's "native tier for VTAL" item tiers up
-/// from: the ranking answers *which function* is worth compiling.
+/// ranking and the `dsu_vtal_{calls,fuel,traps}_total` metrics.  Each
+/// row's tier column says whether the native tier compiled the function
+/// at load (DESIGN.md §17).
 ///
 //===----------------------------------------------------------------------===//
 

@@ -3,15 +3,13 @@
 #include "vtal/Interp.h"
 
 #include "support/StringUtil.h"
+#include "trace/Profile.h"
 #include "vtal/native/RawValue.h"
 #ifndef DSU_VTAL_NO_NATIVE
 #include "vtal/native/NativeImage.h"
 #endif
-#ifndef DSU_VTAL_NO_PROFILER
-#include "trace/Profile.h"
 
 #include <chrono>
-#endif
 
 using namespace dsu;
 using namespace dsu::vtal;
@@ -83,7 +81,6 @@ Expected<Value> Interpreter::callIndex(uint32_t FnIndex,
   if (LinkErr)
     return LinkErr;
 
-#ifndef DSU_VTAL_NO_PROFILER
   // Sampled activation wall time: every SampleEvery-th entry into a
   // function through this public boundary is timed (nested CallFn
   // activations are not — the fuel counters carry the self-cost split).
@@ -93,7 +90,6 @@ Expected<Value> Interpreter::callIndex(uint32_t FnIndex,
   std::chrono::steady_clock::time_point SampleT0;
   if (Sampled)
     SampleT0 = std::chrono::steady_clock::now();
-#endif
 
   uint64_t Fuel = FuelLimit;
 #ifndef DSU_VTAL_NO_NATIVE
@@ -109,7 +105,6 @@ Expected<Value> Interpreter::callIndex(uint32_t FnIndex,
 #endif
   LastFuelUsed = FuelLimit - Fuel;
 
-#ifndef DSU_VTAL_NO_PROFILER
   if (Prof) {
     trace::FnProfile &FP = Prof->fn(FnIndex);
     if (!Result)
@@ -123,7 +118,6 @@ Expected<Value> Interpreter::callIndex(uint32_t FnIndex,
       FP.Samples.fetch_add(1, std::memory_order_relaxed);
     }
   }
-#endif
   return Result;
 }
 
@@ -279,7 +273,6 @@ Expected<Value> Interpreter::exec(uint64_t &Fuel, uint32_t DepthBias,
   uint32_t Base = Frames.back().Base;
   uint32_t PC = Frames.back().PC;
 
-#ifndef DSU_VTAL_NO_PROFILER
   // Self-fuel attribution: ProfMark - Fuel is what the *current*
   // function burned since it last gained control; the delta is flushed
   // to its counter at every control transfer (CallFn, Ret) and, via the
@@ -301,9 +294,6 @@ Expected<Value> Interpreter::exec(uint64_t &Fuel, uint32_t DepthBias,
   } ProfG{P, &ProfFn, &ProfMark, &Fuel};
   if (P && CountEntry)
     P->fn(FnIndex).Calls.fetch_add(1, std::memory_order_relaxed);
-#else
-  (void)CountEntry;
-#endif
 
   auto popV = [this]() {
     Value V = std::move(Arena.back());
@@ -519,14 +509,12 @@ Expected<Value> Interpreter::exec(uint64_t &Fuel, uint32_t DepthBias,
       Arena.resize(Base);
       Frames.pop_back();
       const Frame &Caller = Frames.back();
-#ifndef DSU_VTAL_NO_PROFILER
       if (P) {
         P->fn(ProfFn).SelfFuel.fetch_add(ProfMark - Fuel,
                                          std::memory_order_relaxed);
         ProfFn = Caller.FnIndex;
         ProfMark = Fuel;
       }
-#endif
       F = &Fns[Caller.FnIndex];
       Base = Caller.Base;
       PC = Caller.PC;
@@ -548,7 +536,6 @@ Expected<Value> Interpreter::exec(uint64_t &Fuel, uint32_t DepthBias,
       Frames.back().PC = PC;
       Frames.push_back(Frame{I.Index, 0, NewBase});
       pushZeroLocals(Callee, Callee.NumParams);
-#ifndef DSU_VTAL_NO_PROFILER
       if (P) {
         P->fn(ProfFn).SelfFuel.fetch_add(ProfMark - Fuel,
                                          std::memory_order_relaxed);
@@ -556,7 +543,6 @@ Expected<Value> Interpreter::exec(uint64_t &Fuel, uint32_t DepthBias,
         ProfMark = Fuel;
         P->fn(I.Index).Calls.fetch_add(1, std::memory_order_relaxed);
       }
-#endif
       F = &Callee;
       Base = NewBase;
       PC = 0;

@@ -89,8 +89,7 @@ public:
   /// and traps to \p P at call boundaries (function entry, CallFn, Ret)
   /// — the per-instruction inner loop pays nothing beyond one pointer
   /// test per boundary.  \p P must be indexed like this module's
-  /// function table and must outlive the interpreter.  No-op when the
-  /// profiler is compiled out (DSU_VTAL_NO_PROFILER).
+  /// function table and must outlive the interpreter.
   void setProfile(trace::ModuleProfile *P) { Prof = P; }
   trace::ModuleProfile *profile() const { return Prof; }
 
@@ -137,7 +136,6 @@ public:
   void setNativeImage(std::shared_ptr<const native::NativeImage> I) {
     Img = std::move(I);
   }
-  const native::NativeImage *nativeImage() const { return Img.get(); }
 #endif
 
 private:

@@ -36,11 +36,8 @@
 #include "vtal/native/X64Emitter.h"
 
 #include "epoch/Epoch.h"
-#ifndef DSU_VTAL_NO_PROFILER
 #include "trace/Profile.h"
-#endif
 
-#include <cstdlib>
 #include <cstring>
 
 #include <sys/mman.h>
@@ -58,32 +55,9 @@ static_assert(offsetof(NativeCtx, TrapPending) == 12,
 
 namespace {
 constexpr unsigned MaxCallDepth = 256;   // must equal Interp.cpp's limit
-constexpr uint32_t MaxParams = 64;       // runNative's raw argument buffer
 constexpr uint32_t MaxFrameSlots = 4096; // 32KB of machine stack per frame
 constexpr uint32_t ReasonShift = 28;     // deopt request: site | reason<<28
 } // namespace
-
-//===----------------------------------------------------------------------===//
-// Tier policy
-//===----------------------------------------------------------------------===//
-
-TierPolicy TierPolicy::fromEnv() {
-  TierPolicy P;
-  if (const char *E = std::getenv("DSU_VTAL_NATIVE")) {
-    std::string V(E);
-    if (V == "off" || V == "0" || V == "false")
-      P.ModeV = Mode::Off;
-    else if (V == "all" || V == "link")
-      P.ModeV = Mode::All;
-    else
-      P.ModeV = Mode::On;
-  }
-  if (const char *E = std::getenv("DSU_VTAL_NATIVE_SMALL"))
-    P.SmallFnInsts = static_cast<uint32_t>(std::strtoul(E, nullptr, 10));
-  if (const char *E = std::getenv("DSU_VTAL_NATIVE_HOT_FUEL"))
-    P.HotSelfFuel = std::strtoull(E, nullptr, 10);
-  return P;
-}
 
 //===----------------------------------------------------------------------===//
 // Runtime helpers called from jitted code
@@ -116,9 +90,9 @@ uint64_t dsuVtalNativeDeopt(NativeCtx *Ctx, uint32_t Packed,
 }
 
 /// Mixed-tier CallFn: the callee is representable but not compiled into
-/// the current image, so it runs interpreted and returns its raw result
-/// to the native caller (which stays native — no deopt cliff for calling
-/// a cold function).
+/// the image (its analysis failed or its frame exceeds MaxFrameSlots), so
+/// it runs interpreted and returns its raw result to the native caller
+/// (which stays native — no deopt cliff for calling it).
 uint64_t dsuVtalNativeCallBridge(NativeCtx *Ctx, uint32_t FnIndex,
                                  const uint64_t *Args) {
   NativeStats::instance().BridgeCalls.fetch_add(1, std::memory_order_relaxed);
@@ -398,7 +372,7 @@ bool abstractPass(const ResolvedModule &RM, const ResolvedFunction &F,
       for (uint32_t P = 0; P != Callee.NumParams; ++P)
         StrParam |= Callee.LocalKinds[P] == ValKind::VK_Str;
       S.Class = (StrParam || Callee.Result == ValKind::VK_Str ||
-                 Callee.NumParams > MaxParams)
+                 Callee.NumParams > NativeImage::MaxParams)
                     ? PcClass::Unsup
                     : PcClass::Call;
       break;
@@ -409,7 +383,7 @@ bool abstractPass(const ResolvedModule &RM, const ResolvedFunction &F,
       for (ValKind K : Sig.Params)
         StrParam |= K == ValKind::VK_Str;
       S.Class = (StrParam || Sig.Result == ValKind::VK_Str ||
-                 Sig.Params.size() > MaxParams)
+                 Sig.Params.size() > NativeImage::MaxParams)
                     ? PcClass::Unsup
                     : PcClass::Host;
       break;
@@ -999,24 +973,8 @@ void emitFunction(const ResolvedModule &RM, uint32_t FnIndex,
 // NativeImage
 //===----------------------------------------------------------------------===//
 
-std::vector<bool> NativeImage::representable(const ResolvedModule &RM) {
-  std::vector<bool> R(RM.Functions.size(), false);
-  for (size_t I = 0; I != RM.Functions.size(); ++I) {
-    const ResolvedFunction &F = RM.Functions[I];
-    // Every local (params included) and the result must have a raw
-    // 8-byte encoding, because every deopt site materializes the whole
-    // frame from raw slots; strings live only in interpreted frames.
-    bool Ok = !F.Code.empty() && F.NumParams <= MaxParams &&
-              F.Result != ValKind::VK_Str;
-    for (ValKind K : F.LocalKinds)
-      Ok &= K != ValKind::VK_Str;
-    R[I] = Ok;
-  }
-  return R;
-}
-
 Expected<std::shared_ptr<const NativeImage>>
-NativeImage::compile(const ResolvedModule &RM, const std::vector<bool> *Mask) {
+NativeImage::compile(const ResolvedModule &RM) {
   std::shared_ptr<NativeImage> Img(new NativeImage());
   const size_t N = RM.Functions.size();
   Img->Fns.resize(N);
@@ -1027,16 +985,9 @@ NativeImage::compile(const ResolvedModule &RM, const std::vector<bool> *Mask) {
   // Non-x86-64 hosts get an empty image: everything stays interpreted.
   // (CMake normally forces DSU_VTAL_NATIVE=OFF there; this is the
   // belt-and-braces path.)
-  (void)Mask;
   return std::shared_ptr<const NativeImage>(Img);
 #else
   std::vector<bool> Want = representable(RM);
-  if (Mask)
-    for (size_t I = 0; I != N && I != Mask->size(); ++I)
-      Want[I] = Want[I] && (*Mask)[I];
-  if (Mask)
-    for (size_t I = Mask->size(); I < N; ++I)
-      Want[I] = false;
 
   // Phase 1: analyze everything first — a function that fails analysis
   // (possible only for unverified modules) must be dropped before any
@@ -1119,7 +1070,7 @@ Expected<Value> Interpreter::runNative(uint32_t FnIndex,
                                        uint64_t &Fuel) {
   const native::NativeImage *Image = Img.get();
   native::NativeEntryFn Entry = Image->entry(FnIndex);
-  uint64_t RawArgs[MaxParams];
+  uint64_t RawArgs[native::NativeImage::MaxParams];
   for (size_t I = 0; I != Args.size(); ++I)
     RawArgs[I] = native::valueToRaw(Args[I]);
 
@@ -1131,13 +1082,11 @@ Expected<Value> Interpreter::runNative(uint32_t FnIndex,
 
   native::NativeStats::instance().NativeEntries.fetch_add(
       1, std::memory_order_relaxed);
-#ifndef DSU_VTAL_NO_PROFILER
   // Entry counts feed the same profile as interpreted activations; the
-  // fuel natively executed functions burn is deliberately NOT attributed
-  // as self-fuel (tier-up already happened — see DESIGN.md §17).
+  // fuel natively executed functions burn is not credited as self-fuel
+  // (DESIGN.md §17).
   if (Prof)
     Prof->fn(FnIndex).Calls.fetch_add(1, std::memory_order_relaxed);
-#endif
 
   uint64_t RawRet = Entry(&Ctx, RawArgs);
   Fuel = Ctx.Fuel;

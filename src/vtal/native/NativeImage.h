@@ -4,8 +4,14 @@
 /// The native tier's public surface: the ABI contract between jitted code
 /// and the runtime (NativeCtx), the per-module compiled image
 /// (NativeImage), the deopt-site metadata that makes every native frame
-/// resumable in the interpreter, global counters (NativeStats), and the
-/// tier-up policy knobs (TierPolicy).
+/// resumable in the interpreter, and global counters (NativeStats).
+///
+/// ## Tier rule
+///
+/// There is one: a VTAL module instance compiles every function that
+/// representable() accepts, once, when the patch loads, and its image
+/// never changes after that.  Everything else runs interpreted.  The only
+/// switch is the build-time -DDSU_VTAL_NATIVE=OFF.
 ///
 /// ## ABI
 ///
@@ -54,6 +60,7 @@ namespace dsu {
 namespace vtal {
 
 class Interpreter;
+struct ResolvedFunction;
 struct ResolvedModule;
 
 namespace native {
@@ -108,31 +115,12 @@ struct NativeStats {
   static NativeStats &instance();
 };
 
-/// Tier-up policy, read once per loaded module from the environment:
-///
-///   DSU_VTAL_NATIVE=off   native tier disabled at runtime
-///   DSU_VTAL_NATIVE=on    (default) small functions compile at link time,
-///                         hot ones promote on profiler self-fuel
-///   DSU_VTAL_NATIVE=all   every representable function compiles at link
-///
-///   DSU_VTAL_NATIVE_SMALL=N     compile-at-link size bar (instructions)
-///   DSU_VTAL_NATIVE_HOT_FUEL=N  promotion threshold (cumulative self fuel)
-struct TierPolicy {
-  enum class Mode : uint8_t { Off, On, All };
-  Mode ModeV = Mode::On;
-  uint32_t SmallFnInsts = 96;
-  uint64_t HotSelfFuel = 1u << 20;
-  uint32_t PromoteCheckEvery = 1024; ///< entry-call cadence of promotion polls
-
-  static TierPolicy fromEnv();
-};
-
-/// The compiled form of (a subset of) one resolved module: one sealed W^X
-/// arena holding every compiled function, plus the deopt-site tables.
-/// Immutable after compile(); shared by every pooled interpreter of the
-/// module instance.  The destructor does NOT unmap the arena — it retires
-/// it through the epoch domain, because a concurrent thread may still be
-/// executing a superseded image's code when the new one is published.
+/// The compiled form of one resolved module: one sealed W^X arena holding
+/// every compiled function, plus the deopt-site tables.  Immutable after
+/// compile(); shared by every pooled interpreter of the module instance.
+/// The destructor does NOT unmap the arena — it retires it through the
+/// epoch domain, because a thread that resolved an entry through a
+/// binding of a superseded patch may still be executing its code.
 class NativeImage {
 public:
   struct FnInfo {
@@ -141,16 +129,25 @@ public:
     ValKind Result = ValKind::VK_Unit;
   };
 
-  /// Compiles the representable functions of \p RM selected by \p Mask
-  /// (null = all representable).  Functions the mask selects but the
-  /// baseline compiler cannot represent are silently left interpreted.
-  /// Fails only on OS-level errors (mmap/mprotect).
+  /// Compiles every representable function of \p RM; the rest stay
+  /// interpreted.  Fails only on OS-level errors (mmap/mprotect).
   static Expected<std::shared_ptr<const NativeImage>>
-  compile(const ResolvedModule &RM, const std::vector<bool> *Mask = nullptr);
+  compile(const ResolvedModule &RM);
 
-  /// Which functions of \p RM the baseline compiler *could* compile: all
-  /// params/locals/result are int/float/bool/unit (no strings in a frame
-  /// slot, so every deopt site can materialize) and at most 64 params.
+  /// Most parameters a compiled function takes (runNative's raw
+  /// argument buffer).
+  static constexpr uint32_t MaxParams = 64;
+
+  /// Why the baseline compiler leaves \p F interpreted ("it returns a
+  /// string", ...), or null when \p F is representable: it has a body,
+  /// all params/locals/result are int/float/bool/unit (no strings in a
+  /// frame slot, so every deopt site can materialize) and it takes at
+  /// most 64 params.  The one statement of the rule; representable() and
+  /// the analyzer's native-unsupported finding both read it.  Built
+  /// even with -DDSU_VTAL_NATIVE=OFF (NativeStats.cpp).
+  static const char *unsupportedReason(const ResolvedFunction &F);
+
+  /// unsupportedReason() == null for each function of \p RM.
   static std::vector<bool> representable(const ResolvedModule &RM);
 
   ~NativeImage();
@@ -172,13 +169,6 @@ public:
   const DeoptSite &site(uint32_t SiteId) const { return Sites[SiteId]; }
   uint32_t compiledCount() const { return NumCompiled; }
   size_t codeBytes() const { return CodeSize; }
-  /// The compiled-function set, for promotion-mask arithmetic.
-  std::vector<bool> compiledMask() const {
-    std::vector<bool> M(Fns.size());
-    for (size_t I = 0; I != Fns.size(); ++I)
-      M[I] = Fns[I].EntryOffset != UINT32_MAX;
-    return M;
-  }
 
 private:
   NativeImage() = default;

@@ -8,21 +8,27 @@
 /// record, and — the durability contract — leave NO Intent record in
 /// the journal: a patch the analyzer can prove bad never enters
 /// crash-recovery replay.  Good patches must stage clean through the
-/// same gate.
+/// same gate.  Informational findings are checked on analyzePatch()
+/// directly.
 ///
 //===----------------------------------------------------------------------===//
 
 #include "analysis/Finding.h"
+#include "analysis/PatchAnalyzer.h"
 #include "core/Runtime.h"
 #include "flashed/App.h"
 #include "flashed/Patches.h"
+#include "patch/Patch.h"
 #include "persist/Journal.h"
 #include "runtime/UpdateController.h"
 #include "support/FaultInject.h"
+#include "vtal/Assembler.h"
+#include "vtal/Verifier.h"
 
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <map>
 #include <memory>
 #include <string>
 
@@ -301,6 +307,60 @@ TEST(PatchLintTest, GateDisabledRecordsButStages) {
   EXPECT_TRUE(hasFinding(Rec, "must-trap", analysis::Severity::Error));
   EXPECT_EQ(H.intentCount(), Before + 1);
   EXPECT_FALSE(U.abort());
+}
+
+// --- Informational findings -------------------------------------------
+
+TEST(PatchLintTest, NativeUnsupportedNamesWhyAFunctionStaysInterpreted) {
+  std::string Src = R"(
+module unsup
+func intfn (a: int) -> int {
+  load a
+  ret
+}
+func strresult () -> string {
+  push.s "x"
+  ret
+}
+func strparam (s: string) -> int {
+  load s
+  slen
+  ret
+}
+func wide ()";
+  for (int I = 0; I != 65; ++I)
+    Src += (I ? ", p" : "p") + std::to_string(I) + ": int";
+  Src += ") -> int {\n  load p0\n  ret\n}\n";
+  Expected<vtal::Module> M = vtal::assemble(Src);
+  ASSERT_TRUE(M) << M.error().str();
+  ASSERT_FALSE(vtal::verifyModule(*M));
+
+  Runtime RT;
+  Patch P;
+  P.Id = "native-unsupported-probe";
+  P.VtalMod = std::make_shared<vtal::Module>(std::move(*M));
+  analysis::AnalyzerEnv Env{RT.types(), RT.transformers(), RT.exports(),
+                            RT.updateables(), RT.state()};
+  analysis::AnalysisReport R = analysis::analyzePatch(P, Env);
+
+  std::map<std::string, analysis::Finding> ByFn;
+  for (const analysis::Finding &F : R.Findings)
+    if (F.Code == "native-unsupported")
+      ByFn[F.Fn] = F;
+  EXPECT_EQ(ByFn.count("intfn"), 0u) << "an int-only function compiles";
+  const std::pair<const char *, const char *> Want[] = {
+      {"strresult", "it returns a string"},
+      {"strparam", "it has string-typed parameters or locals"},
+      {"wide", "it takes more than 64 parameters"},
+  };
+  for (const auto &[Fn, Why] : Want) {
+    ASSERT_EQ(ByFn.count(Fn), 1u) << Fn;
+    EXPECT_EQ(ByFn[Fn].Sev, analysis::Severity::Info) << Fn;
+    EXPECT_EQ(ByFn[Fn].Message,
+              std::string("function '") + Fn +
+                  "' stays interpreted under the native tier: " + Why);
+  }
+  EXPECT_EQ(ByFn.size(), 3u);
 }
 
 } // namespace

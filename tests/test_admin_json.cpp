@@ -338,9 +338,7 @@ TEST_F(AdminJsonTest, EveryBodyParsesWithPinnedKeys) {
              {{"patch", "module", "fn", "tier", "calls", "self_fuel",
                "avg_fuel", "traps", "sampled_us", "samples",
                "avg_sample_us"}});
-#ifndef DSU_VTAL_NO_PROFILER
   EXPECT_FALSE(V.Shapes["functions[]"].empty()) << LastBody;
-#endif
 
   // --- POST /admin/rollback: 200 for a patched slot.
   V = fetch("POST", "/admin/rollback?name=flashed.parse_target", 200);

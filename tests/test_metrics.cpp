@@ -342,9 +342,7 @@ TEST_F(MetricsExpositionTest, EveryLineParsesAndCountersAreMonotone) {
   };
   EXPECT_GT(Get(C2, "dsu_updates_applied_total{}"),
             Get(C1, "dsu_updates_applied_total{}"));
-#ifndef DSU_VTAL_NO_PROFILER
   EXPECT_GT(Get(C2, "dsu_vtal_calls_total{}"), 0.0);
-#endif
 }
 
 } // namespace

@@ -284,9 +284,6 @@ func trapper (n: int) -> int {
 )";
 
 TEST(VtalProfilerTest, RankingSurfacesTheInjectedHotFunction) {
-#ifdef DSU_VTAL_NO_PROFILER
-  GTEST_SKIP() << "profiler hooks compiled out (DSU_VTAL_PROFILER=OFF)";
-#endif
   ProfileRegistry::instance().clearForTest();
   vtal::Module M = mustAssembleVerified(kProfiledModule);
   std::vector<std::string> Names;
@@ -336,9 +333,6 @@ TEST(VtalProfilerTest, RankingSurfacesTheInjectedHotFunction) {
 }
 
 TEST(VtalProfilerTest, CountsTrapsAndSamplesActivationTime) {
-#ifdef DSU_VTAL_NO_PROFILER
-  GTEST_SKIP() << "profiler hooks compiled out (DSU_VTAL_PROFILER=OFF)";
-#endif
   ProfileRegistry::instance().clearForTest();
   vtal::Module M = mustAssembleVerified(kProfiledModule);
   std::vector<std::string> Names;

@@ -6,7 +6,7 @@
 /// verifier-trusted interpreter, for every input and every fuel limit —
 /// deoptimization at any safe point included.  These tests pin that
 /// contract (the bulk differential corpus lives in
-/// test_vtal_native_diff.cpp), plus the encoder, the tier policy, epoch
+/// test_vtal_native_diff.cpp), plus the encoder, the compile set, epoch
 /// retirement of code pages, and the patch-loader integration.
 
 #include "core/Runtime.h"
@@ -24,8 +24,8 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <cstring>
+#include <string>
 
 using namespace dsu;
 using namespace dsu::vtal;
@@ -40,7 +40,6 @@ TEST(VtalNativeTest, CompiledOut) {
 
 using native::NativeImage;
 using native::NativeStats;
-using native::TierPolicy;
 
 namespace {
 
@@ -235,27 +234,6 @@ func pushes_str (n: int) -> int {
   EXPECT_EQ((*Img)->entry(1), nullptr);
 }
 
-TEST(VtalNativeTest, CompileMaskNarrowsTheSet) {
-  Module M = mustAssembleVerified(R"(
-module mask
-func a () -> int {
-  push.i 1
-  ret
-}
-func b () -> int {
-  push.i 2
-  ret
-}
-)");
-  Interpreter I(M);
-  std::vector<bool> Mask = {false, true};
-  Expected<std::shared_ptr<const NativeImage>> Img =
-      NativeImage::compile(I.resolved(), &Mask);
-  ASSERT_TRUE(Img) << Img.error().str();
-  EXPECT_FALSE((*Img)->compiled(0));
-  EXPECT_TRUE((*Img)->compiled(1));
-}
-
 //===----------------------------------------------------------------------===//
 // Execution parity
 //===----------------------------------------------------------------------===//
@@ -381,35 +359,6 @@ func sum3 (a: int, b: int, c: int) -> int {
 }
 
 //===----------------------------------------------------------------------===//
-// Tier policy
-//===----------------------------------------------------------------------===//
-
-TEST(VtalNativeTest, TierPolicyFromEnv) {
-  auto WithEnv = [](const char *V) {
-    if (V)
-      ::setenv("DSU_VTAL_NATIVE", V, 1);
-    else
-      ::unsetenv("DSU_VTAL_NATIVE");
-    TierPolicy P = TierPolicy::fromEnv();
-    ::unsetenv("DSU_VTAL_NATIVE");
-    return P;
-  };
-  EXPECT_EQ(WithEnv(nullptr).ModeV, TierPolicy::Mode::On);
-  EXPECT_EQ(WithEnv("off").ModeV, TierPolicy::Mode::Off);
-  EXPECT_EQ(WithEnv("0").ModeV, TierPolicy::Mode::Off);
-  EXPECT_EQ(WithEnv("all").ModeV, TierPolicy::Mode::All);
-  EXPECT_EQ(WithEnv("on").ModeV, TierPolicy::Mode::On);
-
-  ::setenv("DSU_VTAL_NATIVE_SMALL", "17", 1);
-  ::setenv("DSU_VTAL_NATIVE_HOT_FUEL", "12345", 1);
-  TierPolicy P = TierPolicy::fromEnv();
-  ::unsetenv("DSU_VTAL_NATIVE_SMALL");
-  ::unsetenv("DSU_VTAL_NATIVE_HOT_FUEL");
-  EXPECT_EQ(P.SmallFnInsts, 17u);
-  EXPECT_EQ(P.HotSelfFuel, 12345u);
-}
-
-//===----------------------------------------------------------------------===//
 // Epoch retirement of code pages
 //===----------------------------------------------------------------------===//
 
@@ -491,82 +440,76 @@ TEST(VtalNativeTest, PatchLoaderCompilesAtLinkAndStampsBinding) {
             EntriesBefore);
 }
 
-TEST(VtalNativeTest, ProfilerPromotionWidensTheCompileSet) {
-  // Force the link-time set empty (small threshold 0) and the promotion
-  // threshold low: the loop function must start interpreted and get
-  // promoted to native by the self-fuel poll.
-  ::setenv("DSU_VTAL_NATIVE", "on", 1);
-  ::setenv("DSU_VTAL_NATIVE_SMALL", "0", 1);
-  ::setenv("DSU_VTAL_NATIVE_HOT_FUEL", "500", 1);
-
-  Runtime RT;
-  Updateable<int64_t(int64_t)> Burn =
-      cantFail(RT.defineUpdateable("app.burn", &squareV1));
-  Expected<Patch> P = loadVtalPatch(RT.types(), RT.exports(), R"dsu(
-(patch
-  (id "burn-promote-native")
-  (description "hot loop, promoted by the self-fuel poll")
+/// An int-only provide of 122 instructions: longer than any
+/// small-function bar, so only the every-representable-function rule
+/// compiles it at link.
+std::string unrolledPatch() {
+  std::string Mod = "module unrolled_mod\nfunc horner (x: int) -> int {\n"
+                    "  locals (acc: int)\n";
+  for (int K = 1; K <= 20; ++K)
+    Mod += "  load acc\n  load x\n  mul\n  push.i " + std::to_string(K) +
+           "\n  add\n  store acc\n";
+  Mod += "  load acc\n  ret\n}";
+  return R"dsu((patch
+  (id "unrolled-native")
+  (description "long int-only function: compiled at link")
   (provides
-    (fn (name "app.burn")
+    (fn (name "app.horner")
         (type "fn(int) -> int")
-        (vtal-fn "burn")))
-  (vtal-module
-"module burn_mod
-func burn (n: int) -> int {
-  locals (acc: int, i: int)
-  push.i 0
-  store acc
-  load n
-  store i
-loop:
-  load i
-  push.i 0
-  le
-  brif done
-  load acc
-  load i
-  add
-  store acc
-  load i
-  push.i 1
-  sub
-  store i
-  br loop
-done:
-  load acc
-  ret
-}"))
-)dsu");
-  ::unsetenv("DSU_VTAL_NATIVE");
-  ::unsetenv("DSU_VTAL_NATIVE_SMALL");
-  ::unsetenv("DSU_VTAL_NATIVE_HOT_FUEL");
+        (vtal-fn "horner")))
+  (vtal-module ")dsu" +
+         Mod + "\"))\n";
+}
+
+TEST(VtalNativeTest, EveryRepresentableFunctionCompilesAtLink) {
+  Runtime RT;
+  Updateable<int64_t(int64_t)> Horner =
+      cantFail(RT.defineUpdateable("app.horner", &squareV1));
+  Expected<Patch> P = loadVtalPatch(RT.types(), RT.exports(), unrolledPatch());
   ASSERT_TRUE(P) << P.takeError().str();
-  // Nothing qualified at link time.
-  EXPECT_EQ(P->Unit.Provides[0].Code.NativeEntry, nullptr);
+  std::shared_ptr<Module> Mod = P->VtalMod;
+  ASSERT_GT(Mod->Functions[0].Code.size(), 96u);
+  ASSERT_EQ(P->Unit.Provides.size(), 1u);
+  auto Entry = reinterpret_cast<native::NativeEntryFn>(
+      P->Unit.Provides[0].Code.NativeEntry);
+  ASSERT_NE(Entry, nullptr) << "compiled at load, not on a later call";
   ASSERT_FALSE(RT.applyNow(std::move(*P)));
 
-  uint64_t CompiledBefore = NativeStats::instance().FunctionsCompiled.load(
-      std::memory_order_relaxed);
-  // Each call burns ~600 fuel (> the 500 threshold after one call); the
-  // promotion poll runs every 1024 entry calls.
-  int64_t Want = 0;
-  for (int64_t I = 1; I <= 100; ++I)
-    Want += I;
-  for (int Call = 0; Call != 1100; ++Call)
-    ASSERT_EQ(Burn(100), Want);
-  EXPECT_GT(NativeStats::instance().FunctionsCompiled.load(
-                std::memory_order_relaxed),
-            CompiledBefore)
-      << "hot function was never promoted";
-  // And the promoted code must agree with what the interpreter computed.
-  EXPECT_EQ(Burn(100), Want);
-  EXPECT_EQ(Burn(7), 28);
+  // The stamped entry's deopt target: an interpreter carrying an image
+  // that the same deterministic compile() builds from the same module,
+  // so its deopt-site table is the loader image's.
+  Interpreter Ref(*Mod);
+  Interpreter Deopt(*Mod);
+  Expected<std::shared_ptr<const NativeImage>> Img =
+      NativeImage::compile(Deopt.resolved());
+  ASSERT_TRUE(Img) << Img.error().str();
+  Deopt.setNativeImage(*Img);
 
-  // The /admin/profile surface reflects the tier flip.
+  NativeStats &S = NativeStats::instance();
+  for (int64_t X = -3; X <= 3; ++X) {
+    Outcome Want = runOn(Ref, "horner", {Value::makeInt(X)});
+    ASSERT_TRUE(Want.Ok) << Want.Err;
+    uint64_t EntriesBefore = S.NativeEntries.load(std::memory_order_relaxed);
+    EXPECT_EQ(Horner(X), Want.Val.asInt()) << X;
+    EXPECT_GT(S.NativeEntries.load(std::memory_order_relaxed), EntriesBefore)
+        << "the binding call ran interpreted";
+
+    native::NativeCtx Ctx;
+    Ctx.Fuel = 1u << 20;
+    Ctx.Depth = 1;
+    Ctx.Interp = &Deopt;
+    Ctx.Image = Img->get();
+    uint64_t RawArg = static_cast<uint64_t>(X);
+    uint64_t Raw = Entry(&Ctx, &RawArg);
+    ASSERT_EQ(Ctx.TrapPending, 0u) << Ctx.Err.str();
+    EXPECT_EQ(static_cast<int64_t>(Raw), Want.Val.asInt()) << X;
+    EXPECT_EQ((1u << 20) - Ctx.Fuel, Want.Fuel) << X << ": fuel diverged";
+  }
+
   bool SawNativeTier = false;
   for (const trace::HotFn &F : trace::ProfileRegistry::instance().ranking(0))
-    if (F.Fn == "burn" && F.Tier == 1)
-      SawNativeTier = true;
+    if (F.PatchId == "unrolled-native" && F.Fn == "horner")
+      SawNativeTier = F.Tier == 1;
   EXPECT_TRUE(SawNativeTier);
 }
 

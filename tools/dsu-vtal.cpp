@@ -119,25 +119,13 @@ int main(int argc, char **argv) {
     }
     Interpreter I(M);
 #ifndef DSU_VTAL_NO_NATIVE
-    // Same tier policy as the runtime's patch loader: DSU_VTAL_NATIVE
-    // gates the native tier, so CLI runs report the fuel/trap behaviour
-    // an updated process would see under the same environment.
-    {
-      using vtal::native::NativeImage;
-      using vtal::native::TierPolicy;
-      TierPolicy Policy = TierPolicy::fromEnv();
-      if (Policy.ModeV != TierPolicy::Mode::Off) {
-        const vtal::ResolvedModule &RM = I.resolved();
-        std::vector<bool> Mask(RM.Functions.size(), false);
-        for (size_t F = 0; F != RM.Functions.size(); ++F)
-          Mask[F] = Policy.ModeV == TierPolicy::Mode::All ||
-                    RM.Functions[F].Code.size() <= Policy.SmallFnInsts;
-        Expected<std::shared_ptr<const NativeImage>> Img =
-            NativeImage::compile(RM, &Mask);
-        if (Img && (*Img)->compiledCount() != 0)
-          I.setNativeImage(*Img);
-      }
-    }
+    // The runtime's patch loader rule: every representable function runs
+    // native, so CLI runs report the fuel/trap behaviour an updated
+    // process sees.
+    Expected<std::shared_ptr<const vtal::native::NativeImage>> Img =
+        vtal::native::NativeImage::compile(I.resolved());
+    if (Img && (*Img)->compiledCount() != 0)
+      I.setNativeImage(*Img);
 #endif
     std::vector<Value> Args;
     for (int A = 4; A < argc; ++A)
