@@ -221,8 +221,7 @@ Error Runtime::stageInto(UpdateTransaction &Tx) {
   // native patches arrive as trusted-compiler output (the paper's TAL
   // verification corresponds to the VTAL path).
   {
-    TRACE_SPAN("stage", "verify");
-    Timer T;
+    trace::Span VerifySp("stage", "verify");
     if (P.VtalMod) {
       vtal::VerifyStats VS;
       if (Error E = vtal::verifyModule(*P.VtalMod, &VS))
@@ -232,9 +231,9 @@ Error Runtime::stageInto(UpdateTransaction &Tx) {
       std::lock_guard<std::mutex> G(Tx.RecLock);
       Tx.Rec.InstructionsVerified = VS.InstructionsChecked;
     }
-    trace::notePhase(trace::Phase::Verify, T.elapsedNs() / 1000);
+    double VerifyMs = VerifySp.finish(trace::Phase::Verify) / 1e6;
     std::lock_guard<std::mutex> G(Tx.RecLock);
-    Tx.Rec.VerifyMs = T.elapsedMs();
+    Tx.Rec.VerifyMs = VerifyMs;
   }
 
   // Fault injection: an operator-armed stall between verification and
@@ -273,12 +272,12 @@ Error Runtime::stageInto(UpdateTransaction &Tx) {
   Tx.PreparedAtGeneration =
       CommitGeneration.load(std::memory_order_acquire);
   {
-    Timer T;
+    trace::Span PrepareSp("link", "prepare", P.Unit.Provides.size());
     Expected<LinkPlan> PlanOrErr = TheLinker.prepare(std::move(P.Unit));
-    trace::notePhase(trace::Phase::LinkPrepare, T.elapsedNs() / 1000);
+    double PrepareMs = PrepareSp.finish(trace::Phase::LinkPrepare) / 1e6;
     {
       std::lock_guard<std::mutex> G(Tx.RecLock);
-      Tx.Rec.PrepareMs = T.elapsedMs();
+      Tx.Rec.PrepareMs = PrepareMs;
     }
     if (!PlanOrErr)
       return Fail(PlanOrErr.takeError());
@@ -296,14 +295,13 @@ Error Runtime::stageInto(UpdateTransaction &Tx) {
   // generations commit will validate.  A missing or failing transformer
   // rejects the transaction now, with all state untouched.
   {
-    TRACE_SPAN("stage", "state.build");
-    Timer T;
+    trace::Span BuildSp("stage", "state.build");
     Expected<StagedStateSwap> Swap =
         stageStateTransform(Types, State, Transformers, Tx.Bumps);
-    trace::notePhase(trace::Phase::StateBuild, T.elapsedNs() / 1000);
+    double BuildMs = BuildSp.finish(trace::Phase::StateBuild) / 1e6;
     {
       std::lock_guard<std::mutex> G(Tx.RecLock);
-      Tx.Rec.BuildMs = T.elapsedMs();
+      Tx.Rec.BuildMs = BuildMs;
     }
     if (!Swap)
       return Fail(Swap.takeError().withContext("patch " + PatchId));
@@ -352,7 +350,7 @@ Error Runtime::stageInto(UpdateTransaction &Tx) {
                    CodeOnly ? "code-only" : "state-migrating");
     }
   }
-  Tx.ReadyAt = std::chrono::steady_clock::now();
+  Tx.ReadyAtNs = trace::Recorder::instance().nowNs();
 
   // Publish-then-check handshake with abortStagedTx (both sides
   // seq_cst, Dekker-style): either that store of Ready is visible to an
@@ -434,12 +432,14 @@ Error Runtime::commitTxLocked(const std::shared_ptr<UpdateTransaction> &TxP,
                      : Rolling                ? "rolling"
                                               : "barrier";
   trace::ScopedUpdateId TraceId(Tx.id());
+  // The commit span is the pause's stopwatch: it ends where the pause
+  // measurement does, before the queue-wait record and finalize.
   trace::Span CommitSp("commit", Mode);
-  Timer CommitTimer;
   auto FailCommit = [&](Error E) {
+    double CommitMs = CommitSp.finish() / 1e6;
     {
       std::lock_guard<std::mutex> G(Tx.RecLock);
-      Tx.Rec.CommitMs = CommitTimer.elapsedMs();
+      Tx.Rec.CommitMs = CommitMs;
       Tx.Rec.TotalMs = Tx.Rec.StageMs + Tx.Rec.CommitMs;
     }
     finalize(Tx, UpdatePhase::CommitFailed, &E);
@@ -453,7 +453,10 @@ Error Runtime::commitTxLocked(const std::shared_ptr<UpdateTransaction> &TxP,
   if (Tx.PreparedAtGeneration !=
       CommitGeneration.load(std::memory_order_acquire)) {
     Tx.Plan.restoreCode(); // put the prepared bindings back in the unit
+    trace::Span RevalidateSp("link", "prepare",
+                             Tx.Plan.Unit.Provides.size());
     Expected<LinkPlan> Fresh = TheLinker.prepare(std::move(Tx.Plan.Unit));
+    RevalidateSp.finish();
     if (!Fresh)
       return FailCommit(
           Fresh.takeError().withContext("revalidating staged plan"));
@@ -494,8 +497,9 @@ Error Runtime::commitTxLocked(const std::shared_ptr<UpdateTransaction> &TxP,
 
   // State commit: generation-validated payload swaps, or a rebuild from
   // live state when a cell mutated since staging.  Two-phase inside —
-  // a failure leaves every cell untouched.  One timer, cumulative marks:
-  // the pause window itself should not be spent reading clocks.
+  // a failure leaves every cell untouched.  One stopwatch (the commit
+  // span), cumulative marks: the pause window itself should not be
+  // spent reading clocks.
   TransformStats TS;
   StateSwapUndo Undo;
   bool Rebuilt = false;
@@ -510,7 +514,7 @@ Error Runtime::commitTxLocked(const std::shared_ptr<UpdateTransaction> &TxP,
       return FailCommit(E.withContext("patch " + PatchId));
     }
   }
-  double StateMark = CommitTimer.elapsedMs();
+  double StateMark = CommitSp.elapsedNs() / 1e6;
 
   // Binding swings.  All-or-nothing inside the linker; if it still
   // fails, the state swap above is reverted so the whole transaction is
@@ -532,25 +536,19 @@ Error Runtime::commitTxLocked(const std::shared_ptr<UpdateTransaction> &TxP,
     LastRollingTxId.store(Tx.id(), std::memory_order_release);
   }
 
-  double CommitMs = CommitTimer.elapsedMs(); // measurement ends here
-  trace::notePhase(trace::Phase::Commit,
-                   static_cast<uint64_t>(CommitMs * 1000.0));
+  double CommitMs = CommitSp.finish(trace::Phase::Commit) / 1e6;
   uint64_t StageToCommitUs = 0;
-  if (Tx.ReadyAt.time_since_epoch().count() != 0) {
-    StageToCommitUs = static_cast<uint64_t>(
-        std::chrono::duration_cast<std::chrono::microseconds>(
-            std::chrono::steady_clock::now() - Tx.ReadyAt)
-            .count());
-    StageToCommit.note(StageToCommitUs);
-    trace::notePhase(trace::Phase::QueueWait, StageToCommitUs);
+  if (Tx.ReadyAtNs != 0) {
     // The queue wait is a real interval whose endpoints live on two
     // threads (staging finished -> this commit landed); record it as a
     // complete span ending now so the tree shows where the time went.
+    // Its phase histogram is also dsu_stage_to_commit_us.
     trace::Recorder &R = trace::Recorder::instance();
-    uint64_t Now = R.nowUs();
-    R.complete("queue", "wait",
-               Now > StageToCommitUs ? Now - StageToCommitUs : 0,
-               StageToCommitUs);
+    uint64_t NowNs = R.nowNs();
+    StageToCommitUs = (NowNs - Tx.ReadyAtNs) / 1000;
+    trace::notePhase(trace::Phase::QueueWait, StageToCommitUs);
+    R.complete("queue", "wait", Tx.ReadyAtNs / 1000,
+               NowNs / 1000 - Tx.ReadyAtNs / 1000);
   }
   UpdateRecord Done;
   {

@@ -44,7 +44,6 @@
 #include "runtime/Updateable.h"
 #include "state/StateCell.h"
 #include "state/Transform.h"
-#include "support/Histogram.h"
 #include "types/Type.h"
 
 #include <memory>
@@ -227,11 +226,6 @@ public:
   /// fast path recovers without waiting for another commit.
   void maybeFlushRetiredBindings();
 
-  /// Stage->commit latency of committed updates (microseconds).
-  const LatencyHistogram &stageToCommitLatency() const {
-    return StageToCommit;
-  }
-
   /// Id of the transaction at the queue front (0 when empty).  The
   /// serving plane tags its barrier-park and adoption trace spans with
   /// this, so per-worker pause evidence lands in the right update's
@@ -392,7 +386,6 @@ private:
   std::atomic<uint64_t> VerifyFunctionsTotal{0};
   std::atomic<uint64_t> AnalysisFindingsTotal{0};
   std::atomic<bool> AnalysisGate{true};
-  LatencyHistogram StageToCommit;
 
   /// Staging watchdog deadline (ms; 0 = off), applied to transactions at
   /// creation time.

@@ -515,23 +515,23 @@ void scalar(std::string &T, const char *Name, const char *Type,
   T += formatString("%s %" PRIu64 "\n", Name, Value);
 }
 
-/// Emits one histogram's `_bucket`/`_sum`/`_count` series.  \p Labels
-/// is empty or a ready-made label list *without* the `le` label (e.g.
-/// `worker="0"`).  The exposition invariant that the `+Inf` bucket
-/// equals `_count` holds by construction: both lines print the same
-/// cumulative sum of the bucket loads, rather than a separately
-/// maintained count that may have advanced between the two reads.
-template <size_t N>
+/// Emits one histogram's `_bucket`/`_sum`/`_count` series on the shared
+/// bucket ladder (support/Histogram.h).  \p Labels is empty or a
+/// ready-made label list *without* the `le` label (e.g. `worker="0"`).
+/// The exposition invariant that the `+Inf` bucket equals `_count`
+/// holds by construction: both lines print the same cumulative sum of
+/// the bucket loads, rather than a separately maintained count that may
+/// have advanced between the two reads.
 void emitHistogram(std::string &T, const char *Name,
-                   const std::string &Labels,
-                   const std::atomic<uint64_t> (&Buckets)[N],
-                   const uint64_t (&BoundsUs)[N], uint64_t SumUs) {
+                   const std::string &Labels, const LatencyBuckets &Buckets,
+                   uint64_t SumUs) {
   const char *Sep = Labels.empty() ? "" : ",";
   uint64_t Cum = 0;
-  for (size_t B = 0; B != N; ++B) {
+  for (size_t B = 0; B != NumLatencyBuckets; ++B) {
     Cum += load(Buckets[B]);
-    std::string Le = B + 1 == N ? std::string("+Inf")
-                                : formatString("%" PRIu64, BoundsUs[B]);
+    std::string Le = B + 1 == NumLatencyBuckets
+                         ? std::string("+Inf")
+                         : formatString("%" PRIu64, LatencyBucketUs[B]);
     T += formatString("%s_bucket{%s%sle=\"%s\"} %" PRIu64 "\n", Name,
                       Labels.c_str(), Sep, Le.c_str(), Cum);
   }
@@ -560,12 +560,15 @@ std::string FlashedApp::renderMetrics() const {
   scalar(T, "dsu_epoch_global", "gauge",
          "The reclamation domain's global epoch.",
          epoch::domain().globalEpoch());
-  const LatencyHistogram &S2C = RT.stageToCommitLatency();
+  // The same samples as dsu_update_phase_us{phase="queue_wait"}, kept
+  // under the update-latency SLO's own name.
+  const LatencyHistogram &S2C =
+      trace::phaseHistogram(trace::Phase::QueueWait);
   family(T, "dsu_stage_to_commit_us", "histogram",
          "Staging-complete to commit latency of dynamic updates, "
          "microseconds.");
   emitHistogram(T, "dsu_stage_to_commit_us", "", S2C.Buckets,
-                LatencyHistogram::BucketUs, load(S2C.TotalUs));
+                load(S2C.TotalUs));
 
   trace::ProfileRegistry::Totals P =
       trace::ProfileRegistry::instance().totals();
@@ -609,7 +612,7 @@ std::string FlashedApp::renderMetrics() const {
     const LatencyHistogram &H = trace::phaseHistogram(Phase);
     emitHistogram(T, "dsu_update_phase_us",
                   formatString("phase=\"%s\"", trace::phaseName(Phase)),
-                  H.Buckets, LatencyHistogram::BucketUs, load(H.TotalUs));
+                  H.Buckets, load(H.TotalUs));
   }
   if (!Pool)
     return T;
@@ -650,8 +653,7 @@ std::string FlashedApp::renderMetrics() const {
   for (unsigned I = 0; I != Pool->workers(); ++I) {
     const net::WorkerStats &S = Pool->workerStats(I);
     emitHistogram(T, "dsu_update_pause_us", formatString("worker=\"%u\"", I),
-                  S.PauseBuckets, net::WorkerStats::PauseBucketUs,
-                  load(S.PauseTotalUs));
+                  S.PauseBuckets, load(S.PauseTotalUs));
   }
   family(T, "dsu_request_duration_us", "histogram",
          "Request handler latency per worker, microseconds.");
@@ -659,7 +661,7 @@ std::string FlashedApp::renderMetrics() const {
     const net::WorkerStats &S = Pool->workerStats(I);
     emitHistogram(T, "dsu_request_duration_us",
                   formatString("worker=\"%u\"", I), S.ServeBuckets,
-                  net::WorkerStats::ServeBucketUs, load(S.ServeTotalUs));
+                  load(S.ServeTotalUs));
   }
   return T;
 }

@@ -11,7 +11,6 @@
 using namespace dsu;
 
 Expected<LinkPlan> Linker::prepare(LinkUnit Unit) const {
-  trace::Span Sp("link", "prepare", Unit.Provides.size());
   LinkPlan Plan;
 
   // Every import must resolve, with an identical type, before we look at

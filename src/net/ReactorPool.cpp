@@ -7,8 +7,6 @@
 #include "support/WorkerId.h"
 #include "trace/Trace.h"
 
-#include <chrono>
-
 #if defined(__linux__)
 #include <pthread.h>
 #include <sched.h>
@@ -24,13 +22,6 @@ namespace {
 /// from an external caller (which waits for the round).
 thread_local ReactorPool *CurrentPool = nullptr;
 thread_local int CurrentWorkerIdx = -1;
-
-uint64_t elapsedUs(std::chrono::steady_clock::time_point Since) {
-  return static_cast<uint64_t>(
-      std::chrono::duration_cast<std::chrono::microseconds>(
-          std::chrono::steady_clock::now() - Since)
-          .count());
-}
 
 /// Pins \p T to CPU (Idx mod cores).  Returns the CPU, or -1 when the
 /// host has one core (nothing to spread) or the affinity call failed.
@@ -357,8 +348,9 @@ void ReactorPool::park(unsigned Idx) {
   std::unique_lock<std::mutex> L(BarrierMu);
   if (!Armed || Stopping)
     return;
-  uint64_t ParkStartUs = trace::Recorder::instance().nowUs();
-  auto Start = std::chrono::steady_clock::now();
+  // One park span per worker per barrier round — the per-worker service
+  // pause this update cost, in the update's own span tree.
+  trace::Span ParkSp("barrier", "park", Idx);
   uint64_t MyGen = Generation;
   ++ParkedCount;
   setState(Idx, WorkerState::Parked);
@@ -380,16 +372,13 @@ void ReactorPool::park(unsigned Idx) {
     BarrierCV.wait(L);
   }
   setState(Idx, WorkerState::Serving);
-  uint64_t PauseUs = elapsedUs(Start);
+  uint64_t PauseNs;
   {
-    // One park span per worker per barrier round — the per-worker
-    // service pause this update cost, in the update's own span tree.
+    // Tag only the span, not the round's commit it may have run above.
     trace::ScopedUpdateId TraceId(FrontTx);
-    trace::Recorder::instance().complete("barrier", "park", ParkStartUs,
-                                         PauseUs, Idx);
+    PauseNs = ParkSp.finish(trace::Phase::BarrierPark);
   }
-  trace::notePhase(trace::Phase::BarrierPark, PauseUs);
-  Reactors[Idx]->mutableStats().notePause(PauseUs);
+  Reactors[Idx]->mutableStats().notePause(PauseNs / 1000);
 }
 
 void ReactorPool::commitRound() {

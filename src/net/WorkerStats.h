@@ -8,10 +8,11 @@
 /// need no ordering between fields — a metrics scrape is allowed to be a
 /// torn-across-counters snapshot, exactly like any Prometheus target.
 ///
-/// The update-pause histogram records how long each barrier park lasted
-/// (see net/ReactorPool.h): the per-worker cost of one dynamic update,
-/// the number the paper's evaluation bounds and this repo's acceptance
-/// bar tracks (microseconds per worker).
+/// Two histograms live here, both on support/Histogram.h's one bucket
+/// ladder: the update pause — how long each barrier park lasted (see
+/// net/ReactorPool.h), the per-worker cost of one dynamic update — and
+/// the request-handler latency.  Pauses, PauseTotalUs and PauseMaxUs
+/// are also read whole by /admin/status and the benchmark.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -41,33 +42,21 @@ struct alignas(64) WorkerStats {
   std::atomic<uint64_t> ServeTotalUs{0}; ///< sum of handler durations
   std::atomic<uint64_t> Serves{0};       ///< handler invocations timed
 
-  /// Upper bounds (microseconds) of the update-pause histogram buckets;
-  /// the final bucket is +Inf.
-  static constexpr size_t NumPauseBuckets = 8;
-  static constexpr uint64_t PauseBucketUs[NumPauseBuckets] = {
-      50, 100, 250, 500, 1000, 5000, 25000, UINT64_MAX};
-
-  std::atomic<uint64_t> PauseBuckets[NumPauseBuckets]{};
+  // Both histograms sit on support/Histogram.h's shared bucket ladder.
+  LatencyBuckets PauseBuckets{};         ///< dsu_update_pause_us
   std::atomic<uint64_t> Pauses{0};       ///< barrier parks recorded
   std::atomic<uint64_t> PauseTotalUs{0}; ///< sum of park durations
   std::atomic<uint64_t> PauseMaxUs{0};   ///< worst single park
   std::atomic<uint64_t> Commits{0};      ///< barriers this worker committed
-
-  /// Upper bounds (microseconds) of the request-latency histogram
-  /// (dsu_request_duration_us); the final bucket is +Inf.  Tighter at
-  /// the low end than the pause buckets: handler latencies cluster in
-  /// the tens of microseconds, parks in the hundreds.
-  static constexpr size_t NumServeBuckets = 8;
-  static constexpr uint64_t ServeBucketUs[NumServeBuckets] = {
-      10, 50, 100, 500, 1000, 10000, 100000, UINT64_MAX};
-
-  std::atomic<uint64_t> ServeBuckets[NumServeBuckets]{};
-  std::atomic<uint64_t> ServeMaxUs{0}; ///< worst single handler run
+  LatencyBuckets ServeBuckets{};         ///< dsu_request_duration_us
 
   void notePause(uint64_t Us) {
-    noteBucketed(PauseBucketUs, PauseBuckets, PauseMaxUs, Us);
+    noteBucketed(PauseBuckets, Us);
     Pauses.fetch_add(1, std::memory_order_relaxed);
     PauseTotalUs.fetch_add(Us, std::memory_order_relaxed);
+    // Single writer: a plain compare-then-store cannot lose a maximum.
+    if (Us > PauseMaxUs.load(std::memory_order_relaxed))
+      PauseMaxUs.store(Us, std::memory_order_relaxed);
   }
 
   void noteRequest() { Requests.fetch_add(1, std::memory_order_relaxed); }
@@ -77,7 +66,7 @@ struct alignas(64) WorkerStats {
   void noteServe(uint64_t Us, bool ServerError) {
     Serves.fetch_add(1, std::memory_order_relaxed);
     ServeTotalUs.fetch_add(Us, std::memory_order_relaxed);
-    noteBucketed(ServeBucketUs, ServeBuckets, ServeMaxUs, Us);
+    noteBucketed(ServeBuckets, Us);
     if (ServerError)
       Errors5xx.fetch_add(1, std::memory_order_relaxed);
   }

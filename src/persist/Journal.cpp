@@ -6,7 +6,6 @@
 #include "support/Logging.h"
 #include "support/MemoryBuffer.h"
 #include "support/StringUtil.h"
-#include "support/Timer.h"
 #include "trace/Trace.h"
 
 #include <cerrno>
@@ -471,7 +470,6 @@ Expected<uint64_t> UpdateJournal::appendIntent(const std::string &PatchId,
   // The span covers the artifact-store fsync plus the framed append +
   // fdatasync — the durable-write cost on the staging path.
   trace::Span Sp("journal", "intent", ArtifactText.size());
-  Timer T;
   std::string Hash = artifactHash(ArtifactText);
   std::lock_guard<std::mutex> G(Mu);
   if (Quarantined.count(Hash))
@@ -518,7 +516,7 @@ Expected<uint64_t> UpdateJournal::appendIntent(const std::string &PatchId,
   R.SizeBytes = ArtifactText.size();
   if (Error E = appendLocked(R))
     return E;
-  trace::notePhase(trace::Phase::JournalIntent, T.elapsedNs() / 1000);
+  Sp.finish(trace::Phase::JournalIntent);
   return R.Seq;
 }
 
@@ -527,7 +525,6 @@ Error UpdateJournal::appendSeal(uint64_t IntentSeq, SealOutcome Outcome,
                                 const std::string &Reason,
                                 const std::string &Verdict) {
   trace::Span Sp("journal", "seal", IntentSeq);
-  Timer T;
   std::lock_guard<std::mutex> G(Mu);
   if (!IntentIndex.count(IntentSeq))
     return Error::make(ErrorCode::EC_Invalid,
@@ -542,7 +539,7 @@ Error UpdateJournal::appendSeal(uint64_t IntentSeq, SealOutcome Outcome,
   R.Verdict = Verdict;
   Error E = appendLocked(R);
   if (!E)
-    trace::notePhase(trace::Phase::JournalSeal, T.elapsedNs() / 1000);
+    Sp.finish(trace::Phase::JournalSeal);
   return E;
 }
 

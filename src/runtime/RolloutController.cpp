@@ -277,6 +277,9 @@ void RolloutController::runOne(std::shared_ptr<UpdateTransaction> Tx,
   }
 
   // --- Observing: compare canary vs control over the window. -------------
+  // The observe span times commit -> verdict (DetectMs); CommitAt is the
+  // clock the window and stall gate decide on.
+  trace::Span ObserveSp("rollout", "observe");
   auto CommitAt = std::chrono::steady_clock::now();
   GroupSample Can0, Ctl0;
   std::vector<GroupSample> PerCanary;
@@ -341,7 +344,6 @@ void RolloutController::runOne(std::shared_ptr<UpdateTransaction> Tx,
     return std::string();
   };
 
-  trace::Span ObserveSp("rollout", "observe");
   uint64_t Polls = 0;
   uint64_t PollMs = std::max<uint64_t>(1, std::min<uint64_t>(
                                               Opts.WindowMs / 20, 20));
@@ -391,14 +393,37 @@ void RolloutController::runOne(std::shared_ptr<UpdateTransaction> Tx,
                               StalledMs,
                               static_cast<unsigned long long>(Opts.WindowMs));
 
-  double DetectMs = elapsedMsSince(CommitAt);
   ObserveSp.setArg(Polls);
-  ObserveSp.finish();
+  uint64_t DetectNs = ObserveSp.finish();
+  double DetectMs = DetectNs / 1e6;
 
   // --- Verdict. ----------------------------------------------------------
   trace::Recorder::instance().instant(
       "rollout", TripReason.empty() ? "verdict.promoted" : "verdict.rolled_back",
-      static_cast<uint64_t>(DetectMs * 1000.0));
+      DetectNs / 1000);
+  // Records the verdict and the window's group health, which both
+  // outcomes report alike.
+  auto Settle = [&](const char *Verdict, const std::string &Reason,
+                    double RevertMs) {
+    RT.annotateRollout(Tx, Verdict, Reason);
+    setRecord(RecIdx, [&](RolloutRecord &R) {
+      R.State = Verdict;
+      R.Verdict = Verdict;
+      R.Reason = Reason;
+      R.DetectMs = DetectMs;
+      R.RevertMs = RevertMs;
+      R.CanaryRequests = DCan.Requests;
+      R.CanaryServes = DCan.Serves;
+      R.CanaryErrors = DCan.Errors;
+      R.CanaryTraps = Traps;
+      R.ControlRequests = DCtl.Requests;
+      R.ControlServes = DCtl.Serves;
+      R.ControlErrors = DCtl.Errors;
+      R.CanaryErrorRate = CanRate;
+      R.ControlErrorRate = CtlRate;
+    });
+    Finish();
+  };
   if (TripReason.empty()) {
     if (!Gated.empty()) {
       // Promote: lower every gate inside one epoch advance — control
@@ -415,24 +440,9 @@ void RolloutController::runOne(std::shared_ptr<UpdateTransaction> Tx,
           },
           &Ctx);
     }
-    RT.annotateRollout(Tx, "promoted", "");
-    setRecord(RecIdx, [&](RolloutRecord &R) {
-      R.State = "promoted";
-      R.Verdict = "promoted";
-      R.DetectMs = DetectMs;
-      R.CanaryRequests = DCan.Requests;
-      R.CanaryServes = DCan.Serves;
-      R.CanaryErrors = DCan.Errors;
-      R.CanaryTraps = Traps;
-      R.ControlRequests = DCtl.Requests;
-      R.ControlServes = DCtl.Serves;
-      R.ControlErrors = DCtl.Errors;
-      R.CanaryErrorRate = CanRate;
-      R.ControlErrorRate = CtlRate;
-    });
     DSU_LOG_INFO("rollout of tx %llu promoted after %.1fms",
                  static_cast<unsigned long long>(Tx->id()), DetectMs);
-    Finish();
+    Settle("promoted", "", 0);
     return;
   }
 
@@ -441,7 +451,7 @@ void RolloutController::runOne(std::shared_ptr<UpdateTransaction> Tx,
   // resolve the gates — so there is never a window in which a control
   // worker adopts the bad binding.  Both happen inside one quiescent
   // operation when a pool is attached: no request is mid-handler.
-  auto TripAt = std::chrono::steady_clock::now();
+  trace::Span RevertSp("rollout", "revert", ReplacedNames.size());
   auto DoRevert = [&]() -> Error {
     Error E = revertProvides(ReplacedNames);
     if (!Gated.empty()) {
@@ -458,35 +468,16 @@ void RolloutController::runOne(std::shared_ptr<UpdateTransaction> Tx,
     }
     return E;
   };
-  trace::Span RevertSp("rollout", "revert", ReplacedNames.size());
   Error RevertErr =
       H.RunQuiescent ? H.RunQuiescent([&] { return DoRevert(); }) : DoRevert();
-  RevertSp.finish();
-  double RevertMs = elapsedMsSince(TripAt);
+  double RevertMs = RevertSp.finish() / 1e6;
 
   std::string Reason = TripReason;
   if (RevertErr)
     Reason += "; rollback error: " + RevertErr.str();
-  RT.annotateRollout(Tx, "rolled-back", Reason);
-  setRecord(RecIdx, [&](RolloutRecord &R) {
-    R.State = "rolled-back";
-    R.Verdict = "rolled-back";
-    R.Reason = Reason;
-    R.DetectMs = DetectMs;
-    R.RevertMs = RevertMs;
-    R.CanaryRequests = DCan.Requests;
-    R.CanaryServes = DCan.Serves;
-    R.CanaryErrors = DCan.Errors;
-    R.CanaryTraps = Traps;
-    R.ControlRequests = DCtl.Requests;
-    R.ControlServes = DCtl.Serves;
-    R.ControlErrors = DCtl.Errors;
-    R.CanaryErrorRate = CanRate;
-    R.ControlErrorRate = CtlRate;
-  });
   DSU_LOG_INFO("rollout of tx %llu rolled back: %s (detected %.1fms, "
                "reverted %.1fms)",
                static_cast<unsigned long long>(Tx->id()), TripReason.c_str(),
                DetectMs, RevertMs);
-  Finish();
+  Settle("rolled-back", Reason, RevertMs);
 }

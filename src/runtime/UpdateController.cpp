@@ -7,7 +7,6 @@
 #include "persist/Journal.h"
 #include "support/FaultInject.h"
 #include "support/Logging.h"
-#include "support/Timer.h"
 #include "trace/Trace.h"
 
 using namespace dsu;
@@ -175,14 +174,11 @@ void UpdateController::workerMain() {
     // transaction for `dsu-updatectl log` and GET /admin/lint.
     if (!LoadErr && J.Kind == Job::Text) {
       trace::Span AnalysisSp("stage", "analyze");
-      Timer AnalysisT;
       analysis::AnalyzerEnv Env{RT.types(), RT.transformers(), RT.exports(),
                                 RT.updateables(), RT.state()};
       analysis::AnalysisReport Report = analysis::analyzePatch(J.Tx->P, Env);
-      Report.AnalysisMs = AnalysisT.elapsedMs();
-      trace::notePhase(trace::Phase::Analysis, AnalysisT.elapsedNs() / 1000);
       AnalysisSp.setArg(Report.Findings.size());
-      AnalysisSp.finish();
+      Report.AnalysisMs = AnalysisSp.finish(trace::Phase::Analysis) / 1e6;
       RT.countAnalysisFindings(Report.Findings.size());
       {
         std::lock_guard<std::mutex> G(J.Tx->RecLock);

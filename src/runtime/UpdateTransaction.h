@@ -164,9 +164,10 @@ private:
   /// update.  Commit-time revalidation may demote it to false.
   std::atomic<bool> CodeOnly{false};
 
-  /// When staging completed (phase turned Ready); start of the
-  /// stage->commit latency interval.
-  std::chrono::steady_clock::time_point ReadyAt{};
+  /// When staging completed (phase turned Ready), in trace-recorder
+  /// nanoseconds; start of the stage->commit latency interval.  0 until
+  /// then.
+  uint64_t ReadyAtNs = 0;
 
   /// Sequence number of this transaction's durable-journal Intent, or 0
   /// when the update is not journaled.  Set before the transaction

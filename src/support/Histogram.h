@@ -1,12 +1,20 @@
 //===- support/Histogram.h - Lock-free latency histogram ------*- C++ -*-===//
 ///
 /// \file
-/// A fixed-bucket microsecond histogram with relaxed-atomic counters, and
-/// the bucket-and-max recording step it shares with net/WorkerStats.h's
-/// pause and request-latency histograms: any thread records,
-/// any thread reads, and a metrics scrape is allowed to be a
-/// torn-across-counters snapshot.  Used for the stage->commit latency of
-/// dynamic updates (`dsu_stage_to_commit_us` in /admin/metrics).
+/// The one bucket ladder every latency histogram in the process uses,
+/// and the relaxed-atomic recording step on it.  Three families sit on
+/// it: the update-phase histograms (trace/Trace.h, which also render
+/// `dsu_stage_to_commit_us` from the queue-wait phase) and net/
+/// WorkerStats.h's per-worker barrier-park and request-handler
+/// histograms.  Any thread records, any thread reads, and a metrics
+/// scrape is allowed to be a torn-across-counters snapshot.
+///
+/// The ladder starts at 1 us because the samples it must tell apart
+/// live there: on a 4-core x86-64 box an update's verify, link prepare,
+/// state build and commit phases take 2-13 us at the median, the
+/// stage->commit wait about 20 us, a barrier park about 30 us, and a
+/// keep-alive handler run 1.5-6 us.  It runs 1-2.5-5 per decade to
+/// 250 ms, then +Inf.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -19,40 +27,41 @@
 
 namespace dsu {
 
-/// Records \p Us in a fixed-bucket histogram: counts it in the first
-/// bucket whose upper bound \p BoundsUs covers it and raises \p MaxUs
-/// if it is a new worst.  Relaxed atomics throughout; the caller keeps
-/// its own count and sum.
-template <size_t N>
-inline void noteBucketed(const uint64_t (&BoundsUs)[N],
-                         std::atomic<uint64_t> (&Buckets)[N],
-                         std::atomic<uint64_t> &MaxUs, uint64_t Us) {
-  for (size_t I = 0; I != N; ++I)
-    if (Us <= BoundsUs[I]) {
-      Buckets[I].fetch_add(1, std::memory_order_relaxed);
-      break;
-    }
-  uint64_t Prev = MaxUs.load(std::memory_order_relaxed);
-  while (Us > Prev &&
-         !MaxUs.compare_exchange_weak(Prev, Us, std::memory_order_relaxed))
-    ;
+/// Upper bounds (microseconds) of every latency histogram's buckets; the
+/// final bucket is +Inf.
+constexpr size_t NumLatencyBuckets = 18;
+constexpr uint64_t LatencyBucketUs[NumLatencyBuckets] = {
+    1,     2,     5,     10,     25,     50,     100,    250,  500,
+    1000,  2500,  5000,  10000,  25000,  50000,  100000, 250000, UINT64_MAX};
+
+/// The bucket counters of one histogram on the shared ladder.
+using LatencyBuckets = std::atomic<uint64_t>[NumLatencyBuckets];
+
+/// Counts \p Us in the first bucket whose upper bound covers it.  The
+/// caller keeps its own sum.
+inline void noteBucketed(LatencyBuckets &Buckets, uint64_t Us) {
+  size_t I = 0;
+  while (Us > LatencyBucketUs[I])
+    ++I; // the +Inf bound stops the scan
+  Buckets[I].fetch_add(1, std::memory_order_relaxed);
 }
 
-/// Microsecond histogram; the final bucket is +Inf.
+/// Microsecond histogram with a running sum.
 struct LatencyHistogram {
-  static constexpr size_t NumBuckets = 8;
-  static constexpr uint64_t BucketUs[NumBuckets] = {
-      100, 500, 1000, 5000, 10000, 50000, 250000, UINT64_MAX};
-
-  std::atomic<uint64_t> Buckets[NumBuckets]{};
-  std::atomic<uint64_t> Count{0};
+  LatencyBuckets Buckets{};
   std::atomic<uint64_t> TotalUs{0};
-  std::atomic<uint64_t> MaxUs{0};
 
   void note(uint64_t Us) {
-    noteBucketed(BucketUs, Buckets, MaxUs, Us);
-    Count.fetch_add(1, std::memory_order_relaxed);
+    noteBucketed(Buckets, Us);
     TotalUs.fetch_add(Us, std::memory_order_relaxed);
+  }
+
+  /// The number of samples: the `+Inf` cumulative count.
+  uint64_t count() const {
+    uint64_t N = 0;
+    for (const std::atomic<uint64_t> &B : Buckets)
+      N += B.load(std::memory_order_relaxed);
+    return N;
   }
 };
 

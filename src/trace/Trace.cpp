@@ -43,7 +43,7 @@ Recorder &Recorder::instance() {
   return *R;
 }
 
-uint64_t Recorder::nowUs() const { return (steadyNowNs() - EpochNs) / 1000; }
+uint64_t Recorder::nowNs() const { return steadyNowNs() - EpochNs; }
 
 namespace dsu {
 namespace trace {
@@ -225,6 +225,12 @@ LatencyHistogram &dsu::trace::phaseHistogram(Phase P) {
 
 void dsu::trace::notePhase(Phase P, uint64_t Us) {
   phaseHistogram(P).note(Us);
+}
+
+uint64_t Span::finish(Phase P) {
+  uint64_t Ns = finish();
+  notePhase(P, Ns / 1000);
+  return Ns;
 }
 
 // --- JSON views ---------------------------------------------------------

@@ -33,6 +33,12 @@
 /// and explicit begin()/end() events stitch intervals whose two ends
 /// live on different threads (operator POST -> controller pickup).
 ///
+/// A span is also the stopwatch of the interval it covers: the
+/// nanosecond duration its finish() returns is what the update and
+/// rollout records and the `dsu_update_phase_us` histograms hold, so
+/// each interval is timed once.  Timed *decisions* (the staging
+/// watchdog, the rollout window, the stall gate) keep their own clocks.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef DSU_TRACE_TRACE_H
@@ -80,9 +86,10 @@ public:
 
   static Recorder &instance();
 
-  /// Microseconds since the recorder's epoch (process-wide steady
-  /// timebase; all event timestamps share it).
-  uint64_t nowUs() const;
+  /// Nanoseconds / microseconds since the recorder's epoch (one
+  /// process-wide steady timebase; all event timestamps share it).
+  uint64_t nowNs() const;
+  uint64_t nowUs() const { return nowNs() / 1000; }
 
   /// Records a completed span [StartUs, StartUs+DurUs) on this thread,
   /// tagged with the thread's current update id.
@@ -164,45 +171,13 @@ private:
   uint64_t Prev;
 };
 
-/// RAII span: records a Complete event covering its scope.
-class Span {
-public:
-  Span(const char *Cat, const char *Name, uint64_t Arg = 0)
-      : Cat(Cat), Name(Name), Arg(Arg),
-        StartUs(Recorder::instance().nowUs()) {}
-  ~Span() { finish(); }
-  Span(const Span &) = delete;
-  Span &operator=(const Span &) = delete;
-
-  void setArg(uint64_t A) { Arg = A; }
-
-  /// Ends the span now (the destructor then records nothing).
-  void finish() {
-    if (Finished)
-      return;
-    Finished = true;
-    Recorder &R = Recorder::instance();
-    R.complete(Cat, Name, StartUs, R.nowUs() - StartUs, Arg);
-  }
-
-private:
-  const char *Cat;
-  const char *Name;
-  uint64_t Arg;
-  uint64_t StartUs;
-  bool Finished = false;
-};
-
-/// Interns \p S into a process-lifetime string pool and returns a stable
-/// pointer, so dynamically named spans (per-function verification) can
-/// outlive the module that named them.  Not for hot paths.
-const char *intern(const std::string &S);
-
 // --- Per-phase latency histograms (dsu_update_phase_us) -----------------
 
 /// The update pipeline phases the metrics exposition breaks latency
-/// down by.  Each phase owns a LatencyHistogram fed from the same
-/// instrumentation points as the spans.
+/// down by.  Each phase owns a LatencyHistogram.  A phase one thread
+/// times is fed by its span's finish(Phase); the two cross-thread
+/// intervals (queue wait, rolling adopt) are noted from recorder
+/// timestamps.
 enum class Phase : unsigned {
   Analysis,      ///< whole-patch analyzer
   Verify,        ///< VTAL verification
@@ -225,6 +200,58 @@ LatencyHistogram &phaseHistogram(Phase P);
 
 /// Convenience: phaseHistogram(P).note(Us).
 void notePhase(Phase P, uint64_t Us);
+
+/// RAII span: records a Complete event covering its scope.  A span is
+/// the update lifecycle's only stopwatch: finish() returns the duration
+/// its own two clock reads measured, in nanoseconds, and that one value
+/// feeds both the caller's record field and (finish(Phase)) the phase
+/// histogram.  The ring event keeps the recorder's microsecond
+/// timebase, so it reads within 1 us of the returned duration.
+class Span {
+public:
+  Span(const char *Cat, const char *Name, uint64_t Arg = 0)
+      : Cat(Cat), Name(Name), Arg(Arg),
+        StartNs(Recorder::instance().nowNs()) {}
+  ~Span() { finish(); }
+  Span(const Span &) = delete;
+  Span &operator=(const Span &) = delete;
+
+  void setArg(uint64_t A) { Arg = A; }
+
+  /// Nanoseconds since the span opened; a mark inside a running span.
+  uint64_t elapsedNs() const {
+    return Recorder::instance().nowNs() - StartNs;
+  }
+
+  /// Ends the span now (the destructor then records nothing) and returns
+  /// its duration in nanoseconds; a second call returns the same value.
+  uint64_t finish() {
+    if (Finished)
+      return DurNs;
+    Finished = true;
+    Recorder &R = Recorder::instance();
+    uint64_t EndNs = R.nowNs();
+    DurNs = EndNs - StartNs;
+    R.complete(Cat, Name, StartNs / 1000, EndNs / 1000 - StartNs / 1000, Arg);
+    return DurNs;
+  }
+
+  /// finish(), and notes the duration as one sample of phase \p P.
+  uint64_t finish(Phase P);
+
+private:
+  const char *Cat;
+  const char *Name;
+  uint64_t Arg;
+  uint64_t StartNs;
+  uint64_t DurNs = 0;
+  bool Finished = false;
+};
+
+/// Interns \p S into a process-lifetime string pool and returns a stable
+/// pointer, so dynamically named spans (per-function verification) can
+/// outlive the module that named them.  Not for hot paths.
+const char *intern(const std::string &S);
 
 // --- JSON views ---------------------------------------------------------
 

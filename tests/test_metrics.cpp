@@ -214,6 +214,16 @@ struct Exposition {
     }
   }
 
+  /// Family \p Base's series (labels without `le`) -> their `le` values.
+  std::map<std::string, std::set<std::string>>
+  bucketBounds(const std::string &Base) const {
+    std::map<std::string, std::set<std::string>> Out;
+    for (const Sample &S : Samples)
+      if (S.Name == Base + "_bucket")
+        Out[S.labelKey("le")].insert(S.Labels.at("le"));
+    return Out;
+  }
+
   /// name+labels -> value for counter-ish samples (_total/_count/_bucket).
   std::map<std::string, double> counterValues() const {
     std::map<std::string, double> Out;
@@ -343,6 +353,39 @@ TEST_F(MetricsExpositionTest, EveryLineParsesAndCountersAreMonotone) {
   EXPECT_GT(Get(C2, "dsu_updates_applied_total{}"),
             Get(C1, "dsu_updates_applied_total{}"));
   EXPECT_GT(Get(C2, "dsu_vtal_calls_total{}"), 0.0);
+
+  // One bucket ladder under every histogram family: each series still
+  // prints every `le` bound its family's own table printed before the
+  // tables were merged (checkHistograms above holds +Inf == _count).
+  const std::pair<const char *, std::vector<std::string>> Families[] = {
+      {"dsu_stage_to_commit_us",
+       {"100", "500", "1000", "5000", "10000", "50000", "250000", "+Inf"}},
+      {"dsu_update_phase_us",
+       {"100", "500", "1000", "5000", "10000", "50000", "250000", "+Inf"}},
+      {"dsu_update_pause_us",
+       {"50", "100", "250", "500", "1000", "5000", "25000", "+Inf"}},
+      {"dsu_request_duration_us",
+       {"10", "50", "100", "500", "1000", "10000", "100000", "+Inf"}},
+  };
+  for (const auto &F : Families) {
+    std::map<std::string, std::set<std::string>> Series =
+        E2.bucketBounds(F.first);
+    EXPECT_FALSE(Series.empty()) << F.first;
+    for (const auto &KV : Series)
+      for (const std::string &Le : F.second)
+        EXPECT_TRUE(KV.second.count(Le))
+            << F.first << "{" << KV.first << "} lost le=\"" << Le << "\"";
+  }
+
+  // dsu_stage_to_commit_us renders the queue-wait phase histogram.
+  for (const char *Part : {"_count", "_sum"}) {
+    std::string Phase = std::string("dsu_update_phase_us") + Part +
+                        "{phase=\"queue_wait\",}";
+    std::string S2C = std::string("dsu_stage_to_commit_us") + Part + "{}";
+    EXPECT_GE(Get(C2, S2C), 0.0) << S2C;
+    EXPECT_EQ(Get(C2, S2C), Get(C2, Phase)) << S2C << " vs " << Phase;
+  }
+  EXPECT_GT(Get(C2, "dsu_stage_to_commit_us_count{}"), 0.0);
 }
 
 } // namespace

@@ -3,11 +3,16 @@
 /// The update-pipeline flight recorder (trace/Trace.h): the per-thread
 /// seqlocked ring, span/instant/interval recording, drop-oldest
 /// accounting, the span-tree builder's time-containment nesting, the
-/// Chrome trace-event export, and the per-phase latency histograms.
-/// Plus the VTAL hot-function profiler (trace/Profile.h): self-fuel
+/// Chrome trace-event export, the per-phase latency histograms, and the
+/// span as the update lifecycle's one stopwatch.  Plus the VTAL hot-function profiler (trace/Profile.h): self-fuel
 /// attribution across calls, trap counting, and the ranking that
 /// surfaces an injected hot function.
 
+#include "core/Runtime.h"
+#include "flashed/App.h"
+#include "flashed/Patches.h"
+#include "persist/Journal.h"
+#include "runtime/UpdateController.h"
 #include "trace/Profile.h"
 #include "trace/Trace.h"
 #include "vtal/Assembler.h"
@@ -17,6 +22,7 @@
 #include <gtest/gtest.h>
 
 #include <thread>
+#include <unistd.h>
 
 using namespace dsu;
 using namespace dsu::trace;
@@ -225,10 +231,63 @@ TEST(TracePhaseTest, PhaseNamesAndHistogramsWork) {
   EXPECT_STREQ(phaseName(Phase::BarrierPark), "barrier_park");
   EXPECT_STREQ(phaseName(Phase::JournalSeal), "journal_seal");
   LatencyHistogram &H = phaseHistogram(Phase::Analysis);
-  uint64_t Before = H.Count.load();
+  uint64_t Before = H.count();
   notePhase(Phase::Analysis, 123);
-  EXPECT_EQ(H.Count.load(), Before + 1);
+  EXPECT_EQ(H.count(), Before + 1);
   EXPECT_GE(H.TotalUs.load(), 123u);
+}
+
+/// Each update phase is timed once, by its span: a journaled VTAL patch's
+/// record fields and phase samples are the durations of the spans that
+/// cover them.  The ring keeps microseconds truncated to the recorder's
+/// timebase, so a span and its nanosecond-derived field agree to 1 us.
+TEST(TracePhaseTest, RecordFieldsAndPhaseSamplesAreSpanDurations) {
+  Recorder::instance().clear();
+  std::string Dir = ::testing::TempDir() + "dsu_trace_stopwatch_" +
+                    std::to_string(static_cast<unsigned>(::getpid()));
+  persist::UpdateJournal::Options JO;
+  JO.Sync = false;
+  Expected<std::unique_ptr<persist::UpdateJournal>> J =
+      persist::UpdateJournal::open(Dir, JO);
+  ASSERT_TRUE(J) << J.takeError().str();
+  (*J)->beginBoot("");
+
+  Runtime RT;
+  flashed::FlashedApp App(RT);
+  flashed::DocStore Docs;
+  Docs.put("/doc.html", "<html>doc</html>");
+  ASSERT_FALSE(App.init(std::move(Docs)));
+  RT.attachJournal(J->get());
+
+  const LatencyHistogram &Intent = phaseHistogram(Phase::JournalIntent);
+  uint64_t IntentN = Intent.count(), IntentUs = Intent.TotalUs.load();
+  StagedUpdate U = RT.controller().stageArtifactText(
+      flashed::vtalParseFixPatchText(), "stopwatch");
+  RT.controller().waitIdle();
+  ASSERT_EQ(RT.updatePoint(), 1u);
+  RT.attachJournal(nullptr);
+  UpdateRecord Rec = U.record();
+  ASSERT_TRUE(Rec.Succeeded) << Rec.FailureReason;
+  ASSERT_GT(Rec.InstructionsVerified, 0u);
+
+  std::vector<EventCopy> Events = eventsFor(U.id());
+  auto DurUsOf = [&](const char *Cat, const std::string &Name) -> double {
+    const EventCopy *Found = nullptr;
+    for (const EventCopy &E : Events)
+      if (E.Kind == EventKind::Complete && std::string(E.Category) == Cat &&
+          Name == E.Name) {
+        EXPECT_EQ(Found, nullptr) << Cat << "/" << Name << " recorded twice";
+        Found = &E;
+      }
+    EXPECT_NE(Found, nullptr) << "no " << Cat << "/" << Name << " span";
+    return Found ? static_cast<double>(Found->DurUs) : -1;
+  };
+  EXPECT_NEAR(DurUsOf("stage", "verify"), Rec.VerifyMs * 1000, 1.0);
+  EXPECT_NEAR(DurUsOf("stage", "state.build"), Rec.BuildMs * 1000, 1.0);
+  EXPECT_NEAR(DurUsOf("commit", Rec.CommitMode), Rec.CommitMs * 1000, 1.0);
+  ASSERT_EQ(Intent.count(), IntentN + 1);
+  EXPECT_NEAR(DurUsOf("journal", "intent"),
+              static_cast<double>(Intent.TotalUs.load() - IntentUs), 1.0);
 }
 
 // --- VTAL hot-function profiler -----------------------------------------
