@@ -34,6 +34,7 @@
 #include "support/Json.h"
 #include "support/StringUtil.h"
 #include "types/Compat.h"
+#include "vtal/Interp.h"
 #include "vtal/Module.h"
 #include "vtal/Resolve.h"
 #include "vtal/native/NativeImage.h"
@@ -76,11 +77,6 @@ void analysis::writeFindingJson(JsonWriter &W, const Finding &F) {
 }
 
 namespace {
-
-/// Mirrors vtal::DefaultFuel (Interp.cpp): the budget a function gets
-/// per invocation, and therefore the bound a statically known trip
-/// count must stay under.
-constexpr uint64_t DefaultFuelBudget = 64ull << 20;
 
 void add(AnalysisReport &R, Severity Sev, const char *Code,
          std::string Msg) {
@@ -874,7 +870,7 @@ void findNativeUnsupported(const Module &M, AnalysisReport &R) {
 AnalysisReport analysis::analyzePatch(const Patch &P, const AnalyzerEnv &Env,
                                       uint64_t FuelBudget) {
   if (FuelBudget == 0)
-    FuelBudget = DefaultFuelBudget;
+    FuelBudget = vtal::DefaultFuel;
 
   AnalysisReport R;
 

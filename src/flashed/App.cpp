@@ -50,24 +50,22 @@ SharedStr FlashedApp::mimeTypeV1(SharedStr Path) {
 }
 
 SharedStr FlashedApp::cacheGetV1(SharedStr Path) {
-  // Lock-free read of the published cache snapshot: one atomic load
-  // inside the request's epoch scope.  No mutex anywhere on the cache
-  // read path — a staging thread snapshots the same immutable payload.
-  // A hit hands out the cached bytes themselves.
+  // Lock-free read of the cache table inside the request's epoch scope:
+  // no mutex anywhere on the cache read path, and a miss path inserting
+  // concurrently never blocks it.  A hit hands out the cached bytes
+  // themselves.
   epoch::Guard G;
-  auto *C = Cache->live<const CacheV1>();
-  auto It = C->Entries.find(Path);
-  return It == C->Entries.end() ? SharedStr() : SharedStr(It->second);
+  const SharedBody *Body = Cache->live<const CacheV1>()->Entries.find(Path);
+  return Body ? SharedStr(*Body) : SharedStr();
 }
 
 void FlashedApp::cachePutV1(SharedStr Path, SharedStr Body) {
-  // Copy-update-publish: writers serialize on the payload lock (the
-  // miss path, not the hot path), readers never block, and the old
-  // snapshot drains through the epoch domain.
+  // In-place insert: writers serialize on the payload lock (the miss
+  // path, not the hot path), readers never block, and the put counts as
+  // a mutation so a migration staged from the older contents rebuilds.
   std::lock_guard<std::mutex> G(Cache->payloadLock());
-  auto Next = std::make_shared<CacheV1>(*Cache->get<CacheV1>());
-  Next->Entries[Path.str()] = std::move(Body).shared();
-  Cache->publish(std::move(Next));
+  Cache->get<CacheV1>()->Entries.put(Path, std::move(Body).shared());
+  Cache->noteMutation();
 }
 
 void FlashedApp::logAccessV1(SharedStr Path, int64_t Status) {

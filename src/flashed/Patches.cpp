@@ -104,55 +104,47 @@ Expected<Patch> dsu::flashed::makePatchP3(FlashedApp &App) {
          const StateCell &) -> Expected<std::shared_ptr<void>> {
     auto *V1 = static_cast<CacheV1 *>(Old.get());
     auto V2 = std::make_shared<CacheV2>();
-    for (const auto &[Path, Body] : V1->Entries) {
-      CacheEntryV2 E;
-      E.Body = Body;
-      E.Hits = 0;
-      E.LastAccessMs = nowMs();
-      V2->Entries.emplace(Path, std::move(E));
-    }
+    int64_t Now = nowMs();
+    V1->Entries.forEach([&](const std::string &Path, const SharedBody &Body) {
+      V2->Entries.put(Path, Body, Now);
+    });
     return std::shared_ptr<void>(std::move(V2));
   };
 
-  // The V2 stages follow the epoch publication discipline: reads are
-  // lock-free loads of the published snapshot (hit statistics are
-  // relaxed atomics bumped in place), writes copy-update-publish under
-  // the payload lock — so a *later* staged transaction can snapshot the
-  // cache from another thread while requests are served, and the
-  // serving path never takes a mutex.
+  // The V2 stages follow the cache table's discipline: reads are
+  // lock-free lookups inside the request's epoch scope (hit statistics
+  // are relaxed atomics bumped in place), writes insert in place under
+  // the payload lock and note the mutation — so a *later* staged
+  // transaction can snapshot the cache from another thread while
+  // requests are served, and the serving path never takes a mutex.
   FlashedApp *AppPtr = &App;
   auto CacheGetV2 = [AppPtr](SharedStr Path) -> SharedStr {
     StateCell *Cell = AppPtr->cacheCell();
     epoch::Guard G;
-    auto *C = Cell->live<const CacheV2>();
-    auto It = C->Entries.find(Path);
-    if (It == C->Entries.end())
+    const CacheEntryV2 *E = Cell->live<const CacheV2>()->Entries.find(Path);
+    if (!E)
       return SharedStr();
-    const_cast<CacheEntryV2 &>(It->second).noteHit(nowMs());
+    E->noteHit(nowMs());
     // Statistics mutated: a migration staged from an older snapshot
     // must still rebuild at commit.
     Cell->noteMutation();
-    return It->second.Body;
+    return E->Body;
   };
   auto CachePutV2 = [AppPtr](SharedStr Path, SharedStr Body) {
-    CacheEntryV2 E;
-    E.Body = std::move(Body).shared();
-    E.LastAccessMs.store(nowMs(), std::memory_order_relaxed);
+    int64_t Now = nowMs();
     StateCell *Cell = AppPtr->cacheCell();
     std::lock_guard<std::mutex> G(Cell->payloadLock());
-    auto Next = std::make_shared<CacheV2>(*Cell->get<CacheV2>());
-    Next->Entries[Path.str()] = std::move(E);
-    Cell->publish(std::move(Next));
+    Cell->get<CacheV2>()->Entries.put(Path, std::move(Body).shared(), Now);
+    Cell->noteMutation();
   };
   auto CacheStats = [AppPtr]() -> SharedStr {
     StateCell *Cell = AppPtr->cacheCell();
     epoch::Guard G;
     auto *C = Cell->live<const CacheV2>();
     int64_t Hits = 0;
-    for (const auto &[Path, E] : C->Entries) {
-      (void)Path;
+    C->Entries.forEach([&](const std::string &, const CacheEntryV2 &E) {
       Hits += E.hits();
-    }
+    });
     return formatString("entries=%zu hits=%lld", C->Entries.size(),
                         static_cast<long long>(Hits));
   };

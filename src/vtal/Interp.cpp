@@ -15,7 +15,6 @@ using namespace dsu;
 using namespace dsu::vtal;
 
 namespace {
-constexpr uint64_t DefaultFuel = 64ull << 20;
 constexpr unsigned MaxCallDepth = 256;
 } // namespace
 

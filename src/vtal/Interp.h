@@ -51,6 +51,11 @@ class NativeImage;
 /// A host-provided implementation of a module import.
 using HostFn = std::function<Expected<Value>(const std::vector<Value> &)>;
 
+/// The fuel one interpreted call gets when its caller names no budget
+/// (64 Mi instructions, callees included).  The patch analyzer checks
+/// statically known trip counts against the same bound.
+constexpr uint64_t DefaultFuel = 64ull << 20;
+
 /// Interprets one module.  The module must outlive the interpreter and
 /// should have passed verifyModule() — the interpreter still traps
 /// dynamically (division by zero, fuel exhaustion, call depth) and
@@ -59,9 +64,9 @@ using HostFn = std::function<Expected<Value>(const std::vector<Value> &)>;
 class Interpreter {
 public:
   /// \p Fuel bounds the total instruction count of one call() including
-  /// callees; 0 means the default (64M instructions).  Construction runs
-  /// the link pass; a module that fails to link is rejected (with the
-  /// link error) on every subsequent call().
+  /// callees; 0 means DefaultFuel.  Construction runs the link pass; a
+  /// module that fails to link is rejected (with the link error) on
+  /// every subsequent call().
   explicit Interpreter(const Module &M, uint64_t Fuel = 0);
 
   /// Supplies the implementation of import \p Name.  Signature conformance

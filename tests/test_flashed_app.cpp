@@ -10,6 +10,10 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <thread>
+#include <vector>
+
 using namespace dsu;
 using namespace dsu::flashed;
 
@@ -79,10 +83,10 @@ TEST_F(FlashedAppTest, HeadOmitsBody) {
 TEST_F(FlashedAppTest, CachePopulates) {
   EXPECT_TRUE(App.cacheCell()->get<CacheV1>()->Entries.empty());
   App.handle(get("/doc.html"));
-  // The fill is a copy-update-publish: it replaces the snapshot rather
-  // than mutating it, so re-read the cell for the post-fill payload.
+  // The fill inserts in place into the cell's one payload.
   auto *C = App.cacheCell()->get<CacheV1>();
-  EXPECT_EQ(C->Entries.count("/doc.html"), 1u);
+  EXPECT_EQ(C->Entries.size(), 1u);
+  EXPECT_NE(C->Entries.find("/doc.html"), nullptr);
 }
 
 TEST_F(FlashedAppTest, V1QueryStringBug) {
@@ -125,13 +129,15 @@ TEST_F(FlashedAppTest, P3MigratesLiveCache) {
   EXPECT_EQ(App.cacheCell()->type()->str(), "%flashed_cache@2");
   auto *V2 = App.cacheCell()->get<CacheV2>();
   ASSERT_EQ(V2->Entries.size(), 2u);
-  EXPECT_EQ(*V2->Entries.at("/doc.html").Body, "<html>doc</html>");
-  EXPECT_EQ(V2->Entries.at("/doc.html").Hits, 0);
+  const CacheEntryV2 *Doc = V2->Entries.find("/doc.html");
+  ASSERT_NE(Doc, nullptr);
+  EXPECT_EQ(*Doc->Body, "<html>doc</html>");
+  EXPECT_EQ(Doc->hits(), 0);
 
   // Hits now count.
   App.handle(get("/doc.html"));
   App.handle(get("/doc.html"));
-  EXPECT_EQ(V2->Entries.at("/doc.html").Hits, 2);
+  EXPECT_EQ(Doc->hits(), 2);
 
   // And the new stats function reports them.
   auto Stats = cantFail(bindUpdateable<SharedStr()>(
@@ -229,6 +235,57 @@ TEST_F(FlashedAppTest, EmptyDocumentIsServedWithoutRepublishingTheCache) {
       Gen = App.cacheCell()->mutationGeneration();
   }
   EXPECT_EQ(App.cacheCell()->mutationGeneration(), Gen);
+}
+
+// The cache's memory bound (DESIGN §12): a put happens only for a path
+// the DocStore returned, so the cache's keys are a subset of the
+// DocStore's paths and its size never exceeds the DocStore's.
+TEST_F(FlashedAppTest, MissesOutsideTheDocStoreAddNoEntries) {
+  App.handle(get("/doc.html"));
+  App.handle(get("/index.html"));
+  auto *C = App.cacheCell()->get<CacheV1>();
+  ASSERT_EQ(C->Entries.size(), 2u);
+  for (int I = 0; I != 10000; ++I) {
+    // A missing path, and a v1 query-string target (the seeded defect
+    // maps it to a path no document has).
+    std::string Target = I % 2 ? "/ghost" + std::to_string(I) + ".html"
+                               : "/doc.html?x=" + std::to_string(I);
+    std::string R = App.handle(get(Target));
+    ASSERT_NE(R.find("404"), std::string::npos) << Target;
+  }
+  EXPECT_EQ(C->Entries.size(), 2u);
+}
+
+TEST_F(FlashedAppTest, RacingMissesOnOneKeyLeaveOneEntry) {
+  SharedBody Doc = App.docs().getShared("/doc.html");
+  for (int Round = 0; Round != 50; ++Round) {
+    {
+      StateCell *Cell = App.cacheCell();
+      std::lock_guard<std::mutex> G(Cell->payloadLock());
+      Cell->publish(std::make_shared<CacheV1>());
+    }
+    std::atomic<int> Ready{0};
+    std::atomic<int> Served{0};
+    std::vector<std::thread> Threads;
+    for (int T = 0; T != 4; ++T)
+      Threads.emplace_back([&] {
+        Ready.fetch_add(1);
+        while (Ready.load() != 4)
+          std::this_thread::yield();
+        std::string Raw = get("/doc.html"), Out;
+        SharedBody Body;
+        App.handleInto(scanRequestHead(Raw), Raw, Out, Body);
+        Served.fetch_add(Body == Doc);
+      });
+    for (std::thread &T : Threads)
+      T.join();
+    EXPECT_EQ(Served.load(), 4);
+    auto *C = App.cacheCell()->get<CacheV1>();
+    ASSERT_EQ(C->Entries.size(), 1u) << "round " << Round;
+    const SharedBody *Cached = C->Entries.find("/doc.html");
+    ASSERT_NE(Cached, nullptr);
+    EXPECT_EQ(*Cached, Doc);
+  }
 }
 
 // Property: the served path is the updateable pipeline.  Rebinding any
