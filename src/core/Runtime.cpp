@@ -479,12 +479,15 @@ Error Runtime::commitTxLocked(const std::shared_ptr<UpdateTransaction> &TxP,
     }
   }
 
-  // A rolling commit must still be code-only after revalidation; if a
-  // commit that landed in between changed the required bumps, demote the
-  // transaction back to Ready and let the caller arm the barrier —
-  // nothing has been mutated yet.
-  if (Rolling && (!Tx.Bumps.empty() || !Tx.Swap.empty())) {
+  // Revalidation may have turned a code-only plan into a migrating one.
+  // A rolling commit must still be code-only; if a commit that landed in
+  // between changed the required bumps, demote the transaction back to
+  // Ready and let the caller arm the barrier — nothing has been mutated
+  // yet.
+  if (!Tx.Bumps.empty() || !Tx.Swap.empty())
     Tx.CodeOnly.store(false, std::memory_order_release);
+  bool CodeOnly = Tx.CodeOnly.load(std::memory_order_acquire);
+  if (Rolling && !CodeOnly) {
     Tx.Phase.store(UpdatePhase::Ready, std::memory_order_release);
     if (NeedsBarrier)
       *NeedsBarrier = true;
@@ -520,6 +523,12 @@ Error Runtime::commitTxLocked(const std::shared_ptr<UpdateTransaction> &TxP,
   // fails, the state swap above is reverted so the whole transaction is
   // a no-op.
   size_t Provides = Tx.Plan.Unit.Provides.size();
+  // A state-migrating commit marks what it installs: the code it
+  // replaces was written for the old representation, so no rollback may
+  // restore it (UpdateableRegistry::rollback).
+  if (!CodeOnly)
+    for (std::unique_ptr<Binding> &B : Tx.Plan.PreparedCode)
+      B->MigratedBy = PatchId;
   {
     Error E =
         TheLinker.commit(std::move(Tx.Plan), Rolling, CanaryMask, GatedOut);
@@ -773,22 +782,49 @@ Error Runtime::applyNow(Patch P) {
   return U->commit();
 }
 
-Error Runtime::rollbackUpdateable(const std::string &Name) {
+Error Runtime::rollbackUpdateables(
+    const std::vector<std::string> &Names,
+    const std::vector<RollEntry *> &ResolveGates) {
   std::lock_guard<std::mutex> G(CommitLock);
   if (ActivationTracker::currentDepth() != 0)
     return Error::make(
         ErrorCode::EC_Busy,
-        "rollback of '%s' refused: single-updater discipline violated "
-        "(%u updateable frame(s) active on this thread); retry at a "
-        "quiescent update point",
-        Name.c_str(), ActivationTracker::currentDepth());
-  Error E = Updateables.rollback(Name);
-  if (!E) {
-    // A rollback is itself an update: it may revert a slot's recorded
-    // type, so any plan prepared before it must revalidate at commit.
-    CommitGeneration.fetch_add(1, std::memory_order_release);
+        "rollback of %zu updateable(s) refused: single-updater discipline "
+        "violated (%u updateable frame(s) active on this thread); retry "
+        "at a quiescent update point",
+        Names.size(), ActivationTracker::currentDepth());
+  struct Publish {
+    std::vector<RollEntry *> Swings;
+    const std::vector<RollEntry *> *Gates;
+  } P{{}, &ResolveGates};
+  Error First = Error::success();
+  for (const std::string &Name : Names) {
+    Expected<RollEntry *> R = Updateables.rollback(Name);
+    if (R)
+      P.Swings.push_back(*R);
+    else if (!First)
+      First = R.takeError();
   }
-  return E;
+  // One advance publishes every swing and resolves every gate.  A reader
+  // pinned before it walks each slot's chain through the unpublished
+  // revert entry to the code it started with — a control worker on to
+  // the still-gated canary entry's old binding, so it never runs the
+  // bad one.  A reader pinned at or after it stops at the revert entry
+  // and runs the restored code on every slot.
+  epoch::domain().advanceWith(
+      [](uint64_t E, void *Raw) {
+        auto *C = static_cast<Publish *>(Raw);
+        for (RollEntry *R : C->Swings)
+          R->Epoch.store(E, std::memory_order_release);
+        for (RollEntry *R : *C->Gates)
+          R->PromoteEpoch.store(E, std::memory_order_release);
+      },
+      &P);
+  // A rollback is itself an update: it may revert a slot's recorded
+  // type, so any plan prepared before it must revalidate at commit.
+  if (!P.Swings.empty())
+    CommitGeneration.fetch_add(1, std::memory_order_release);
+  return First;
 }
 
 // --- Introspection -------------------------------------------------------

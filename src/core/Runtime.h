@@ -248,11 +248,26 @@ public:
     return LastRollingCommitUs.load(std::memory_order_acquire);
   }
 
-  /// Reverts one updateable to its previous implementation (code-only;
-  /// see UpdateableRegistry::rollback for the state caveat).  Refused
-  /// with EC_Busy while updateable code is active on this thread, like
-  /// any update.
-  Error rollbackUpdateable(const std::string &Name);
+  /// Reverts one updateable to its previous implementation; see
+  /// rollbackUpdateables().
+  Error rollbackUpdateable(const std::string &Name) {
+    return rollbackUpdateables({Name});
+  }
+
+  /// The one rollback entry: reverts each updateable in \p Names to its
+  /// previous implementation as one rolling swing, so no worker parks
+  /// and none waits on the code being removed.  The swings, and the
+  /// resolution of each canary-gated entry in \p ResolveGates, publish
+  /// in one epoch advance: a reader pinned before it keeps the code
+  /// generation it started with, a reader pinned at or after it runs the
+  /// restored code on every slot.  A name that cannot roll back (EC_Link
+  /// for an unknown name; EC_Invalid with no prior version, or past a
+  /// state-migrating commit — see UpdateableRegistry::rollback) is
+  /// skipped, the rest still revert, and the first error is returned.
+  /// Refused with EC_Busy while updateable code is active on this
+  /// thread, like any update.
+  Error rollbackUpdateables(const std::vector<std::string> &Names,
+                            const std::vector<RollEntry *> &ResolveGates = {});
 
   /// Staging watchdog: a transaction whose verify/link/state-build
   /// pipeline (including its wait in the staging backlog) exceeds this

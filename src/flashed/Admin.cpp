@@ -14,8 +14,8 @@
 ///   POST /admin/rollout     canary rollout of a .dsup body; 202 {rollout}
 ///                           (query parameters: parseRolloutOptions())
 ///   GET  /admin/rollouts    every rollout record (?id=N: one)
-///   POST /admin/rollback    roll ?name=F (or the body) back, at the pool's
-///                           barrier when a pool is attached
+///   POST /admin/rollback    roll ?name=F (or the body) back as a rolling
+///                           swing; 409 past a state-migrating patch
 ///   GET  /admin/lint?id=N   the analyzer's findings for one transaction
 ///   GET  /admin/trace?id=N  that update's span tree; ?export=chrome: the
 ///                           recorder (filtered by ?id=) as Chrome JSON
@@ -98,7 +98,6 @@ void writeRollout(JsonWriter &W, const RolloutRecord &R) {
   W.key("tx").value(R.TxId);
   W.key("patch").value(R.PatchId);
   W.key("state").value(R.State);
-  W.key("mode").value(R.Mode);
   W.key("verdict").value(R.Verdict);
   W.key("canary_mask").value(R.CanaryMask);
   W.key("window_ms").value(R.WindowMs);
@@ -431,14 +430,9 @@ void FlashedApp::handleAdmin(const RequestHead &Head, std::string_view Raw,
       Name = std::string(Body);
     if (Name.empty())
       return Respond(400, errorJson("missing updateable name"));
-    // With a pool attached the rollback is itself a cross-worker
-    // update: it executes at the barrier, with every worker quiescent,
-    // instead of swinging bindings under live traffic.  EC_Busy
-    // semantics carry over unchanged (503 + Retry-After).
-    Error E = Pool ? Pool->runQuiescent(
-                         [&] { return RT.rollbackUpdateable(Name); })
-                   : RT.rollbackUpdateable(Name);
-    if (E)
+    // A rolling swing: every worker adopts the restored code at its own
+    // next quiescent point, and none parks.
+    if (Error E = RT.rollbackUpdateable(Name))
       return RespondError(E);
     W.beginObject().key("rolled_back").value(Name).endObject();
     return Respond(200, J);
@@ -670,17 +664,13 @@ RolloutController &FlashedApp::rollouts() {
   std::lock_guard<std::mutex> G(RolloutLock);
   if (!Rollout) {
     // The controller gets the serving plane as hooks: worker counters
-    // to gate on and the pool's barrier to revert under.  Without a
-    // pool the hooks stay empty and every rollout takes the degenerate
-    // barrier form with direct (single-threaded) commits.
+    // to gate on.  Without a pool the hooks stay empty and every
+    // rollout commits ungated, judged on absolute rates.
     RolloutController::Hooks H;
     if (net::ReactorPool *P = Pool) {
       H.WorkerCount = [P] { return static_cast<size_t>(P->workers()); };
       H.Stats = [P](size_t I) {
         return &P->workerStats(static_cast<unsigned>(I));
-      };
-      H.RunQuiescent = [P](const std::function<Error()> &Fn) {
-        return P->runQuiescent(Fn);
       };
       H.Wake = [P] { P->wake(); };
     }

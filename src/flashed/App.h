@@ -88,8 +88,8 @@ public:
   bool adminEnabled() const { return Admin != nullptr; }
 
   /// Attaches the multi-core serving plane: per-worker rows in
-  /// /admin/status and /admin/metrics, and POST /admin/rollback at the
-  /// pool's update barrier instead of on the serving thread.
+  /// /admin/status and /admin/metrics, and the per-worker counters the
+  /// rollout health gates compare.
   void attachPool(net::ReactorPool &P) {
     Pool = &P;
     wireUpdateWake();
@@ -100,9 +100,8 @@ public:
   void attachJournal(persist::UpdateJournal &J) { Journal = &J; }
 
   /// The canary rollout control plane behind POST /admin/rollout,
-  /// created lazily from the attached pool's worker stats and quiescent
-  /// runner (or degenerate hooks when no pool is attached).  Valid only
-  /// after enableAdmin().
+  /// created lazily from the attached pool's worker stats (or empty
+  /// hooks when no pool is attached).  Valid only after enableAdmin().
   RolloutController &rollouts();
 
   /// Serves one raw request held in memory and returns the response

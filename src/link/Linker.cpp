@@ -124,12 +124,15 @@ Error Linker::commit(LinkPlan Plan, bool Rolling, uint64_t CanaryMask,
     // Canary gating: arm the gate while each entry's epoch is still
     // unpublished (everyone resolves to Old regardless of mask), so no
     // reader can observe a swing epoch without also observing the gate.
-    if (CanaryMask != UINT64_MAX)
+    // Only gated entries are handed out: an ungated one may be detached
+    // and retired as soon as it is graced.
+    if (CanaryMask != UINT64_MAX) {
       for (RollEntry *R : NewEntries)
         R->CanaryMask.store(CanaryMask, std::memory_order_release);
-    if (GatedOut)
-      GatedOut->insert(GatedOut->end(), NewEntries.begin(),
-                       NewEntries.end());
+      if (GatedOut)
+        GatedOut->insert(GatedOut->end(), NewEntries.begin(),
+                         NewEntries.end());
+    }
     // Lower every entry's epoch to E inside one advanceWith — the
     // instant E becomes observable, all of them switch together.  A
     // reader therefore sees the whole patch or none of it, decided by

@@ -109,10 +109,10 @@ public:
   /// \p CanaryMask gates a rolling commit on worker identity: with a
   /// mask other than UINT64_MAX, only workers whose bit is set adopt the
   /// new bindings — every other reader stays redirected to the old code
-  /// until the rollout controller resolves the gate (promotion lowers
-  /// each entry's PromoteEpoch; rollback reverts the slots first).  The
-  /// published entries are appended to \p GatedOut, the controller's
-  /// handle for resolving them.
+  /// until the rollout controller resolves the gate (lowers each
+  /// entry's PromoteEpoch, on promotion or in the rollback's own epoch
+  /// advance).  The gated entries are appended to \p GatedOut, the
+  /// controller's handle for resolving them.
   Error commit(LinkPlan Plan, bool Rolling = false,
                uint64_t CanaryMask = UINT64_MAX,
                std::vector<RollEntry *> *GatedOut = nullptr);

@@ -17,12 +17,6 @@ using namespace dsu::net;
 
 namespace {
 
-/// Identifies the pool worker running on this thread, so runQuiescent()
-/// can tell a worker's own handler (which must contribute its arrival)
-/// from an external caller (which waits for the round).
-thread_local ReactorPool *CurrentPool = nullptr;
-thread_local int CurrentWorkerIdx = -1;
-
 /// Pins \p T to CPU (Idx mod cores).  Returns the CPU, or -1 when the
 /// host has one core (nothing to spread) or the affinity call failed.
 int pinWorkerThread(std::thread &T, unsigned Idx) {
@@ -156,22 +150,6 @@ void ReactorPool::stop() {
     if (T.joinable())
       T.join();
   Threads.clear();
-  {
-    // Fail any quiescent operation the barrier never got to run.
-    std::lock_guard<std::mutex> L(BarrierMu);
-    for (const std::shared_ptr<OpState> &Op : Ops)
-      if (!Op->Done) {
-        Op->Result = Error::make(
-            ErrorCode::EC_Busy,
-            "quiescent operation abandoned: reactor pool stopped before "
-            "the update barrier formed; retry after restart");
-        Op->Done = true;
-      }
-    Ops.clear();
-    Armed = false;
-    ArmedHint.store(false, std::memory_order_relaxed);
-  }
-  BarrierCV.notify_all();
   // Close the sockets but keep the (now quiescent) reactors: their
   // per-worker stats stay readable after stop — metrics scrapes and the
   // benches read final pause histograms once the threads have joined —
@@ -217,8 +195,6 @@ uint64_t ReactorPool::connectionsAccepted() const {
 }
 
 void ReactorPool::workerMain(unsigned Idx) {
-  CurrentPool = this;
-  CurrentWorkerIdx = static_cast<int>(Idx);
   // Publish the worker's identity to the runtime layer: canary-gated
   // RollEntries resolve their mask against it on every slot read.
   setCurrentWorkerId(static_cast<int>(Idx));
@@ -275,27 +251,10 @@ void ReactorPool::workerMain(unsigned Idx) {
   {
     std::lock_guard<std::mutex> L(BarrierMu);
     --Active;
-    if (Active == 0) {
-      // Last worker out: no barrier can form any more, so any queued
-      // quiescent operation would wait forever — fail it now.
-      for (const std::shared_ptr<OpState> &Op : Ops)
-        if (!Op->Done) {
-          Op->Result = Error::make(
-              ErrorCode::EC_Busy,
-              "quiescent operation abandoned: all pool workers exited "
-              "before the update barrier formed");
-          Op->Done = true;
-        }
-      Ops.clear();
-      Armed = false;
-      ArmedHint.store(false, std::memory_order_relaxed);
-    }
   }
   // A barrier waiting on this worker may now be satisfiable by the
   // remaining arrivals.
   BarrierCV.notify_all();
-  CurrentPool = nullptr;
-  CurrentWorkerIdx = -1;
   setCurrentWorkerId(-1);
 }
 
@@ -384,12 +343,6 @@ void ReactorPool::park(unsigned Idx) {
 void ReactorPool::commitRound() {
   // Caller holds BarrierMu and is the designated committer; parked
   // workers stay blocked on the condition variable throughout.
-  std::vector<std::shared_ptr<OpState>> Pending = std::move(Ops);
-  Ops.clear();
-  for (const std::shared_ptr<OpState> &Op : Pending) {
-    Op->Result = Op->Fn();
-    Op->Done = true;
-  }
   if (TheRuntime && TheRuntime->updatePending())
     TheRuntime->updatePoint();
   Armed = false;
@@ -398,44 +351,4 @@ void ReactorPool::commitRound() {
   ParkedCount = 0;
   Rounds.fetch_add(1, std::memory_order_relaxed);
   BarrierCV.notify_all();
-}
-
-Error ReactorPool::runQuiescent(std::function<Error()> Fn) {
-  auto Op = std::make_shared<OpState>();
-  Op->Fn = std::move(Fn);
-  bool SelfPark = CurrentPool == this && CurrentWorkerIdx >= 0;
-  {
-    std::unique_lock<std::mutex> L(BarrierMu);
-    if (Stopping)
-      return Error::make(ErrorCode::EC_Busy,
-                         "reactor pool is stopping; retry after restart");
-    if (Active == 0) {
-      // No workers running: the caller is exclusive by definition.
-      return Op->Fn();
-    }
-    Ops.push_back(Op);
-    Armed = true;
-    ArmedHint.store(true, std::memory_order_relaxed);
-  }
-  wake();
-  if (SelfPark) {
-    // A worker's own handler: contribute this worker's arrival (the
-    // handler is control-plane code, not an updateable call, so this
-    // worker is quiescent).  The op runs when the round commits —
-    // possibly on this very thread if it is the last arrival.
-    park(static_cast<unsigned>(CurrentWorkerIdx));
-    std::lock_guard<std::mutex> L(BarrierMu);
-    if (!Op->Done)
-      return Error::make(ErrorCode::EC_Busy,
-                         "quiescent operation abandoned: pool stopped "
-                         "before the update barrier formed");
-    return Op->Result;
-  }
-  std::unique_lock<std::mutex> L(BarrierMu);
-  BarrierCV.wait(L, [&] { return Op->Done || Stopping; });
-  if (!Op->Done)
-    return Error::make(ErrorCode::EC_Busy,
-                       "quiescent operation abandoned: pool stopped "
-                       "before the update barrier formed");
-  return Op->Result;
 }

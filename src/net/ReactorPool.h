@@ -13,12 +13,15 @@
 /// worker (a fully generated but still-flushing response does not make
 /// a worker non-quiescent; no updateable code runs during a flush).
 ///
-/// Barrier protocol:
+/// Code-only updates and every rollback commit *rolling*, with no
+/// parking: bindings swing behind epoch redirection, and each worker
+/// adopts them at its own next idle point.  The barrier exists only for
+/// state-migrating updates.  Barrier protocol:
 ///
-///   1. *Arm.*  A worker that observes a pending staged update at its
-///      idle point — or any thread calling runQuiescent() — arms the
-///      barrier and wakes every reactor's eventfd, so workers blocked
-///      in epoll_wait reach their update point promptly.
+///   1. *Arm.*  A worker that observes a state-migrating staged update
+///      at its idle point arms the barrier and wakes every reactor's
+///      eventfd, so workers blocked in epoll_wait reach their update
+///      point promptly.
 ///   2. *Park.*  Each worker, at its next idle point, parks: it
 ///      increments the arrival count and blocks.  A worker stuck inside
 ///      a long request cannot park, so the barrier *waits* for it —
@@ -26,11 +29,9 @@
 ///      worker (the paper's activeness rule, per worker).
 ///   3. *Commit.*  The last worker to arrive is the designated
 ///      committer: alone, with every worker quiescent, it runs the
-///      queued runQuiescent() operations and the runtime's
-///      updatePoint() — the PR 3 generation-validated commit — exactly
-///      once.  Rollback and EC_Busy semantics are unchanged: the
-///      committer thread is quiescent by construction, so the
-///      single-updater discipline holds trivially.
+///      runtime's updatePoint() — the generation-validated commit —
+///      exactly once.  The committer thread is quiescent by
+///      construction, so the single-updater discipline holds trivially.
 ///   4. *Release.*  The committer bumps the barrier generation and
 ///      wakes the parked workers; each records its park duration in
 ///      its pause histogram and resumes serving.
@@ -95,7 +96,6 @@ public:
 
   /// Graceful stop: every reactor drains in-flight pipelined requests
   /// and closes idle keep-alive connections, then the threads join.
-  /// Queued runQuiescent() operations that never ran fail with EC_Busy.
   /// Idempotent.
   void stop();
 
@@ -104,14 +104,6 @@ public:
   unsigned workers() const {
     return static_cast<unsigned>(Reactors.size());
   }
-
-  /// Runs \p Fn exactly once while every worker is parked at its update
-  /// point.  Callable from any thread — including a worker's own
-  /// handler, which then contributes its own arrival (an admin request
-  /// is not updateable code, so the worker is quiescent by the barrier's
-  /// definition).  Returns Fn's error, or EC_Busy when the pool stopped
-  /// before quiescence was reached.
-  Error runQuiescent(std::function<Error()> Fn);
 
   /// Wakes every reactor (e.g. when a staged update becomes ready, so
   /// the next barrier forms without waiting out a poll timeout).
@@ -135,7 +127,7 @@ public:
   }
   Reactor &reactor(unsigned I) { return *Reactors[I]; }
 
-  /// Completed barrier rounds (each committed queued work exactly once).
+  /// Completed barrier rounds (each ran the update point exactly once).
   uint64_t barrierRounds() const {
     return Rounds.load(std::memory_order_relaxed);
   }
@@ -157,14 +149,6 @@ public:
   uint64_t connectionsAccepted() const;
 
 private:
-  /// One queued quiescent operation (runQuiescent) with its completion
-  /// handshake.  Guarded by BarrierMu.
-  struct OpState {
-    std::function<Error()> Fn;
-    Error Result;
-    bool Done = false;
-  };
-
   void workerMain(unsigned Idx);
   /// The per-worker update point: commits code-only fronts as rolling
   /// updates (no parking), or arms the barrier and parks for
@@ -173,8 +157,8 @@ private:
   /// Parks worker \p Idx until the current round is committed.  Caller
   /// must not hold BarrierMu.
   void park(unsigned Idx);
-  /// Runs queued ops + the runtime update point; caller holds BarrierMu
-  /// and is the last arrival.
+  /// Runs the runtime update point; caller holds BarrierMu and is the
+  /// last arrival.
   void commitRound();
   void setState(unsigned Idx, WorkerState S) {
     States[Idx]->store(static_cast<int>(S), std::memory_order_relaxed);
@@ -217,7 +201,6 @@ private:
   uint64_t Generation = 0;
   unsigned ParkedCount = 0;
   unsigned Active = 0; ///< workers currently running their loop
-  std::vector<std::shared_ptr<OpState>> Ops;
   std::atomic<uint64_t> Rounds{0};
 };
 

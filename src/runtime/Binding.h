@@ -64,6 +64,12 @@ struct Binding {
   /// holds the image; superseded images epoch-retire their pages).
   const void *NativeEntry = nullptr;
 
+  /// The id of the state-migrating patch whose commit installed this
+  /// binding ("" for code-only installs).  The binding before it was
+  /// written for the state's old representation, so the registry
+  /// refuses to roll back past it.
+  std::string MigratedBy;
+
   /// Trap count (0 when this binding cannot trap).
   uint64_t trapCount() const {
     return Traps ? Traps->load(std::memory_order_relaxed) : 0;

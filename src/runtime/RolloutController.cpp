@@ -137,18 +137,6 @@ uint64_t RolloutController::trapsInNewBindings(
   return Traps;
 }
 
-Error RolloutController::revertProvides(const std::vector<std::string> &Names) {
-  Error First = Error::success();
-  for (const std::string &Name : Names)
-    if (Error E = RT.rollbackUpdateable(Name)) {
-      DSU_LOG_WARN("rollout rollback of '%s' failed: %s", Name.c_str(),
-                   E.str().c_str());
-      if (!First)
-        First = std::move(E);
-    }
-  return First;
-}
-
 void RolloutController::runOne(std::shared_ptr<UpdateTransaction> Tx,
                                RolloutOptions Opts, size_t RecIdx) {
   // Every event the rollout thread records below lands in this
@@ -227,54 +215,37 @@ void RolloutController::runOne(std::shared_ptr<UpdateTransaction> Tx,
       ReplacedNames.push_back(Tx->Plan.Unit.Provides[I].Name);
   }
 
+  // A fleet of at least two workers holds back a control group; a
+  // smaller one commits ungated and is judged on absolute rates (every
+  // worker is in the "canary" group, the control group is empty).
   size_t Workers = H.WorkerCount ? H.WorkerCount() : 0;
-  bool CanaryMode =
-      Tx->CodeOnly.load(std::memory_order_acquire) && Workers >= 2;
-
-  uint64_t Mask = 0;
-  std::vector<RollEntry *> Gated;
-  if (CanaryMode) {
+  uint64_t Mask = UINT64_MAX;
+  if (Workers >= 2) {
     unsigned K = std::min<unsigned>(
         {Opts.CanaryWorkers ? Opts.CanaryWorkers : 1,
          static_cast<unsigned>(Workers) - 1, 63});
     Mask = (uint64_t(1) << K) - 1;
-    setRecord(RecIdx, [&](RolloutRecord &R) {
-      R.State = "canary";
-      R.Mode = "canary";
-      R.CanaryMask = Mask;
-      R.PatchId = Tx->patchId();
-    });
-    bool NeedsBarrier = false;
-    Error E = RT.commitTx(Tx, /*Rolling=*/true, Mask, &Gated, &NeedsBarrier);
-    if (NeedsBarrier) {
-      // Revalidation discovered state migration; fall back to the
-      // degenerate barrier form below.
-      CanaryMode = false;
-      Gated.clear();
-    } else if (E) {
-      return Fail("canary commit rejected: " + E.str());
-    }
   }
-
-  if (!CanaryMode) {
-    // Degenerate form for state-migrating patches (or fleets too small
-    // to split): commit everywhere under the barrier, observe fleet
-    // health absolutely (no control group), and barrier-roll-back if a
-    // gate trips.  "Canary group" below = the whole fleet.
-    Mask = Workers == 0 ? UINT64_MAX
-                        : (Workers >= 64 ? UINT64_MAX
-                                         : ((uint64_t(1) << Workers) - 1));
-    setRecord(RecIdx, [&](RolloutRecord &R) {
-      R.State = "canary";
-      R.Mode = "barrier";
-      R.CanaryMask = 0;
-      R.PatchId = Tx->patchId();
-    });
-    auto Commit = [&] { return RT.commitTx(Tx, /*Rolling=*/false); };
-    Error E = H.RunQuiescent ? H.RunQuiescent(Commit) : Commit();
-    if (E)
-      return Fail("barrier commit rejected: " + E.str());
+  setRecord(RecIdx, [&](RolloutRecord &R) {
+    R.State = "canary";
+    R.CanaryMask = Mask;
+    R.PatchId = Tx->patchId();
+  });
+  std::vector<RollEntry *> Gated;
+  bool NeedsBarrier = false;
+  Error E = RT.commitTx(Tx, /*Rolling=*/true, Mask, &Gated, &NeedsBarrier);
+  if (NeedsBarrier) {
+    // The patch migrates state (as staged, or after revalidation); the
+    // transaction is back to Ready with nothing mutated.  Rollouts are
+    // code-only: a rollback is a rolling swing, and a rolling swing
+    // cannot undo a state migration.
+    (void)RT.abortStagedTx(Tx);
+    return Fail("the patch migrates state, and rollouts are code-only; "
+                "transaction aborted — apply it through POST "
+                "/admin/patches");
   }
+  if (E)
+    return Fail("canary commit rejected: " + E.str());
 
   // --- Observing: compare canary vs control over the window. -------------
   // The observe span times commit -> verdict (DetectMs); CommitAt is the
@@ -446,30 +417,13 @@ void RolloutController::runOne(std::shared_ptr<UpdateTransaction> Tx,
     return;
   }
 
-  // Roll back.  Order matters: revert the slots *first* (canary workers
-  // snap back to the old binding via the new Current), and only then
-  // resolve the gates — so there is never a window in which a control
-  // worker adopts the bad binding.  Both happen inside one quiescent
-  // operation when a pool is attached: no request is mid-handler.
+  // Roll back: one rolling swing that also resolves the gates, in one
+  // epoch advance (Runtime::rollbackUpdateables).  No worker parks; the
+  // canary's in-flight request finishes on the bad code, every request
+  // after its worker's next quiescent point runs the old code, and a
+  // control worker never runs the bad binding.
   trace::Span RevertSp("rollout", "revert", ReplacedNames.size());
-  auto DoRevert = [&]() -> Error {
-    Error E = revertProvides(ReplacedNames);
-    if (!Gated.empty()) {
-      struct ResolveCtx {
-        std::vector<RollEntry *> *Entries;
-      } Ctx{&Gated};
-      epoch::domain().advanceWith(
-          [](uint64_t Ep, void *Raw) {
-            auto *C = static_cast<ResolveCtx *>(Raw);
-            for (RollEntry *R : *C->Entries)
-              R->PromoteEpoch.store(Ep, std::memory_order_release);
-          },
-          &Ctx);
-    }
-    return E;
-  };
-  Error RevertErr =
-      H.RunQuiescent ? H.RunQuiescent([&] { return DoRevert(); }) : DoRevert();
+  Error RevertErr = RT.rollbackUpdateables(ReplacedNames, Gated);
   double RevertMs = RevertSp.finish() / 1e6;
 
   std::string Reason = TripReason;

@@ -23,15 +23,18 @@
 ///  - promotion lowers every entry's PromoteEpoch inside one epoch
 ///    advance, so the rest of the fleet adopts the patch at their own
 ///    quiescent points — still no barrier;
-///  - rollback reverts each replaced slot through the registry's
-///    history (under the pool's update barrier, so no request is
-///    mid-flight), *then* resolves the gates, so there is no window in
-///    which a control worker could adopt the bad binding.
+///  - rollback is one rolling swing back to each replaced slot's
+///    previous binding, published in the same epoch advance that
+///    resolves the gates (Runtime::rollbackUpdateables): no worker
+///    parks, the canary's in-flight request finishes on the code it
+///    started with, and no control worker ever runs the bad binding.
 ///
-/// A state-migrating patch cannot be worker-gated (state is shared, not
-/// per-worker): it gets the degenerate but safe form — commit under the
-/// barrier, observe fleet health against the pre-commit baseline, and
-/// roll back through the same barrier if a gate trips.
+/// Rollouts are code-only.  State is shared, not per-worker, so a
+/// state-migrating patch cannot be worker-gated, and a rolling swing
+/// cannot undo its migration: such a patch fails its rollout and its
+/// transaction is aborted (POST /admin/patches applies it).  A fleet of
+/// fewer than two workers cannot hold back a control group: its rollout
+/// commits ungated and is judged on absolute rates.
 ///
 /// While a rollout is in flight the runtime-wide rollout latch freezes
 /// the ordinary commit pipeline (Runtime::rolloutActive()): a stacked
@@ -104,11 +107,9 @@ struct RolloutRecord {
   std::string PatchId;
   std::string State;   ///< "staged", "canary", "observing", "promoted",
                        ///< "rolled-back", "failed"
-  std::string Mode;    ///< "canary" (worker-gated rolling) or "barrier"
-                       ///< (degenerate commit-then-observe)
   std::string Verdict; ///< "" until resolved, then "promoted"/"rolled-back"
   std::string Reason;  ///< which gate tripped, or why the rollout failed
-  uint64_t CanaryMask = 0;
+  uint64_t CanaryMask = 0; ///< UINT64_MAX: ungated (fleet < 2 workers)
   uint64_t WindowMs = 0;
 
   double DetectMs = 0; ///< canary commit -> gate verdict
@@ -128,20 +129,16 @@ struct RolloutRecord {
 
 /// Drives metric-gated canary rollouts over a Runtime.  The serving
 /// plane is injected as hooks so this stays a runtime-layer component:
-/// the net layer (or a test) supplies worker counters and a quiescent
-/// runner without the runtime linking against it.
+/// the net layer (or a test) supplies worker counters without the
+/// runtime linking against it.
 class RolloutController {
 public:
   struct Hooks {
-    /// Fleet size; 0 or unset means "no worker fleet" and forces the
-    /// degenerate barrier mode with baseline-relative gates.
+    /// Fleet size; 0 or unset means "no worker fleet": the rollout
+    /// commits ungated, with baseline-relative gates.
     std::function<size_t()> WorkerCount;
     /// Per-worker health counters, indexed [0, WorkerCount()).
     std::function<const net::WorkerStats *(size_t)> Stats;
-    /// Runs a function with every worker parked at its update point
-    /// (ReactorPool::runQuiescent).  Unset: run directly (single-thread
-    /// embeddings and tests).
-    std::function<Error(const std::function<Error()> &)> RunQuiescent;
     /// Nudges workers out of epoll_wait so held/terminal transactions
     /// are noticed promptly.  Optional.
     std::function<void()> Wake;
@@ -191,7 +188,6 @@ private:
                     std::vector<GroupSample> &CanaryWorkers) const;
   uint64_t trapsInNewBindings(const std::vector<std::string> &Names) const;
   void setRecord(size_t RecIdx, const std::function<void(RolloutRecord &)> &Fn);
-  Error revertProvides(const std::vector<std::string> &Names);
 
   Runtime &RT;
   Hooks H;

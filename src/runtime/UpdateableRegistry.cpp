@@ -141,28 +141,42 @@ void UpdateableRegistry::flushGracedRolls(
   }
 }
 
-Error UpdateableRegistry::rollback(const std::string &Name) {
-  std::lock_guard<std::mutex> G(Lock);
-  auto It = Slots.find(Name);
-  if (It == Slots.end())
-    return Error::make(ErrorCode::EC_Link,
-                       "cannot roll back unknown updateable '%s'",
-                       Name.c_str());
-  UpdateableSlot &Slot = *It->second;
-  size_t N = Slot.History.size();
-  if (N < 2)
-    return Error::make(ErrorCode::EC_Invalid,
-                       "'%s' has no prior version to roll back to",
-                       Name.c_str());
+Expected<RollEntry *> UpdateableRegistry::rollback(const std::string &Name) {
+  std::unique_ptr<Binding> Owned;
+  const Type *PrevTy = nullptr;
+  UpdateableSlot *Slot = nullptr;
+  {
+    std::lock_guard<std::mutex> G(Lock);
+    auto It = Slots.find(Name);
+    if (It == Slots.end())
+      return Error::make(ErrorCode::EC_Link,
+                         "cannot roll back unknown updateable '%s'",
+                         Name.c_str());
+    Slot = It->second.get();
+    size_t N = Slot->History.size();
+    if (N < 2)
+      return Error::make(ErrorCode::EC_Invalid,
+                         "'%s' has no prior version to roll back to",
+                         Name.c_str());
+    const Binding &Last = *Slot->History[N - 1];
+    if (!Last.MigratedBy.empty())
+      return Error::make(ErrorCode::EC_Invalid,
+                         "'%s' cannot roll back past patch %s: that patch "
+                         "migrated state, and the prior code was written "
+                         "for the old representation",
+                         Name.c_str(), Last.MigratedBy.c_str());
 
-  // Reinstall the previous implementation as a *new* version.
-  const Binding &Prev = *Slot.History[N - 2];
-  auto Owned = std::make_unique<Binding>(Prev);
-  Owned->Origin = "rollback-of:" + Slot.History[N - 1]->Origin;
-  DSU_LOG_INFO("rollback '%s' to the v%u implementation (as v%u)",
-               Name.c_str(), Prev.Version, Slot.newest()->Version + 1);
-  appendAndPublish(Slot, Slot.TypeHistory[N - 2], std::move(Owned));
-  return Error::success();
+    // Reinstall the previous implementation as a *new* version.
+    const Binding &Prev = *Slot->History[N - 2];
+    Owned = std::make_unique<Binding>(Prev);
+    Owned->Origin = "rollback-of:" + Last.Origin;
+    Owned->MigratedBy.clear(); // a rollback itself migrates nothing
+    PrevTy = Slot->TypeHistory[N - 2];
+    DSU_LOG_INFO("rollback '%s' to the v%u implementation (as v%u)",
+                 Name.c_str(), Prev.Version, Slot->newest()->Version + 1);
+  }
+  return swingPreparedSlot(*Slot, PrevTy, std::move(Owned),
+                           /*Rolling=*/true);
 }
 
 std::vector<std::string> UpdateableRegistry::slotNames() const {

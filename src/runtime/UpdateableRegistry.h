@@ -8,10 +8,11 @@
 /// which references to updateable definitions are indirected through a
 /// table the dynamic linker may rebind.  Readers (calls) take one atomic
 /// acquire load.  Every writer — a linker commit's swing, barrier or
-/// rolling, and a rollback — goes through one append-and-publish step
-/// under the registry mutex: number the binding, append it to the
-/// slot's history, publish it with a release store.  The
-/// type-compatibility judgement runs before that, in Linker::prepare().
+/// rolling, and a rollback, which is always rolling — goes through one
+/// append-and-publish step under the registry mutex: number the
+/// binding, append it to the slot's history, publish it with a release
+/// store.  The type-compatibility judgement runs before that, in
+/// Linker::prepare().
 /// Superseded bindings stay in the slot's history forever (old code
 /// stays resident, as in the paper).
 ///
@@ -57,8 +58,9 @@ struct RollEntry {
 
   /// Epoch at which a canary gate resolved.  UINT64_MAX while the
   /// rollout is still observing; lowered inside Domain::advanceWith on
-  /// promotion (and after the Current swing on rollback), so gate
-  /// resolution is per-reader atomic at the reader's next quiesce.
+  /// promotion, or in the same advance that publishes a rollback's
+  /// swing, so gate resolution is per-reader atomic at the reader's
+  /// next quiesce.
   std::atomic<uint64_t> PromoteEpoch{UINT64_MAX};
 
   /// Whether a reader pinned at epoch \p E must be redirected to Old.
@@ -151,8 +153,8 @@ public:
   /// Registry internals derive version numbers from this — the
   /// epoch-aware current() could return a superseded binding on a
   /// thread still pinned inside an older epoch (e.g. a rollback
-  /// executing at the barrier on a worker whose epoch predates a
-  /// rolling commit), minting a duplicate version.
+  /// executing on a worker whose epoch predates a rolling commit),
+  /// minting a duplicate version.
   const Binding *newest() const {
     return Current.load(std::memory_order_acquire);
   }
@@ -231,11 +233,15 @@ public:
   /// Reverts \p Name to the implementation (and recorded type) it had
   /// before its most recent swing.  The rollback is itself an update:
   /// it appends a fresh binding rather than erasing history, so a
-  /// rollback can be rolled back.  Code-only — state transformers are
-  /// one-way, so callers must not roll past a type-changing update
-  /// unless they also ship a reverse transformer as a regular patch.
-  /// (Listed as future work in the PLDI 2001 paper.)
-  Error rollback(const std::string &Name);
+  /// rollback can be rolled back.  It is a rolling swing like any other
+  /// (swingPreparedSlot with Rolling set): the returned entry is still
+  /// unpublished, and the caller lowers its epoch inside
+  /// Domain::advanceWith.  Like the linker's swings, it is sound under
+  /// the single-updater discipline.  Code-only — state transformers are
+  /// one-way, so a binding installed by a state-migrating commit refuses
+  /// with EC_Invalid, naming the patch.  (Reverse transformers are
+  /// future work in the PLDI 2001 paper.)
+  Expected<RollEntry *> rollback(const std::string &Name);
 
   /// Snapshot of all slot names (sorted; for the linker's export table
   /// and for diagnostics).

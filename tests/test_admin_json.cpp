@@ -62,9 +62,8 @@ const Keys AnalysisKeys = {"analysis_errors", "analysis_warnings",
                            "analysis_ms", "code_only_predicted",
                            "analysis_codes"};
 const Keys RolloutKeys = {"id",        "tx",        "patch",     "state",
-                          "mode",      "verdict",   "canary_mask",
-                          "window_ms", "detect_ms", "revert_ms", "canary",
-                          "control"};
+                          "verdict",   "canary_mask", "window_ms",
+                          "detect_ms", "revert_ms", "canary",    "control"};
 const Keys FindingKeys = {"severity", "code", "message", "fn"};
 const Keys ErrorKeys = {"error"};
 const Keys RetryableErrorKeys = {"error", "retryable"};

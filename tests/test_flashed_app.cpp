@@ -149,6 +149,34 @@ TEST_F(FlashedAppTest, P3MigratesLiveCache) {
             std::string::npos);
 }
 
+TEST_F(FlashedAppTest, RollbackPastTheCacheMigrationIsRefused) {
+  // P3 migrates the cache to %flashed_cache@2; the v1 cache_get would
+  // read the migrated cell as a CacheV1, so rolling it back is refused
+  // with a conflict that names the patch.
+  App.enableAdmin(RT.controller());
+  applyPatch(makePatchP3(App));
+  std::string R = App.handle("POST /admin/rollback?name=flashed.cache_get "
+                             "HTTP/1.0\r\nContent-Length: 0\r\n\r\n");
+  EXPECT_NE(R.find("409"), std::string::npos) << R;
+  EXPECT_NE(R.find("P3"), std::string::npos) << R;
+
+  // The cache still serves: a cold miss and a hit both return the
+  // stored document, and the hit counts.
+  auto Served = [&](const std::string &Path) {
+    std::string Raw = get(Path), Out;
+    SharedBody Body;
+    App.handleInto(scanRequestHead(Raw), Raw, Out, Body);
+    return Body;
+  };
+  SharedBody Doc = App.docs().getShared("/doc.html");
+  EXPECT_EQ(Served("/doc.html"), Doc);
+  EXPECT_EQ(Served("/doc.html"), Doc);
+  auto Stats = cantFail(bindUpdateable<SharedStr()>(
+      RT.updateables(), RT.types(), "flashed.cache_stats"));
+  EXPECT_NE(Stats().str().find("hits=1"), std::string::npos)
+      << Stats().str();
+}
+
 TEST_F(FlashedAppTest, P4ShimsSignatureChange) {
   applyPatch(makePatchP4(App));
   // Old entry point still valid (now a shim)...

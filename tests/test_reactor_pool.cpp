@@ -230,8 +230,8 @@ TEST_F(ReactorPoolTest, PatchCommitsExactlyOnceUnderConcurrentLoad) {
   }
 }
 
-TEST_F(ReactorPoolTest, RollbackRunsAtTheBarrierFromAWorker) {
-  // Apply P1 through the barrier first.
+TEST_F(ReactorPoolTest, RollbackFromAWorkerParksNoWorker) {
+  // Apply P1 first.
   Expected<Patch> P1 = makePatchP1(App);
   ASSERT_TRUE(P1) << P1.takeError().str();
   RT.requestUpdate(std::move(*P1));
@@ -241,18 +241,25 @@ TEST_F(ReactorPoolTest, RollbackRunsAtTheBarrierFromAWorker) {
   ASSERT_TRUE(Fixed);
   EXPECT_EQ(Fixed->Status, 200);
 
-  // POST /admin/rollback is served by a worker, which must contribute
-  // its own barrier arrival (self-park) — the response only exists if
-  // that protocol completes.
+  // POST /admin/rollback is served by a worker, which swings the slot
+  // back as a rolling update: no worker parks, and each adopts the
+  // restored code at its own next quiescent point.
+  uint64_t Rounds0 = Pool->barrierRounds();
   Expected<FetchResult> R = httpPost(
       Pool->port(), "/admin/rollback?name=flashed.parse_target", "x");
   ASSERT_TRUE(R) << R.takeError().str();
   EXPECT_EQ(R->Status, 200);
   EXPECT_NE(R->Body.find("rolled_back"), std::string::npos);
+  uint64_t Epoch = epoch::domain().globalEpoch();
+  for (unsigned I = 0; I != kWorkers; ++I)
+    WAIT_FOR(Pool->workerEpoch(I) >= Epoch);
 
-  Expected<FetchResult> Reverted = httpGet(Pool->port(), "/doc.html?x=1");
-  ASSERT_TRUE(Reverted);
-  EXPECT_EQ(Reverted->Status, 404); // the v1 bug is back
+  for (unsigned I = 0; I != 2 * kWorkers; ++I) {
+    Expected<FetchResult> Reverted = httpGet(Pool->port(), "/doc.html?x=1");
+    ASSERT_TRUE(Reverted);
+    EXPECT_EQ(Reverted->Status, 404); // the v1 bug is back
+  }
+  EXPECT_EQ(Pool->barrierRounds() - Rounds0, 0u);
 }
 
 TEST_F(ReactorPoolTest, MetricsAndStatusReportPerWorkerState) {

@@ -74,7 +74,7 @@ TEST_F(RollbackTest, RollbackRestoresRecordedType) {
       "app.g", NewTy, makeClosureBinding<void, int64_t>([](int64_t) {})});
   ASSERT_FALSE(L.commit(cantFail(L.prepare(std::move(Unit)))));
   EXPECT_EQ(Slot->type(), NewTy);
-  ASSERT_FALSE(RT.updateables().rollback("app.g"));
+  ASSERT_FALSE(RT.rollbackUpdateable("app.g"));
   EXPECT_EQ(Slot->type(), OldTy);
 }
 

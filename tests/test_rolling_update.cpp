@@ -12,6 +12,7 @@
 ///
 /// Run alone with `ctest -L epoch`.
 
+#include "epoch/Epoch.h"
 #include "flashed/App.h"
 #include "flashed/Client.h"
 #include "flashed/DocStore.h"
@@ -24,7 +25,6 @@
 #include "runtime/UpdateController.h"
 #include "trace/Trace.h"
 #ifndef DSU_VTAL_NO_NATIVE
-#include "epoch/Epoch.h"
 #include "vtal/native/NativeImage.h"
 #endif
 
@@ -326,6 +326,51 @@ func extra (x: int) -> int {
   EXPECT_EQ(Rollouts.rollout(*Id)->Verdict, "promoted");
   EXPECT_EQ(RT.updatePoint(), 1u); // rollout tx collected, D committed
   EXPECT_EQ((*F)(0), 5);
+}
+
+/// A rollback of several slots is one rolling swing: a reader pinned
+/// before it sees every slot's patched binding, a reader pinned after it
+/// every slot's restored one — never a mix.
+TEST(RollingRollbackTest, TwoSlotRollbackIsAtomicPerReader) {
+  Runtime RT;
+  auto F = RT.defineUpdateable("pair.first", &retOne);
+  auto S = RT.defineUpdateable("pair.second", &retOne);
+  ASSERT_TRUE(F);
+  ASSERT_TRUE(S);
+  Expected<Patch> P = makePairPatch(RT, 2);
+  ASSERT_TRUE(P) << P.takeError().str();
+  ASSERT_FALSE(RT.applyNow(std::move(*P)));
+
+  std::mutex M;
+  std::condition_variable CV;
+  bool Pinned = false, RolledBack = false;
+  int64_t SeenFirst = 0, SeenSecond = 0;
+  std::thread Reader([&] {
+    epoch::Guard G;
+    std::unique_lock<std::mutex> L(M);
+    Pinned = true;
+    CV.notify_all();
+    CV.wait(L, [&] { return RolledBack; });
+    SeenFirst = (*F)(0);
+    SeenSecond = (*S)(0);
+  });
+  {
+    std::unique_lock<std::mutex> L(M);
+    CV.wait(L, [&] { return Pinned; });
+  }
+  EXPECT_FALSE(RT.rollbackUpdateables({"pair.first", "pair.second"}));
+  {
+    std::lock_guard<std::mutex> L(M);
+    RolledBack = true;
+  }
+  CV.notify_all();
+  Reader.join();
+  EXPECT_EQ(SeenFirst, 2);
+  EXPECT_EQ(SeenSecond, 2);
+
+  epoch::Guard Fresh;
+  EXPECT_EQ((*F)(0), 1);
+  EXPECT_EQ((*S)(0), 1);
 }
 
 /// A code-only VTAL patch whose functions the native tier compiles at

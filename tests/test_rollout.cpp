@@ -6,8 +6,9 @@
 /// auto-rolls-back with the control group never serving the bad binding;
 /// a trapping patch trips the trap gate (its faults surface as 404s, so
 /// the error gate alone would miss it); a fuel bomb wedges the canary
-/// and is caught; the staging watchdog aborts a stalled patch so it
-/// cannot head-of-line-block the FIFO queue; graced redirection chains
+/// and is caught, and its revert parks no worker; a state-migrating
+/// patch fails its rollout; the staging watchdog aborts a stalled patch
+/// so it cannot head-of-line-block the FIFO queue; graced redirection chains
 /// drain from reactor idle without another commit; and the hardened
 /// client/ctl retry a busy control plane with Retry-After-aware backoff.
 ///
@@ -156,6 +157,14 @@ protected:
     return R ? *R : RolloutRecord{};
   }
 
+  /// Barrier parks recorded across every worker.
+  uint64_t totalParks() const {
+    uint64_t N = 0;
+    for (unsigned I = 0; I != Pool->workers(); ++I)
+      N += Pool->workerStats(I).Pauses.load();
+    return N;
+  }
+
   Runtime RT;
   FlashedApp App{RT};
   std::unique_ptr<net::ReactorPool> Pool;
@@ -177,7 +186,6 @@ TEST_F(RolloutPoolTest, GoodPatchCanariesThenPromotes) {
   RolloutRecord Rec = record(*Id);
   EXPECT_EQ(Rec.State, "promoted");
   EXPECT_EQ(Rec.Verdict, "promoted");
-  EXPECT_EQ(Rec.Mode, "canary");
   EXPECT_EQ(Rec.CanaryMask, 1u) << "canary group should be worker 0 only";
   EXPECT_EQ(Pool->barrierRounds(), 0u) << "a canary rollout armed the barrier";
 
@@ -221,7 +229,7 @@ TEST_F(RolloutPoolTest, Error500PatchAutoRollsBackUnderLoad) {
   WAIT_FOR(terminal(Id));
   RolloutRecord Rec = record(Id);
   EXPECT_EQ(Rec.Verdict, "rolled-back");
-  EXPECT_EQ(Rec.Mode, "canary");
+  EXPECT_EQ(Rec.CanaryMask, 1u) << "canary group should be worker 0 only";
   EXPECT_NE(Rec.Reason.find("error gate"), std::string::npos) << Rec.Reason;
   EXPECT_GE(Rec.CanaryErrors, 1u) << "the canary never served the bad binding";
   EXPECT_EQ(Rec.ControlErrors, 0u)
@@ -300,6 +308,84 @@ TEST_F(RolloutPoolTest, FuelBombIsCaughtByTrapOrStallGate) {
   stopLoad();
   EXPECT_EQ(Rec.Verdict, "rolled-back");
   EXPECT_NE(Rec.Reason.find("gate"), std::string::npos) << Rec.Reason;
+}
+
+/// A rollback is one rolling swing: reverting the fuel bomb under load
+/// runs no barrier round and parks no worker, so the healthy control
+/// workers never wait for the canary's in-flight bomb request.
+TEST_F(RolloutPoolTest, CanaryRevertParksNoWorker) {
+  RT.setAnalysisGate(false);
+  startLoad(2 * kWorkers);
+  WAIT_FOR(Ok.load() >= 50);
+  uint64_t Rounds0 = Pool->barrierRounds();
+  uint64_t Parks0 = totalParks();
+
+  RolloutOptions O;
+  O.WindowMs = 3000;
+  O.MinSamples = 1u << 20;
+  Expected<uint64_t> Id = App.rollouts().startArtifactText(
+      faultinject::fuelBurnPatchText(30'000'000), "test", O);
+  ASSERT_TRUE(Id) << Id.takeError().str();
+
+  WAIT_FOR(terminal(*Id));
+  RolloutRecord Rec = record(*Id);
+  stopLoad();
+  EXPECT_EQ(Rec.Verdict, "rolled-back");
+  EXPECT_EQ(Pool->barrierRounds() - Rounds0, 0u);
+  EXPECT_EQ(totalParks() - Parks0, 0u);
+  std::printf("revert_ms %.3f detect_ms %.1f (%s)\n", Rec.RevertMs,
+              Rec.DetectMs, Rec.Reason.c_str());
+}
+
+/// A transformer over a VTAL int cell, shipped as a .dsup.
+const char *IntCellTransformerPatch = R"dsu(
+(patch
+  (id "rollout-gen-v2")
+  (new-types (type (name "%gen@2") (repr "int")))
+  (transformers
+    (transform (from "%gen@1") (to "%gen@2") (impl "xform")))
+  (vtal-module
+"module m
+func xform (old: int) -> int {
+  load old
+  push.i 100
+  mul
+  ret
+}"))
+)dsu";
+
+/// Rollouts are code-only: a state-migrating patch posted to
+/// /admin/rollout fails its rollout, its transaction is aborted, and the
+/// cell keeps its type and value.
+TEST_F(RolloutPoolTest, StateMigratingPatchFailsItsRollout) {
+  ASSERT_FALSE(RT.defineNamedType({"gen", 1}, RT.types().intType()));
+  Expected<StateCell *> Cell =
+      RT.defineState("app.gen", RT.types().namedType("gen", 1),
+                     std::make_shared<int64_t>(20));
+  ASSERT_TRUE(Cell) << Cell.takeError().str();
+
+  Expected<FetchResult> Posted =
+      httpPost(Pool->port(), "/admin/rollout?window_ms=100",
+               IntCellTransformerPatch, "application/x-dsu-patch");
+  ASSERT_TRUE(Posted) << Posted.takeError().str();
+  ASSERT_EQ(Posted->Status, 202) << Posted->Body;
+  size_t At = Posted->Body.find(": ");
+  ASSERT_NE(At, std::string::npos) << Posted->Body;
+  uint64_t Id = std::strtoull(Posted->Body.c_str() + At + 2, nullptr, 10);
+
+  WAIT_FOR(terminal(Id));
+  RolloutRecord Rec = record(Id);
+  EXPECT_EQ(Rec.State, "failed");
+  EXPECT_NE(Rec.Reason.find("migrates state"), std::string::npos)
+      << Rec.Reason;
+  std::vector<UpdateRecord> Log = RT.updateLog();
+  ASSERT_EQ(Log.size(), 1u);
+  EXPECT_EQ(Log[0].TxId, Rec.TxId);
+  EXPECT_EQ(Log[0].Phase, "aborted");
+  EXPECT_EQ((*Cell)->type()->str(), "%gen@1");
+  EXPECT_EQ(*(*Cell)->get<int64_t>(), 20);
+  WAIT_FOR(RT.queueDepth() == 0u); // the aborted front is collected
+  EXPECT_EQ(Pool->barrierRounds(), 0u);
 }
 
 /// Satellite: graced redirection chains drain from reactor idle — no
@@ -400,9 +486,9 @@ TEST_F(RolloutPoolTest, UpdatectlRolloutCommandReportsTheVerdict) {
 }
 
 /// A single-worker fleet cannot hold back a control group: the rollout
-/// degenerates to commit-then-observe under the barrier, gated on
-/// absolute rates — and a healthy patch still promotes.
-TEST(RolloutBarrierModeTest, SingleWorkerFallsBackToBarrierMode) {
+/// commits ungated, as a rolling commit, and is gated on absolute rates
+/// — and a healthy patch still promotes without a barrier round.
+TEST(RolloutSingleWorkerTest, SingleWorkerRolloutPromotesUngated) {
   Runtime RT;
   FlashedApp App(RT);
   DocStore Docs;
@@ -430,11 +516,12 @@ TEST(RolloutBarrierModeTest, SingleWorkerFallsBackToBarrierMode) {
 
   Expected<RolloutRecord> Rec = App.rollouts().rollout(*Id);
   ASSERT_TRUE(Rec);
-  EXPECT_EQ(Rec->Mode, "barrier");
+  EXPECT_EQ(Rec->CanaryMask, UINT64_MAX) << "a single worker is ungated";
   EXPECT_EQ(Rec->Verdict, "promoted");
   Expected<FetchResult> R = httpGet(Pool.port(), "/doc.html");
   ASSERT_TRUE(R);
   EXPECT_EQ(R->Status, 200);
+  EXPECT_EQ(Pool.barrierRounds(), 0u);
   Pool.stop();
 }
 
@@ -474,7 +561,6 @@ TEST(RolloutStallGateTest, HealthyCanaryDoesNotHideAWedgedOne) {
 
   Expected<RolloutRecord> Rec = Rollouts.rollout(*Id);
   ASSERT_TRUE(Rec);
-  EXPECT_EQ(Rec->Mode, "canary");
   EXPECT_EQ(Rec->CanaryMask, 0x3u);
   EXPECT_EQ(Rec->Verdict, "rolled-back");
   EXPECT_NE(Rec->Reason.find("stall gate"), std::string::npos)
