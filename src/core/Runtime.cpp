@@ -782,9 +782,8 @@ Error Runtime::applyNow(Patch P) {
   return U->commit();
 }
 
-Error Runtime::rollbackUpdateables(
-    const std::vector<std::string> &Names,
-    const std::vector<RollEntry *> &ResolveGates) {
+Error Runtime::rollback(const std::vector<std::string> &Names,
+                        const std::vector<RollEntry *> *RolloutGates) {
   std::lock_guard<std::mutex> G(CommitLock);
   if (ActivationTracker::currentDepth() != 0)
     return Error::make(
@@ -793,10 +792,18 @@ Error Runtime::rollbackUpdateables(
         "violated (%u updateable frame(s) active on this thread); retry "
         "at a quiescent update point",
         Names.size(), ActivationTracker::currentDepth());
+  // The latch rises before the canary commit takes CommitLock, so under
+  // the lock an operator rollback either sees it or lands before the
+  // canary binding exists.
+  if (!RolloutGates && RolloutActive.load(std::memory_order_acquire))
+    return Error::make(ErrorCode::EC_Busy,
+                       "rollback refused: a canary rollout is observing "
+                       "and its verdict reverts what it committed; retry "
+                       "after it resolves");
   struct Publish {
     std::vector<RollEntry *> Swings;
     const std::vector<RollEntry *> *Gates;
-  } P{{}, &ResolveGates};
+  } P{{}, RolloutGates};
   Error First = Error::success();
   for (const std::string &Name : Names) {
     Expected<RollEntry *> R = Updateables.rollback(Name);
@@ -816,8 +823,9 @@ Error Runtime::rollbackUpdateables(
         auto *C = static_cast<Publish *>(Raw);
         for (RollEntry *R : C->Swings)
           R->Epoch.store(E, std::memory_order_release);
-        for (RollEntry *R : *C->Gates)
-          R->PromoteEpoch.store(E, std::memory_order_release);
+        if (C->Gates)
+          for (RollEntry *R : *C->Gates)
+            R->PromoteEpoch.store(E, std::memory_order_release);
       },
       &P);
   // A rollback is itself an update: it may revert a slot's recorded

@@ -254,20 +254,23 @@ public:
     return rollbackUpdateables({Name});
   }
 
-  /// The one rollback entry: reverts each updateable in \p Names to its
+  /// The operator's rollback: reverts each updateable in \p Names to its
   /// previous implementation as one rolling swing, so no worker parks
-  /// and none waits on the code being removed.  The swings, and the
-  /// resolution of each canary-gated entry in \p ResolveGates, publish
-  /// in one epoch advance: a reader pinned before it keeps the code
+  /// and none waits on the code being removed.  The swings publish in
+  /// one epoch advance: a reader pinned before it keeps the code
   /// generation it started with, a reader pinned at or after it runs the
   /// restored code on every slot.  A name that cannot roll back (EC_Link
   /// for an unknown name; EC_Invalid with no prior version, or past a
   /// state-migrating commit — see UpdateableRegistry::rollback) is
   /// skipped, the rest still revert, and the first error is returned.
   /// Refused with EC_Busy while updateable code is active on this
-  /// thread, like any update.
-  Error rollbackUpdateables(const std::vector<std::string> &Names,
-                            const std::vector<RollEntry *> &ResolveGates = {});
+  /// thread, like any update, and while a canary rollout observes
+  /// (rolloutActive()): the rollout's own verdict reverts the history it
+  /// committed, and an earlier swing would make that revert restore the
+  /// canary binding.
+  Error rollbackUpdateables(const std::vector<std::string> &Names) {
+    return rollback(Names, nullptr);
+  }
 
   /// Staging watchdog: a transaction whose verify/link/state-build
   /// pipeline (including its wait in the staging backlog) exceeds this
@@ -337,6 +340,13 @@ private:
   void annotateRollout(const std::shared_ptr<UpdateTransaction> &Tx,
                        const std::string &Verdict,
                        const std::string &Reason);
+
+  /// The one rollback body (see rollbackUpdateables()).  \p RolloutGates
+  /// is null for an operator rollback.  The RolloutController's revert
+  /// passes its canary-gated entries instead, and their gates resolve in
+  /// the same epoch advance as the swings.
+  Error rollback(const std::vector<std::string> &Names,
+                 const std::vector<RollEntry *> *RolloutGates);
 
   /// Rollout latch (see rolloutActive()).
   void setRolloutActive(bool Active) {

@@ -17,8 +17,6 @@
 #include "vtal/native/NativeImage.h"
 #endif
 
-#include <mutex>
-
 using namespace dsu;
 
 namespace {
@@ -59,41 +57,34 @@ Expected<VersionBump> parseBump(const ManifestTransformer &X) {
   return VersionBump{std::move(*From), std::move(*To)};
 }
 
-/// A VTAL module plus the interpreters executing it; shared into every
-/// binding the patch creates so the code outlives the Patch value.
+/// A VTAL module plus the one interpreter executing it; shared into
+/// every binding the patch creates so the code outlives the Patch value.
 ///
-/// One interpreter instance is NOT reentrant (its frame stack and value
-/// arena are reused across calls — the PR 1 allocation-free design), and
-/// with the multi-core reactor pool the same updateable binding runs on
-/// N workers concurrently.  call() therefore checks an interpreter out
-/// of a free pool per invocation — each concurrent caller gets a
-/// private frame arena, steady state recycles instances, and the lock
-/// covers only the pool pop/push, never execution.
+/// The interpreter is set up while the patch loads (imports bound,
+/// profile and native image attached) and immutable afterwards.  Its
+/// execution state is per thread (vtal/Interp.h), so every reactor
+/// worker, the staging worker running a transformer and any other
+/// caller call it directly and at once.
 struct VtalInstance {
-  vtal::Module Mod;
-  /// Import resolution captured at load time, replayed onto every
-  /// pooled interpreter.
-  std::vector<std::pair<std::string, vtal::HostFn>> Imports;
-  /// Load-time instance: single-threaded use (functionIndex queries,
-  /// import type checks) while the patch is being constructed; retired
-  /// into the pool once loading completes.
-  std::unique_ptr<vtal::Interpreter> Interp;
+  explicit VtalInstance(vtal::Module M) : Mod(std::move(M)), Interp(Mod) {}
 
-  /// Hot-function profile for this module version, shared by every
-  /// pooled interpreter and registered with the global ProfileRegistry
-  /// (GET /admin/profile, dsu_vtal_*_total metrics).
+  vtal::Module Mod;
+  vtal::Interpreter Interp;
+
+  /// Hot-function profile for this module version, registered with the
+  /// global ProfileRegistry (GET /admin/profile, dsu_vtal_*_total
+  /// metrics).
   std::shared_ptr<trace::ModuleProfile> Prof;
 
 #ifndef DSU_VTAL_NO_NATIVE
   /// The native image, compiled once at load from every representable
-  /// function (null when none is) and never replaced: each interpreter
-  /// gets it when it is created.
+  /// function (null when none is) and never replaced.
   std::shared_ptr<const vtal::native::NativeImage> Img;
 
-  /// Compiles the load-time interpreter's resolved form into Img.
+  /// Compiles the interpreter's resolved form into Img and attaches it.
   void compileNative() {
     using vtal::native::NativeImage;
-    const vtal::ResolvedModule &RM = Interp->resolved();
+    const vtal::ResolvedModule &RM = Interp.resolved();
     Expected<std::shared_ptr<const NativeImage>> NewImg =
         NativeImage::compile(RM);
     if (!NewImg) {
@@ -107,43 +98,9 @@ struct VtalInstance {
     for (size_t F = 0; F != RM.Functions.size(); ++F)
       if (Img->compiled(static_cast<uint32_t>(F)))
         Prof->fn(F).Tier.store(1, std::memory_order_relaxed);
-    Interp->setNativeImage(Img);
+    Interp.setNativeImage(Img);
   }
 #endif
-
-  std::mutex PoolMu;
-  std::vector<std::unique_ptr<vtal::Interpreter>> Pool;
-
-  Expected<vtal::Value> call(uint32_t FnIdx,
-                             const std::vector<vtal::Value> &Args) {
-    std::unique_ptr<vtal::Interpreter> I;
-    {
-      std::lock_guard<std::mutex> G(PoolMu);
-      if (!Pool.empty()) {
-        I = std::move(Pool.back());
-        Pool.pop_back();
-      }
-    }
-    if (!I) {
-      // Pool ran dry (first call on this concurrency level): link a
-      // fresh instance.  The module already linked and type-checked at
-      // load, so this is deterministic setup, not re-verification.
-      I = std::make_unique<vtal::Interpreter>(Mod);
-      I->setProfile(Prof.get());
-#ifndef DSU_VTAL_NO_NATIVE
-      I->setNativeImage(Img);
-#endif
-      for (const auto &[Name, Fn] : Imports)
-        if (Error E = I->bindImport(Name, Fn))
-          return std::move(E);
-    }
-    Expected<vtal::Value> R = I->callIndex(FnIdx, Args);
-    {
-      std::lock_guard<std::mutex> G(PoolMu);
-      Pool.push_back(std::move(I));
-    }
-    return R;
-  }
 };
 
 } // namespace
@@ -246,9 +203,7 @@ Expected<Patch> dsu::loadVtalPatch(TypeContext &Ctx, const SymbolTable &Syms,
   if (!Mod)
     return Mod.takeError().withContext(SourcePath);
 
-  auto Inst = std::make_shared<VtalInstance>();
-  Inst->Mod = std::move(*Mod);
-  Inst->Interp = std::make_unique<vtal::Interpreter>(Inst->Mod);
+  auto Inst = std::make_shared<VtalInstance>(std::move(*Mod));
   P.VtalMod = std::shared_ptr<vtal::Module>(Inst, &Inst->Mod);
 
   // Wire the module's imports to the program's typed exports.  The
@@ -266,9 +221,8 @@ Expected<Patch> dsu::loadVtalPatch(TypeContext &Ctx, const SymbolTable &Syms,
                          "%s: import '%s' wants '%s' but export has '%s'",
                          SourcePath.c_str(), Imp.Name.c_str(),
                          WantTy->str().c_str(), Def->Ty->str().c_str());
-    if (Error E = Inst->Interp->bindImport(Imp.Name, Def->Host))
+    if (Error E = Inst->Interp.bindImport(Imp.Name, Def->Host))
       return E;
-    Inst->Imports.emplace_back(Imp.Name, Def->Host);
     // Record for the linker's typed re-check at prepare time.
     P.Unit.Imports.push_back(ImportRequest{Imp.Name, WantTy});
   }
@@ -281,7 +235,7 @@ Expected<Patch> dsu::loadVtalPatch(TypeContext &Ctx, const SymbolTable &Syms,
       return Error::make(ErrorCode::EC_Link,
                          "%s: provide '%s' names no vtal-fn",
                          SourcePath.c_str(), Prov.Name.c_str());
-    Expected<uint32_t> FnIdx = Inst->Interp->functionIndex(Prov.VtalFn);
+    Expected<uint32_t> FnIdx = Inst->Interp.functionIndex(Prov.VtalFn);
     if (!FnIdx)
       return Error::make(ErrorCode::EC_Link,
                          "%s: vtal-fn '%s' not found in module",
@@ -302,7 +256,7 @@ Expected<Patch> dsu::loadVtalPatch(TypeContext &Ctx, const SymbolTable &Syms,
     // straight to the function index.
     vtal::HostFn Impl =
         [Inst, Idx = *FnIdx](const std::vector<vtal::Value> &Args) {
-          return Inst->call(Idx, Args);
+          return Inst->Interp.callIndex(Idx, Args);
         };
     // Note: the binding's KeepAlive is the closure box created by the
     // bridge; the interpreter instance stays alive because the closure
@@ -320,7 +274,7 @@ Expected<Patch> dsu::loadVtalPatch(TypeContext &Ctx, const SymbolTable &Syms,
     Expected<VersionBump> Bump = parseBump(X);
     if (!Bump)
       return Bump.takeError().withContext(SourcePath);
-    Expected<uint32_t> XfIdx = Inst->Interp->functionIndex(X.Impl);
+    Expected<uint32_t> XfIdx = Inst->Interp.functionIndex(X.Impl);
     if (!XfIdx)
       return Error::make(ErrorCode::EC_Link,
                          "%s: transformer impl '%s' not found in module",
@@ -350,7 +304,7 @@ Expected<Patch> dsu::loadVtalPatch(TypeContext &Ctx, const SymbolTable &Syms,
       else
         Args.push_back(
             vtal::Value::makeStr(*static_cast<std::string *>(Old.get())));
-      Expected<vtal::Value> Res = Inst->call(XfIdx, Args);
+      Expected<vtal::Value> Res = Inst->Interp.callIndex(XfIdx, Args);
       if (!Res)
         return Res.takeError().withContext("VTAL transformer on cell '" +
                                            Cell.name() + "'");
@@ -365,9 +319,7 @@ Expected<Patch> dsu::loadVtalPatch(TypeContext &Ctx, const SymbolTable &Syms,
   }
 
   // Loading is done: attach the hot-function profile (per module
-  // version — the registry keys rankings by patch id) and retire the
-  // load-time interpreter into the call pool so the first invocation
-  // reuses it instead of linking anew.
+  // version — the registry keys rankings by patch id).
   {
     std::vector<std::string> FnNames;
     FnNames.reserve(Inst->Mod.Functions.size());
@@ -375,13 +327,12 @@ Expected<Patch> dsu::loadVtalPatch(TypeContext &Ctx, const SymbolTable &Syms,
       FnNames.push_back(Fn.Name);
     Inst->Prof = trace::ProfileRegistry::instance().create(
         P.Id, Inst->Mod.Name, std::move(FnNames));
-    Inst->Interp->setProfile(Inst->Prof.get());
+    Inst->Interp.setProfile(Inst->Prof.get());
   }
 #ifndef DSU_VTAL_NO_NATIVE
   // Native tier: compile every representable function now.  The image
-  // attaches behind the same pooled-interpreter indirection the bindings
-  // already go through, so rolling updates, canaries and graced roll
-  // chains see no new mechanism.
+  // attaches to the interpreter the bindings already call, so rolling
+  // updates, canaries and graced roll chains see no new mechanism.
   Inst->compileNative();
   if (Inst->Img) {
     // Link-layer visibility: each provide whose entry function compiled
@@ -398,7 +349,6 @@ Expected<Patch> dsu::loadVtalPatch(TypeContext &Ctx, const SymbolTable &Syms,
 #else
   (void)ProvideFns;
 #endif
-  Inst->Pool.push_back(std::move(Inst->Interp));
 
   P.CodeBytes = ManifestText.size() + vtal::encodeModule(Inst->Mod).size();
   DSU_LOG_INFO("loaded VTAL patch '%s' (%zu provides, %zu instructions)",

@@ -418,12 +418,12 @@ void RolloutController::runOne(std::shared_ptr<UpdateTransaction> Tx,
   }
 
   // Roll back: one rolling swing that also resolves the gates, in one
-  // epoch advance (Runtime::rollbackUpdateables).  No worker parks; the
+  // epoch advance (Runtime::rollback).  No worker parks; the
   // canary's in-flight request finishes on the bad code, every request
   // after its worker's next quiescent point runs the old code, and a
   // control worker never runs the bad binding.
   trace::Span RevertSp("rollout", "revert", ReplacedNames.size());
-  Error RevertErr = RT.rollbackUpdateables(ReplacedNames, Gated);
+  Error RevertErr = RT.rollback(ReplacedNames, &Gated);
   double RevertMs = RevertSp.finish() / 1e6;
 
   std::string Reason = TripReason;

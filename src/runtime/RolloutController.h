@@ -25,7 +25,7 @@
 ///    quiescent points — still no barrier;
 ///  - rollback is one rolling swing back to each replaced slot's
 ///    previous binding, published in the same epoch advance that
-///    resolves the gates (Runtime::rollbackUpdateables): no worker
+///    resolves the gates (Runtime::rollback): no worker
 ///    parks, the canary's in-flight request finishes on the code it
 ///    started with, and no control worker ever runs the bad binding.
 ///
@@ -37,8 +37,9 @@
 /// commits ungated and is judged on absolute rates.
 ///
 /// While a rollout is in flight the runtime-wide rollout latch freezes
-/// the ordinary commit pipeline (Runtime::rolloutActive()): a stacked
-/// commit during observation would corrupt the one-version-deep history
+/// the ordinary commit pipeline (Runtime::rolloutActive()) and refuses
+/// an operator rollback with EC_Busy: a stacked commit or a rollback
+/// swing during observation would corrupt the one-version-deep history
 /// auto-rollback depends on.
 ///
 //===----------------------------------------------------------------------===//

@@ -62,14 +62,6 @@ StagedUpdate UpdateController::stageArtifactText(std::string Text,
   return submit(std::move(J));
 }
 
-StagedUpdate UpdateController::stageArtifactFile(std::string Path) {
-  Job J;
-  J.Tx = RT.makeTransaction("(loading " + Path + ")");
-  J.Kind = Job::File;
-  J.Artifact = std::move(Path);
-  return submit(std::move(J));
-}
-
 void UpdateController::setOnStaged(std::function<void()> Fn) {
   std::lock_guard<std::mutex> G(Lock);
   OnStaged = std::move(Fn);
@@ -136,8 +128,8 @@ void UpdateController::workerMain() {
       continue;
     }
 
-    // Resolve the artifact into a Patch (parse + assemble for text,
-    // dlopen for native files) — all off the serving thread.
+    // Resolve the artifact text into a Patch (parse + assemble) — off
+    // the serving thread.
     trace::Span LoadSp("stage", "artifact.load");
     Error LoadErr;
     switch (J.Kind) {
@@ -147,15 +139,6 @@ void UpdateController::workerMain() {
     case Job::Text: {
       Expected<Patch> P = loadVtalPatch(RT.types(), RT.exports(),
                                         J.Artifact, J.SourceName);
-      if (P)
-        J.Tx->P = std::move(*P);
-      else
-        LoadErr = P.takeError();
-      break;
-    }
-    case Job::File: {
-      Expected<Patch> P =
-          loadPatchFile(RT.types(), RT.exports(), J.Artifact);
       if (P)
         J.Tx->P = std::move(*P);
       else
@@ -205,8 +188,8 @@ void UpdateController::workerMain() {
     // is observable (and attempt-counted) at the next boot.  The same
     // call refuses artifacts whose hash tripped the crash-loop
     // quarantine; a journal append failure also refuses the update
-    // rather than applying it unpersisted.  In-memory Patch values and
-    // file paths are not journaled (documented in DESIGN.md §14).
+    // rather than applying it unpersisted.  In-memory Patch values are
+    // not journaled (documented in DESIGN.md §14).
     if (!LoadErr && J.Kind == Job::Text) {
       if (persist::UpdateJournal *Journal = RT.journal()) {
         // The artifact parsed, so the patch's own id is known — record

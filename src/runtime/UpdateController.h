@@ -50,9 +50,6 @@ public:
   StagedUpdate stageArtifactText(std::string Text, std::string SourceName,
                                  bool HoldForRollout = false);
 
-  /// Submits a patch artifact by path (.so native or .dsup VTAL).
-  StagedUpdate stageArtifactFile(std::string Path);
-
   /// Installs a notification fired (on the worker thread) every time a
   /// submitted job finishes staging — i.e. whenever a transaction may
   /// have become ready to commit.  The multi-core serving plane uses it
@@ -70,9 +67,9 @@ public:
 private:
   struct Job {
     std::shared_ptr<UpdateTransaction> Tx;
-    enum { InMemory, Text, File } Kind = InMemory;
+    enum { InMemory, Text } Kind = InMemory;
     Patch P;
-    std::string Artifact; ///< text or path
+    std::string Artifact; ///< patch text
     std::string SourceName;
   };
 

@@ -53,7 +53,7 @@ std::vector<HotFn> ProfileRegistry::ranking(size_t K) const {
         R.Fn = P->fnName(I);
         R.SelfFuel = F.SelfFuel.load(std::memory_order_relaxed);
         R.Traps = F.Traps.load(std::memory_order_relaxed);
-        R.SampledUs = F.SampledUs.load(std::memory_order_relaxed);
+        R.SampledNs = F.SampledNs.load(std::memory_order_relaxed);
         R.Samples = F.Samples.load(std::memory_order_relaxed);
         R.Tier = F.Tier.load(std::memory_order_relaxed);
         Rows.push_back(std::move(R));
@@ -100,9 +100,10 @@ std::string dsu::trace::profileJson(size_t K) {
     W.key("self_fuel").value(R.SelfFuel);
     W.key("avg_fuel").value(R.Calls ? R.SelfFuel / R.Calls : 0);
     W.key("traps").value(R.Traps);
-    W.key("sampled_us").value(R.SampledUs);
+    W.key("sampled_us").value(R.SampledNs / 1e3, 3);
     W.key("samples").value(R.Samples);
-    W.key("avg_sample_us").value(R.Samples ? R.SampledUs / R.Samples : 0);
+    W.key("avg_sample_us")
+        .value(R.Samples ? R.SampledNs / 1e3 / R.Samples : 0.0, 3);
     W.endObject();
   }
   W.endArray().endObject();

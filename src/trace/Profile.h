@@ -4,12 +4,12 @@
 /// Per-function execution counters for VTAL code: call count, cumulative
 /// *self* fuel (the interpreter's deterministic cost unit, attributed to
 /// the function actually burning it, not its callees), trap count, and
-/// sampled activation wall time.  The interpreter bumps relaxed atomics
-/// at call boundaries only — the per-instruction dispatch loop is
-/// untouched.
+/// sampled activation wall time in ns.  The interpreter bumps relaxed
+/// atomics at call boundaries only — the per-instruction dispatch loop
+/// is untouched.
 ///
 /// One ModuleProfile is created per loaded VTAL patch instance and
-/// shared by every pooled interpreter executing that module; a global
+/// attached to the one interpreter executing that module; a global
 /// ProfileRegistry aggregates them for the `/admin/profile` hot-function
 /// ranking and the `dsu_vtal_{calls,fuel,traps}_total` metrics.  Each
 /// row's tier column says whether the native tier compiled the function
@@ -36,7 +36,7 @@ struct FnProfile {
   std::atomic<uint64_t> Calls{0};     ///< activations (entry + CallFn)
   std::atomic<uint64_t> SelfFuel{0};  ///< fuel burned in this function
   std::atomic<uint64_t> Traps{0};     ///< activations that trapped
-  std::atomic<uint64_t> SampledUs{0}; ///< wall time of sampled activations
+  std::atomic<uint64_t> SampledNs{0}; ///< wall time of sampled activations
   std::atomic<uint64_t> Samples{0};   ///< how many activations were timed
 
   /// Execution tier: 0 = interpreted, 1 = native (vtal/native/).  Set by
@@ -48,7 +48,7 @@ struct FnProfile {
     Calls.store(0, std::memory_order_relaxed);
     SelfFuel.store(0, std::memory_order_relaxed);
     Traps.store(0, std::memory_order_relaxed);
-    SampledUs.store(0, std::memory_order_relaxed);
+    SampledNs.store(0, std::memory_order_relaxed);
     Samples.store(0, std::memory_order_relaxed);
   }
 };
@@ -59,8 +59,8 @@ struct FnProfile {
 /// is one array index.
 class ModuleProfile {
 public:
-  /// Time every 64th activation of a function (cheap steady_clock
-  /// sampling; the ranking needs a wall-time *estimate*, not a census).
+  /// Time every 64th activation of a function (two recorder clock
+  /// reads; the ranking needs a wall-time *estimate*, not a census).
   static constexpr uint64_t SampleEvery = 64;
 
   ModuleProfile(std::string PatchId, std::string ModuleName,
@@ -97,7 +97,7 @@ struct HotFn {
   uint64_t Calls = 0;
   uint64_t SelfFuel = 0;
   uint64_t Traps = 0;
-  uint64_t SampledUs = 0;
+  uint64_t SampledNs = 0;
   uint64_t Samples = 0;
   uint8_t Tier = 0; ///< 0 = interpreted, 1 = native
 };

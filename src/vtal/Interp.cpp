@@ -4,18 +4,82 @@
 
 #include "support/StringUtil.h"
 #include "trace/Profile.h"
+#include "trace/Trace.h"
 #include "vtal/native/RawValue.h"
 #ifndef DSU_VTAL_NO_NATIVE
 #include "vtal/native/NativeImage.h"
 #endif
 
-#include <chrono>
+#include <deque>
 
 using namespace dsu;
 using namespace dsu::vtal;
 
 namespace {
 constexpr unsigned MaxCallDepth = 256;
+
+/// One activation record.  Locals live in the arena at
+/// [Base, Base + NumLocals); the frame's operand stack is the arena
+/// region above them, up to the next frame's Base (or the arena top for
+/// the innermost frame).
+struct Frame {
+  uint32_t FnIndex;
+  uint32_t PC;
+  uint32_t Base;
+};
+
+/// The calling thread's execution state, shared by every interpreter
+/// the thread runs.  Capacity persists across calls, so steady-state
+/// execution performs no heap allocation.  A re-entrant activation (a
+/// host function calling back into this or another interpreter) stacks
+/// its frames and values above the outer one's.
+struct ExecScratch {
+  std::vector<Frame> Frames;
+  std::vector<Value> Arena;
+
+  /// Per-nesting-level argument buffers for host calls (deque: growing
+  /// it never moves a level that an active host call still references).
+  std::deque<std::vector<Value>> HostArgsPool;
+  unsigned HostDepth = 0;
+
+  uint64_t LastFuelUsed = 0;
+
+  /// Checks out the argument buffer of the next host-call level.
+  std::vector<Value> &pushHostArgs(size_t NumArgs) {
+    if (HostDepth == HostArgsPool.size())
+      HostArgsPool.emplace_back();
+    std::vector<Value> &Args = HostArgsPool[HostDepth++];
+    Args.resize(NumArgs);
+    return Args;
+  }
+  void popHostArgs() { HostArgsPool[--HostDepth].clear(); }
+};
+
+thread_local ExecScratch Scratch;
+
+/// Zero-initializes locals [From, NumLocals) of \p RF on the arena top.
+void pushZeroLocals(std::vector<Value> &Arena, const ResolvedFunction &RF,
+                    uint32_t From) {
+  for (uint32_t L = From; L != RF.NumLocals; ++L) {
+    switch (RF.LocalKinds[L]) {
+    case ValKind::VK_Int:
+      Arena.push_back(Value::makeInt(0));
+      break;
+    case ValKind::VK_Float:
+      Arena.push_back(Value::makeFloat(0.0));
+      break;
+    case ValKind::VK_Bool:
+      Arena.push_back(Value::makeBool(false));
+      break;
+    case ValKind::VK_Str:
+      Arena.push_back(Value::emptyStr());
+      break;
+    case ValKind::VK_Unit:
+      Arena.push_back(Value());
+      break;
+    }
+  }
+}
 } // namespace
 
 Interpreter::Interpreter(const Module &M, uint64_t Fuel)
@@ -52,7 +116,7 @@ Interpreter::functionIndex(const std::string &FnName) const {
 }
 
 Expected<Value> Interpreter::call(const std::string &FnName,
-                                  const std::vector<Value> &Args) {
+                                  const std::vector<Value> &Args) const {
   uint32_t Idx = M.functionIndex(FnName);
   if (Idx == UINT32_MAX)
     return Error::make(ErrorCode::EC_Invalid, "no function '%s' in '%s'",
@@ -61,7 +125,7 @@ Expected<Value> Interpreter::call(const std::string &FnName,
 }
 
 Expected<Value> Interpreter::callIndex(uint32_t FnIndex,
-                                       const std::vector<Value> &Args) {
+                                       const std::vector<Value> &Args) const {
   if (FnIndex >= M.Functions.size())
     return Error::make(ErrorCode::EC_Invalid,
                        "function index %u out of range in '%s'", FnIndex,
@@ -80,15 +144,14 @@ Expected<Value> Interpreter::callIndex(uint32_t FnIndex,
   if (LinkErr)
     return LinkErr;
 
-  // Sampled activation wall time: every SampleEvery-th entry into a
-  // function through this public boundary is timed (nested CallFn
-  // activations are not — the fuel counters carry the self-cost split).
+  // Sampled activation wall time, in ns on the recorder's timebase:
+  // every SampleEvery-th entry into a function through this public
+  // boundary is timed (nested CallFn activations are not — the fuel
+  // counters carry the self-cost split).
   const bool Sampled =
       Prof && (Prof->fn(FnIndex).Calls.load(std::memory_order_relaxed) %
                trace::ModuleProfile::SampleEvery) == 0;
-  std::chrono::steady_clock::time_point SampleT0;
-  if (Sampled)
-    SampleT0 = std::chrono::steady_clock::now();
+  const uint64_t SampleT0 = Sampled ? trace::Recorder::instance().nowNs() : 0;
 
   uint64_t Fuel = FuelLimit;
 #ifndef DSU_VTAL_NO_NATIVE
@@ -102,57 +165,35 @@ Expected<Value> Interpreter::callIndex(uint32_t FnIndex,
 #else
   Expected<Value> Result = run(FnIndex, Args, Fuel);
 #endif
-  LastFuelUsed = FuelLimit - Fuel;
+  Scratch.LastFuelUsed = FuelLimit - Fuel;
 
   if (Prof) {
     trace::FnProfile &FP = Prof->fn(FnIndex);
     if (!Result)
       FP.Traps.fetch_add(1, std::memory_order_relaxed);
     if (Sampled) {
-      uint64_t Us = static_cast<uint64_t>(
-          std::chrono::duration_cast<std::chrono::microseconds>(
-              std::chrono::steady_clock::now() - SampleT0)
-              .count());
-      FP.SampledUs.fetch_add(Us, std::memory_order_relaxed);
+      FP.SampledNs.fetch_add(trace::Recorder::instance().nowNs() - SampleT0,
+                             std::memory_order_relaxed);
       FP.Samples.fetch_add(1, std::memory_order_relaxed);
     }
   }
   return Result;
 }
 
-void Interpreter::pushZeroLocals(const ResolvedFunction &RF, uint32_t From) {
-  for (uint32_t L = From; L != RF.NumLocals; ++L) {
-    switch (RF.LocalKinds[L]) {
-    case ValKind::VK_Int:
-      Arena.push_back(Value::makeInt(0));
-      break;
-    case ValKind::VK_Float:
-      Arena.push_back(Value::makeFloat(0.0));
-      break;
-    case ValKind::VK_Bool:
-      Arena.push_back(Value::makeBool(false));
-      break;
-    case ValKind::VK_Str:
-      Arena.push_back(Value::emptyStr());
-      break;
-    case ValKind::VK_Unit:
-      Arena.push_back(Value());
-      break;
-    }
-  }
-}
+uint64_t Interpreter::lastFuelUsed() const { return Scratch.LastFuelUsed; }
 
 Expected<Value> Interpreter::run(uint32_t FnIndex,
                                  const std::vector<Value> &Args,
-                                 uint64_t &Fuel) {
+                                 uint64_t &Fuel) const {
   // Entry frame: arguments become locals [0, N); the remaining locals are
   // zero-initialized at their declared kind.
   const ResolvedFunction &RF = RM.Functions[FnIndex];
-  uint32_t Base = static_cast<uint32_t>(Arena.size());
-  Frames.push_back(Frame{FnIndex, 0, Base});
+  ExecScratch &S = Scratch;
+  uint32_t Base = static_cast<uint32_t>(S.Arena.size());
+  S.Frames.push_back(Frame{FnIndex, 0, Base});
   for (const Value &A : Args)
-    Arena.push_back(A);
-  pushZeroLocals(RF, static_cast<uint32_t>(Args.size()));
+    S.Arena.push_back(A);
+  pushZeroLocals(S.Arena, RF, static_cast<uint32_t>(Args.size()));
   return exec(Fuel, /*DepthBias=*/0, /*CountEntry=*/true);
 }
 
@@ -160,7 +201,7 @@ Expected<Value> Interpreter::resumeAt(uint32_t FnIndex, uint32_t PC,
                                       const uint64_t *FrameSlots,
                                       const ValKind *StackKinds,
                                       uint32_t StackDepth, uint64_t &Fuel,
-                                      uint32_t DepthBias) {
+                                      uint32_t DepthBias) const {
   if (LinkErr)
     return LinkErr;
   if (FnIndex >= RM.Functions.size())
@@ -177,19 +218,20 @@ Expected<Value> Interpreter::resumeAt(uint32_t FnIndex, uint32_t PC,
   // would have.  The dispatch loop takes over at PC with the same fuel —
   // re-execution from here is indistinguishable from never having run
   // natively at all (DESIGN.md §17's parity argument).
-  uint32_t Base = static_cast<uint32_t>(Arena.size());
-  Frames.push_back(Frame{FnIndex, PC, Base});
+  ExecScratch &S = Scratch;
+  uint32_t Base = static_cast<uint32_t>(S.Arena.size());
+  S.Frames.push_back(Frame{FnIndex, PC, Base});
   for (uint32_t L = 0; L != RF.NumLocals; ++L)
-    Arena.push_back(native::rawToValue(RF.LocalKinds[L], FrameSlots[L]));
-  for (uint32_t S = 0; S != StackDepth; ++S)
-    Arena.push_back(
-        native::rawToValue(StackKinds[S], FrameSlots[RF.NumLocals + S]));
+    S.Arena.push_back(native::rawToValue(RF.LocalKinds[L], FrameSlots[L]));
+  for (uint32_t K = 0; K != StackDepth; ++K)
+    S.Arena.push_back(
+        native::rawToValue(StackKinds[K], FrameSlots[RF.NumLocals + K]));
   return exec(Fuel, DepthBias, /*CountEntry=*/false);
 }
 
 Expected<Value> Interpreter::callRaw(uint32_t FnIndex,
                                      const uint64_t *RawArgs, uint64_t &Fuel,
-                                     uint32_t DepthBias) {
+                                     uint32_t DepthBias) const {
   if (LinkErr)
     return LinkErr;
   if (FnIndex >= RM.Functions.size())
@@ -197,32 +239,29 @@ Expected<Value> Interpreter::callRaw(uint32_t FnIndex,
                        "bridge call: function index %u out of range in '%s'",
                        FnIndex, M.Name.c_str());
   const ResolvedFunction &RF = RM.Functions[FnIndex];
-  uint32_t Base = static_cast<uint32_t>(Arena.size());
-  Frames.push_back(Frame{FnIndex, 0, Base});
+  ExecScratch &S = Scratch;
+  uint32_t Base = static_cast<uint32_t>(S.Arena.size());
+  S.Frames.push_back(Frame{FnIndex, 0, Base});
   for (uint32_t A = 0; A != RF.NumParams; ++A)
-    Arena.push_back(native::rawToValue(RF.LocalKinds[A], RawArgs[A]));
-  pushZeroLocals(RF, RF.NumParams);
+    S.Arena.push_back(native::rawToValue(RF.LocalKinds[A], RawArgs[A]));
+  pushZeroLocals(S.Arena, RF, RF.NumParams);
   return exec(Fuel, DepthBias, /*CountEntry=*/true);
 }
 
 Error Interpreter::callHostRaw(uint32_t Ordinal, const uint64_t *RawArgs,
-                               uint64_t &RawResult) {
+                               uint64_t &RawResult) const {
   const Import &Imp = M.Imports[Ordinal];
   const HostFn &Host = Imports[Ordinal];
   if (!Host)
     return Error::make(ErrorCode::EC_Link, "import '%s' was never bound",
                        Imp.Name.c_str());
   size_t NumArgs = Imp.Sig.Params.size();
-  if (HostDepth == HostArgsPool.size())
-    HostArgsPool.emplace_back();
-  std::vector<Value> &CallArgs = HostArgsPool[HostDepth];
-  ++HostDepth;
-  CallArgs.resize(NumArgs);
+  ExecScratch &S = Scratch;
+  std::vector<Value> &CallArgs = S.pushHostArgs(NumArgs);
   for (size_t A = 0; A != NumArgs; ++A)
     CallArgs[A] = native::rawToValue(Imp.Sig.Params[A], RawArgs[A]);
   Expected<Value> Result = Host(CallArgs);
-  CallArgs.clear();
-  --HostDepth;
+  S.popHostArgs();
   if (Result && Result->kind() != Imp.Sig.Result)
     return Error::make(ErrorCode::EC_Link,
                        "host import '%s' returned %s, expected %s",
@@ -234,36 +273,26 @@ Error Interpreter::callHostRaw(uint32_t Ordinal, const uint64_t *RawArgs,
   return Error::success();
 }
 
-namespace {
-
-/// Restores the shared execution state on every exit path, so errors and
-/// re-entrant activations cannot leak frames or values.
-class ActivationGuard {
-public:
-  ActivationGuard(std::vector<Value> &Arena, size_t ArenaBase)
-      : Arena(Arena), ArenaBase(ArenaBase) {}
-  ~ActivationGuard() { Arena.resize(ArenaBase); }
-
-private:
-  std::vector<Value> &Arena;
-  size_t ArenaBase;
-};
-
-} // namespace
-
 Expected<Value> Interpreter::exec(uint64_t &Fuel, uint32_t DepthBias,
-                                  bool CountEntry) {
+                                  bool CountEntry) const {
   // The caller pushed exactly one frame (plus its locals and any resumed
-  // operand stack); this activation owns everything above it.
+  // operand stack); this activation owns everything above it, and
+  // restores both vectors on every exit path, so errors and re-entrant
+  // activations cannot leak frames or values.
+  ExecScratch &S = Scratch;
+  std::vector<Frame> &Frames = S.Frames;
+  std::vector<Value> &Arena = S.Arena;
   const size_t FrameBase = Frames.size() - 1;
   const size_t ArenaBase = Frames.back().Base;
-  ActivationGuard ArenaG(Arena, ArenaBase);
-
-  struct FramesGuard {
+  struct ActivationGuard {
     std::vector<Frame> &Frames;
-    size_t FrameBase;
-    ~FramesGuard() { Frames.resize(FrameBase); }
-  } FramesG{Frames, FrameBase};
+    std::vector<Value> &Arena;
+    size_t FrameBase, ArenaBase;
+    ~ActivationGuard() {
+      Frames.resize(FrameBase);
+      Arena.resize(ArenaBase);
+    }
+  } ActG{Frames, Arena, FrameBase, ArenaBase};
 
   const ResolvedFunction *const Fns = RM.Functions.data();
 
@@ -294,7 +323,7 @@ Expected<Value> Interpreter::exec(uint64_t &Fuel, uint32_t DepthBias,
   if (P && CountEntry)
     P->fn(FnIndex).Calls.fetch_add(1, std::memory_order_relaxed);
 
-  auto popV = [this]() {
+  auto popV = [&Arena]() {
     Value V = std::move(Arena.back());
     Arena.pop_back();
     return V;
@@ -534,7 +563,7 @@ Expected<Value> Interpreter::exec(uint64_t &Fuel, uint32_t DepthBias,
           static_cast<uint32_t>(Arena.size()) - Callee.NumParams;
       Frames.back().PC = PC;
       Frames.push_back(Frame{I.Index, 0, NewBase});
-      pushZeroLocals(Callee, Callee.NumParams);
+      pushZeroLocals(Arena, Callee, Callee.NumParams);
       if (P) {
         P->fn(ProfFn).SelfFuel.fetch_add(ProfMark - Fuel,
                                          std::memory_order_relaxed);
@@ -555,18 +584,13 @@ Expected<Value> Interpreter::exec(uint64_t &Fuel, uint32_t DepthBias,
         return Error::make(ErrorCode::EC_Link,
                            "import '%s' was never bound", Imp.Name.c_str());
       size_t NumArgs = Imp.Sig.Params.size();
-      if (HostDepth == HostArgsPool.size())
-        HostArgsPool.emplace_back();
-      std::vector<Value> &CallArgs = HostArgsPool[HostDepth];
-      ++HostDepth;
-      CallArgs.resize(NumArgs);
+      std::vector<Value> &CallArgs = S.pushHostArgs(NumArgs);
       for (size_t A = NumArgs; A-- > 0;) {
         CallArgs[A] = std::move(Arena.back());
         Arena.pop_back();
       }
       Expected<Value> Result = Host(CallArgs);
-      CallArgs.clear();
-      --HostDepth;
+      S.popHostArgs();
       if (Result && Result->kind() != Imp.Sig.Result)
         return Error::make(ErrorCode::EC_Link,
                            "host import '%s' returned %s, expected %s",

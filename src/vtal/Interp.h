@@ -13,6 +13,14 @@
 /// loop.  Execution is fuel-limited so that a buggy patch cannot hang the
 /// updating process at an update point.
 ///
+/// Thread safety: the frame stack, the value arena, the host-argument
+/// buffers and the last call's fuel live in per-thread execution scratch,
+/// not in the Interpreter.  Set an interpreter up first (bindImport,
+/// setProfile, setNativeImage); after that it is immutable, and any
+/// number of threads may call it at once.  A call re-entered on one
+/// thread — a host import calling this or another interpreter — stacks
+/// its frames above the outer activation's on that thread's scratch.
+///
 /// The interpreter is also the deoptimization target of the native tier
 /// (vtal/native/): an attached NativeImage makes callIndex() dispatch
 /// compiled functions to machine code, and resumeAt()/callRaw() let a
@@ -30,7 +38,6 @@
 #include "vtal/Resolve.h"
 #include "vtal/Value.h"
 
-#include <deque>
 #include <functional>
 #include <memory>
 #include <string>
@@ -75,7 +82,7 @@ public:
 
   /// Calls function \p FnName with \p Args.
   Expected<Value> call(const std::string &FnName,
-                       const std::vector<Value> &Args);
+                       const std::vector<Value> &Args) const;
 
   /// Index of \p FnName for callIndex(); fails when absent.  Lets
   /// long-lived call sites (patch provides, transformers) resolve the
@@ -84,10 +91,12 @@ public:
 
   /// Calls function \p FnIndex (from functionIndex()) with \p Args,
   /// skipping the by-name entry lookup.
-  Expected<Value> callIndex(uint32_t FnIndex, const std::vector<Value> &Args);
+  Expected<Value> callIndex(uint32_t FnIndex,
+                            const std::vector<Value> &Args) const;
 
-  /// Instructions executed by the most recent call().
-  uint64_t lastFuelUsed() const { return LastFuelUsed; }
+  /// Instructions executed by the most recent call() that returned on
+  /// the calling thread, whichever interpreter ran it.
+  uint64_t lastFuelUsed() const;
 
   /// Attaches the hot-function profiler (trace/Profile.h).  When set,
   /// the dispatch loop attributes per-function call counts, self-fuel
@@ -116,14 +125,14 @@ public:
   Expected<Value> resumeAt(uint32_t FnIndex, uint32_t PC,
                            const uint64_t *FrameSlots,
                            const ValKind *StackKinds, uint32_t StackDepth,
-                           uint64_t &Fuel, uint32_t DepthBias);
+                           uint64_t &Fuel, uint32_t DepthBias) const;
 
   /// Calls \p FnIndex with raw argument slots (same encoding as
   /// resumeAt), interpreted, sharing \p Fuel and biased by \p DepthBias —
   /// the native tier's bridge for calls into functions that are not
   /// compiled.  The function must not take string parameters.
   Expected<Value> callRaw(uint32_t FnIndex, const uint64_t *RawArgs,
-                          uint64_t &Fuel, uint32_t DepthBias);
+                          uint64_t &Fuel, uint32_t DepthBias) const;
 
   /// Invokes host import \p Ordinal with raw argument slots and stores
   /// the raw result — the native tier's bridge for CallHost.  Performs
@@ -131,54 +140,40 @@ public:
   /// messages) as the interpreter's own CallHost.  The import signature
   /// must be string-free.
   Error callHostRaw(uint32_t Ordinal, const uint64_t *RawArgs,
-                    uint64_t &RawResult);
+                    uint64_t &RawResult) const;
 
 #ifndef DSU_VTAL_NO_NATIVE
   /// Attaches (or replaces, or clears) the compiled image callIndex()
   /// dispatches through.  The image must have been compiled from this
-  /// module's resolved form; images are immutable and shared across the
-  /// pooled interpreters of a module instance.
+  /// module's resolved form; images are immutable.
   void setNativeImage(std::shared_ptr<const native::NativeImage> I) {
     Img = std::move(I);
   }
 #endif
 
 private:
-  /// One activation record.  Locals live in the shared arena at
-  /// [Base, Base + NumLocals); the frame's operand stack is the arena
-  /// region above them, up to the next frame's Base (or the arena top for
-  /// the innermost frame).
-  struct Frame {
-    uint32_t FnIndex;
-    uint32_t PC;
-    uint32_t Base;
-  };
-
   Expected<Value> run(uint32_t FnIndex, const std::vector<Value> &Args,
-                      uint64_t &Fuel);
+                      uint64_t &Fuel) const;
 
   /// The dispatch loop.  Executes the innermost pushed frame (the caller
-  /// must have pushed exactly one frame plus its arena contents) until
-  /// that activation returns or traps.  \p DepthBias widens the
-  /// call-depth check by the native frames beneath this activation;
-  /// \p CountEntry controls whether the profiler counts this as a fresh
-  /// activation (deopt resumes do not — the original entry was already
-  /// counted).
-  Expected<Value> exec(uint64_t &Fuel, uint32_t DepthBias, bool CountEntry);
-
-  /// Zero-initializes locals [From, NumLocals) of \p RF on the arena top.
-  void pushZeroLocals(const ResolvedFunction &RF, uint32_t From);
+  /// must have pushed exactly one frame plus its arena contents on this
+  /// thread's scratch) until that activation returns or traps.
+  /// \p DepthBias widens the call-depth check by the native frames
+  /// beneath this activation; \p CountEntry controls whether the
+  /// profiler counts this as a fresh activation (deopt resumes do not —
+  /// the original entry was already counted).
+  Expected<Value> exec(uint64_t &Fuel, uint32_t DepthBias,
+                       bool CountEntry) const;
 
 #ifndef DSU_VTAL_NO_NATIVE
   /// Runs \p FnIndex through its compiled entry in Img (which must exist).
   /// Defined in native/NativeGen.cpp.
   Expected<Value> runNative(uint32_t FnIndex, const std::vector<Value> &Args,
-                            uint64_t &Fuel);
+                            uint64_t &Fuel) const;
 #endif
 
   const Module &M;
   uint64_t FuelLimit;
-  uint64_t LastFuelUsed = 0;
 
   /// Execution form; valid only when LinkErr is a success value.
   ResolvedModule RM;
@@ -186,19 +181,6 @@ private:
 
   /// Host bindings, dense by import ordinal.
   std::vector<HostFn> Imports;
-
-  /// Reusable execution state: frames and the locals/operand-stack arena.
-  /// Capacity persists across calls, so steady-state execution performs
-  /// no heap allocation.  call() is re-entrant (a host function may call
-  /// back into the same interpreter): each activation stacks its frames
-  /// and values above the outer one's.
-  std::vector<Frame> Frames;
-  std::vector<Value> Arena;
-
-  /// Per-nesting-level argument buffers for host calls (deque: growing
-  /// it never moves a level that an active host call still references).
-  std::deque<std::vector<Value>> HostArgsPool;
-  unsigned HostDepth = 0;
 
   /// Optional execution profile; null = unprofiled (the default).
   trace::ModuleProfile *Prof = nullptr;

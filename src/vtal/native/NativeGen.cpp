@@ -1067,7 +1067,7 @@ namespace vtal {
 
 Expected<Value> Interpreter::runNative(uint32_t FnIndex,
                                        const std::vector<Value> &Args,
-                                       uint64_t &Fuel) {
+                                       uint64_t &Fuel) const {
   const native::NativeImage *Image = Img.get();
   native::NativeEntryFn Entry = Image->entry(FnIndex);
   uint64_t RawArgs[native::NativeImage::MaxParams];

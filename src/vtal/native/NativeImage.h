@@ -73,7 +73,7 @@ struct NativeCtx {
   uint64_t Fuel = 0;          ///< live fuel counter (offset 0, qword)
   uint32_t Depth = 0;         ///< native frames on the machine stack (offset 8)
   uint32_t TrapPending = 0;   ///< set by helpers when Err holds a trap (offset 12)
-  Interpreter *Interp = nullptr;       ///< owning interpreter (deopt target)
+  const Interpreter *Interp = nullptr; ///< owning interpreter (deopt target)
   const NativeImage *Image = nullptr;  ///< image the code belongs to
   Error Err;                           ///< the trap, when TrapPending != 0
 };
@@ -117,7 +117,7 @@ struct NativeStats {
 
 /// The compiled form of one resolved module: one sealed W^X arena holding
 /// every compiled function, plus the deopt-site tables.  Immutable after
-/// compile(); shared by every pooled interpreter of the module instance.
+/// compile(), so every thread running the module instance shares it.
 /// The destructor does NOT unmap the arena — it retires it through the
 /// epoch domain, because a thread that resolved an entry through a
 /// binding of a superseded patch may still be executing its code.

@@ -7,10 +7,12 @@
 /// a trapping patch trips the trap gate (its faults surface as 404s, so
 /// the error gate alone would miss it); a fuel bomb wedges the canary
 /// and is caught, and its revert parks no worker; a state-migrating
-/// patch fails its rollout; the staging watchdog aborts a stalled patch
-/// so it cannot head-of-line-block the FIFO queue; graced redirection chains
-/// drain from reactor idle without another commit; and the hardened
-/// client/ctl retry a busy control plane with Retry-After-aware backoff.
+/// patch fails its rollout; an operator rollback during a rollout is
+/// refused, so the rollout's revert still restores the old code; the
+/// staging watchdog aborts a stalled patch so it cannot
+/// head-of-line-block the FIFO queue; graced redirection chains drain
+/// from reactor idle without another commit; and the hardened client/ctl
+/// retry a busy control plane with Retry-After-aware backoff.
 ///
 /// Run alone with `ctest -L rollout`.
 
@@ -566,6 +568,61 @@ TEST(RolloutStallGateTest, HealthyCanaryDoesNotHideAWedgedOne) {
   EXPECT_NE(Rec->Reason.find("stall gate"), std::string::npos)
       << Rec->Reason;
   EXPECT_GT(Rec->CanaryServes, 0u);
+}
+
+/// An operator rollback while a canary rollout observes is refused with
+/// 503: the rollout's own revert restores the history it committed, and
+/// a rollback swing in between would make that revert restore the bad
+/// canary binding.  No pool: two fake workers, worker 0 the canary, and
+/// once the operator's rollback has been answered the canary reports 5xx
+/// serves, so the error gate reverts the trapping map_url patch.
+TEST(RolloutOperatorRollbackTest, RollbackDuringRolloutIsRefused) {
+  Runtime RT;
+  // The analyzer refuses the must-trap patch; this test needs it staged.
+  RT.setAnalysisGate(false);
+  FlashedApp App(RT);
+  DocStore Docs;
+  Docs.put("/doc.html", "<html>rollback</html>");
+  ASSERT_FALSE(App.init(std::move(Docs)));
+  App.enableAdmin(RT.controller());
+  const std::string Get = "GET /doc.html HTTP/1.0\r\n\r\n";
+  ASSERT_NE(App.handle(Get).find("200 OK"), std::string::npos);
+
+  net::WorkerStats Stats[2]; // canary 0, control worker 1
+  std::atomic<bool> CanaryFails{false};
+  RolloutController::Hooks H;
+  H.WorkerCount = [] { return size_t(2); };
+  H.Stats = [&](size_t I) -> const net::WorkerStats * {
+    Stats[I].noteRequest();
+    Stats[I].noteServe(10, /*ServerError=*/I == 0 && CanaryFails.load());
+    return &Stats[I];
+  };
+  RolloutController Rollouts(RT, H);
+
+  RolloutOptions O;
+  O.WindowMs = 3000;
+  Expected<uint64_t> Id = Rollouts.startArtifactText(
+      faultinject::trapPatchText(), "rollback-mid-window", O);
+  ASSERT_TRUE(Id) << Id.takeError().str();
+  auto State = [&] {
+    Expected<RolloutRecord> R = Rollouts.rollout(*Id);
+    return R ? R->State : std::string();
+  };
+  WAIT_FOR(State() == "observing");
+
+  std::string R = App.handle("POST /admin/rollback?name=flashed.map_url "
+                             "HTTP/1.0\r\nContent-Length: 0\r\n\r\n");
+  EXPECT_NE(R.find("503"), std::string::npos) << R;
+  CanaryFails.store(true);
+  Rollouts.waitIdle();
+
+  Expected<RolloutRecord> Rec = Rollouts.rollout(*Id);
+  ASSERT_TRUE(Rec);
+  EXPECT_EQ(Rec->Verdict, "rolled-back");
+  EXPECT_NE(Rec->Reason.find("error gate"), std::string::npos)
+      << Rec->Reason;
+  // The revert restored the pre-rollout map_url: the document serves.
+  EXPECT_NE(App.handle(Get).find("200 OK"), std::string::npos);
 }
 
 /// Satellite: the staging watchdog.  A patch wedged in verification is

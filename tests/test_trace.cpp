@@ -424,6 +424,38 @@ TEST(VtalProfilerTest, CountsTrapsAndSamplesActivationTime) {
   EXPECT_EQ(ProfileRegistry::instance().totals().Traps, 0u);
 }
 
+/// A sampled activation far shorter than a microsecond still records its
+/// time: the profiler accumulates ns, and /admin/profile prints µs with
+/// three decimals.
+TEST(VtalProfilerTest, SubMicrosecondActivationRecordsItsTime) {
+  ProfileRegistry::instance().clearForTest();
+  vtal::Module M = mustAssembleVerified(R"(
+module tiny
+func one () -> int {
+  push.i 1
+  ret
+}
+)");
+  std::shared_ptr<ModuleProfile> Prof =
+      ProfileRegistry::instance().create("p-tiny", M.Name, {"one"});
+  vtal::Interpreter I(M);
+  // Warm up unprofiled, so the one sampled activation (activation 0 of
+  // the profile) runs warm and well under a microsecond.
+  for (int K = 0; K != 100; ++K)
+    ASSERT_TRUE(I.call("one", {}));
+  I.setProfile(Prof.get());
+  ASSERT_TRUE(I.call("one", {}));
+  std::vector<HotFn> Rows = ProfileRegistry::instance().ranking(0);
+  ASSERT_EQ(Rows.size(), 1u);
+  EXPECT_EQ(Rows[0].Samples, 1u);
+  EXPECT_GT(Rows[0].SampledNs, 0u);
+
+  std::string J = profileJson(0);
+  size_t At = J.find("\"sampled_us\": ");
+  ASSERT_NE(At, std::string::npos) << J;
+  EXPECT_GT(std::stod(J.substr(At + 14)), 0.0) << J;
+}
+
 TEST(VtalProfilerTest, UnattachedInterpreterRecordsNothing) {
   ProfileRegistry::instance().clearForTest();
   vtal::Module M = mustAssembleVerified(kProfiledModule);
