@@ -156,6 +156,9 @@ int main(int argc, char **argv) {
   ::benchmark::Initialize(&Argc, Args.data());
   if (::benchmark::ReportUnrecognizedArguments(Argc, Args.data()))
     return 1;
+  // Updateables serve on reactor workers, where the epoch guard each
+  // call takes is a thread-local load; run the rows on one.
+  epoch::WorkerReg Worker;
   ::benchmark::RunSpecifiedBenchmarks();
   ::benchmark::Shutdown();
   return 0;

@@ -402,7 +402,9 @@ Error Runtime::commitTx(const std::shared_ptr<UpdateTransaction> &Tx,
                         std::vector<RollEntry *> *GatedOut,
                         bool *NeedsBarrier) {
   std::lock_guard<std::mutex> G(CommitLock);
-  return commitTxLocked(Tx, Rolling, CanaryMask, GatedOut, NeedsBarrier);
+  Error E = commitTxLocked(Tx, Rolling, CanaryMask, GatedOut, NeedsBarrier);
+  flushRetiredBindingsLocked();
+  return E;
 }
 
 Error Runtime::commitTxLocked(const std::shared_ptr<UpdateTransaction> &TxP,
@@ -619,7 +621,7 @@ void Runtime::maybeFlushRetiredBindings() {
   // i.e. never, on a quiet system.  Relaxed fast-out so the common
   // no-chains case costs one load, and try_lock so an idle worker never
   // blocks behind a commit in progress.
-  if (!Updateables.hasLiveRolls())
+  if (!Updateables.hasPendingReclaim())
     return;
   std::unique_lock<std::mutex> G(CommitLock, std::try_to_lock);
   if (!G.owns_lock())
@@ -737,8 +739,6 @@ unsigned Runtime::updatePoint(PendingCommit Upto) {
                   ActivationTracker::currentDepth());
     return 0;
   }
-  if (Rolling)
-    flushRetiredBindingsLocked(); // each rolling commit grows a chain
   unsigned Committed = 0;
   auto Accept = [Upto](const UpdateTransaction &T) {
     PendingCommit M = commitModeOf(T);
@@ -765,6 +765,9 @@ unsigned Runtime::updatePoint(PendingCommit Upto) {
     else
       ++Committed;
   }
+  // Each commit pushed a binding out of its slot's window, and each
+  // rolling one grew a chain.
+  flushRetiredBindingsLocked();
   return Committed;
 }
 
@@ -832,6 +835,7 @@ Error Runtime::rollback(const std::vector<std::string> &Names,
   // type, so any plan prepared before it must revalidate at commit.
   if (!P.Swings.empty())
     CommitGeneration.fetch_add(1, std::memory_order_release);
+  flushRetiredBindingsLocked();
   return First;
 }
 

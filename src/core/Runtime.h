@@ -215,15 +215,18 @@ public:
   }
 
   /// Detaches and epoch-retires every fully graced rolling-redirection
-  /// chain, restoring the slots' single-load fast path.  Runs
-  /// automatically at commit points; exposed for tests and teardown.
+  /// chain, restoring the slots' single-load fast path, and frees the
+  /// bindings that left their slot's rollback window once graced
+  /// (UpdateableRegistry::flushGracedRolls).  Runs automatically after
+  /// every commit and rollback; exposed for tests and teardown.
   void flushRetiredBindings();
 
   /// The idle-time form of flushRetiredBindings(), cheap enough for a
   /// reactor worker's poll loop: a single relaxed load when no slot
-  /// carries a chain, and a try_lock — never a blocking wait in the
-  /// serving path — when one does.  This is how a slot's single-load
-  /// fast path recovers without waiting for another commit.
+  /// carries a chain or a dropped binding, and a try_lock — never a
+  /// blocking wait in the serving path — when one does.  This is how a
+  /// slot's single-load fast path recovers, and a dropped binding is
+  /// freed, without waiting for another commit.
   void maybeFlushRetiredBindings();
 
   /// Id of the transaction at the queue front (0 when empty).  The

@@ -91,6 +91,29 @@ namespace {
 thread_local ThreadSlotCacheAccess TLGuardSlots;
 } // namespace
 
+/// The calling thread's reusable buffer of expired entries, lent for one
+/// collection: after the first collection on a thread, freeing a batch
+/// allocates nothing.  A deleter that retires or reclaims in turn finds
+/// the spare lent out and uses a buffer of its own.
+class Domain::ExpiredBatch {
+public:
+  ExpiredBatch() : Entries(std::move(spare())) { spare().clear(); }
+  ~ExpiredBatch() {
+    Entries.clear();
+    spare() = std::move(Entries);
+  }
+  ExpiredBatch(const ExpiredBatch &) = delete;
+  ExpiredBatch &operator=(const ExpiredBatch &) = delete;
+
+  std::vector<Retired> Entries;
+
+private:
+  static std::vector<Retired> &spare() {
+    thread_local std::vector<Retired> Spare;
+    return Spare;
+  }
+};
+
 // --- Domain lifecycle ----------------------------------------------------
 
 Domain::Domain() : Id(nextDomainId()) {
@@ -148,14 +171,14 @@ Domain::Slot *Domain::registerWorker() {
 }
 
 void Domain::deregisterWorker(Slot *S) {
-  std::vector<Retired> Expired;
+  ExpiredBatch Expired;
   {
     std::lock_guard<std::mutex> G(Mu);
     releaseSlotLocked(S);
     // This worker may have been the one holding a grace period open.
-    collectExpiredLocked(Expired);
+    collectExpiredLocked(Expired.Entries);
   }
-  runDeleters(Expired);
+  runDeleters(Expired.Entries);
 }
 
 uint64_t Domain::quiesce(Slot *S) {
@@ -186,7 +209,10 @@ Domain::Slot *Domain::pinThread() {
   }
   if (S->PinDepth++ == 0) {
     uint64_t G = Global.load(std::memory_order_acquire);
-    S->Observed.store(G, std::memory_order_relaxed);
+    // Release, like quiesce(): a reclaimer whose scan reads this pin
+    // has every read of this thread's previous pin ordered before its
+    // free (free on x86; sanitizers do not model the fence below).
+    S->Observed.store(G, std::memory_order_release);
     // The pin must be visible to any reclaimer before we load protected
     // pointers (pairs with the fence in tryReclaim).
     std::atomic_thread_fence(std::memory_order_seq_cst);
@@ -223,7 +249,7 @@ uint64_t Domain::advanceWith(void (*Install)(uint64_t, void *), void *Ctx) {
 // --- Deferred reclamation ------------------------------------------------
 
 void Domain::retire(void *P, void (*Del)(void *)) {
-  std::vector<Retired> Expired;
+  ExpiredBatch Expired;
   {
     std::lock_guard<std::mutex> G(Mu);
     uint64_t Tag = Global.load(std::memory_order_relaxed);
@@ -234,10 +260,10 @@ void Domain::retire(void *P, void (*Del)(void *)) {
     // Reap anything already graced in the same critical section — a
     // second blocking acquisition per retire would serialize unrelated
     // writers twice on this one mutex.  Deleters run outside the lock.
-    collectExpiredLocked(Expired);
+    collectExpiredLocked(Expired.Entries);
   }
   Retires.fetch_add(1, std::memory_order_relaxed);
-  runDeleters(Expired);
+  runDeleters(Expired.Entries);
 }
 
 uint64_t Domain::minObservedLocked() const {
@@ -256,6 +282,9 @@ uint64_t Domain::minObservedLocked() const {
 }
 
 uint64_t Domain::minObservedEpoch() const {
+  // Order the scan after every unlink this thread made before the call
+  // (pairs with the pin/quiesce fences), as collectExpiredLocked does.
+  std::atomic_thread_fence(std::memory_order_seq_cst);
   std::lock_guard<std::mutex> G(Mu);
   return minObservedLocked();
 }
@@ -285,26 +314,26 @@ void Domain::runDeleters(std::vector<Retired> &Batch) {
 }
 
 size_t Domain::tryReclaim() {
-  std::vector<Retired> Expired;
+  ExpiredBatch Expired;
   {
     std::unique_lock<std::mutex> G(Mu, std::try_to_lock);
     if (!G.owns_lock())
       return 0;
-    collectExpiredLocked(Expired);
+    collectExpiredLocked(Expired.Entries);
   }
-  size_t N = Expired.size();
-  runDeleters(Expired);
+  size_t N = Expired.Entries.size();
+  runDeleters(Expired.Entries);
   return N;
 }
 
 size_t Domain::reclaim() {
-  std::vector<Retired> Expired;
+  ExpiredBatch Expired;
   {
     std::lock_guard<std::mutex> G(Mu);
-    collectExpiredLocked(Expired);
+    collectExpiredLocked(Expired.Entries);
   }
-  size_t N = Expired.size();
-  runDeleters(Expired);
+  size_t N = Expired.Entries.size();
+  runDeleters(Expired.Entries);
   return N;
 }
 
@@ -346,10 +375,20 @@ uint64_t WorkerReg::quiesce() {
 
 // --- Guard ---------------------------------------------------------------
 
+Guard::Guard() {
+  if (TLIsWorker)
+    return; // the worker's own announcement cell already protects us
+  pin(domain(), /*IsDefault=*/true);
+}
+
 Guard::Guard(Domain &Dom) {
   bool IsDefault = &Dom == &domain();
   if (IsDefault && TLIsWorker)
-    return; // the worker's own announcement cell already protects us
+    return;
+  pin(Dom, IsDefault);
+}
+
+void Guard::pin(Domain &Dom, bool IsDefault) {
   D = &Dom;
   S = Dom.pinThread();
   if (IsDefault) {

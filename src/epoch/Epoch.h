@@ -165,6 +165,8 @@ private:
     uint64_t Epoch = 0;
   };
 
+  class ExpiredBatch;
+
   Slot *allocSlotLocked();
   void releaseSlotLocked(Slot *S);
   uint64_t minObservedLocked() const;
@@ -237,12 +239,17 @@ private:
 /// thread of the same domain; a pin + seq_cst fence elsewhere.  Nests.
 class Guard {
 public:
-  explicit Guard(Domain &D = domain());
+  /// Pins the default domain; on a registered worker this is one
+  /// thread-local load and a branch.
+  Guard();
+  explicit Guard(Domain &D);
   ~Guard();
   Guard(const Guard &) = delete;
   Guard &operator=(const Guard &) = delete;
 
 private:
+  void pin(Domain &Dom, bool IsDefault);
+
   Domain *D = nullptr;
   Domain::Slot *S = nullptr;
   uint64_t SavedTL = 0;

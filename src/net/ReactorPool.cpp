@@ -241,8 +241,9 @@ void ReactorPool::workerMain(unsigned Idx) {
         trace::notePhase(trace::Phase::RollingAdopt, LagUs);
       }
     }
-    // Idle-time hygiene: drain graced redirection chains even when no
-    // further commit ever arrives (try-lock inside; never blocks).
+    // Idle-time hygiene: drain graced redirection chains and free
+    // graced superseded bindings even when no further commit ever
+    // arrives (try-lock inside; never blocks).
     if (TheRuntime)
       TheRuntime->maybeFlushRetiredBindings();
   }

@@ -53,9 +53,12 @@ template <> SharedStr fromValue<SharedStr>(const Value &V) {
 }
 
 /// Builds a typed closure binding around a Value-level callable.  A trap
-/// in verified patch code (division by zero, fuel exhaustion) is logged
-/// and surfaces as the result type's zero value; it cannot corrupt the
-/// caller.
+/// in verified patch code (division by zero, fuel exhaustion) is counted
+/// in Binding::Traps and surfaces as the result type's zero value; it
+/// cannot corrupt the caller.  The trap runs on a serving thread, so
+/// only the first trap of a binding and each one that brings its count
+/// to a power of two is logged: a patch that traps on every request
+/// writes about log2(traps) lines, not one per request.
 template <typename R, typename... Args>
 Binding makeValueBindingTyped(vtal::HostFn Impl, uint32_t Version,
                               std::string Origin) {
@@ -67,9 +70,12 @@ Binding makeValueBindingTyped(vtal::HostFn Impl, uint32_t Version,
         (Vs.push_back(toValue<std::decay_t<Args>>(std::move(As))), ...);
         Expected<Value> Res = Impl(Vs);
         if (!Res) {
-          Traps->fetch_add(1, std::memory_order_relaxed);
-          DSU_LOG_ERROR("patch code trapped: %s",
-                        Res.error().str().c_str());
+          uint64_t N = Traps->fetch_add(1, std::memory_order_relaxed) + 1;
+          if ((N & (N - 1)) == 0)
+            DSU_LOG_ERROR("patch code trapped (trap %llu of this binding): "
+                          "%s",
+                          static_cast<unsigned long long>(N),
+                          Res.error().str().c_str());
           if constexpr (std::is_void_v<R>)
             return;
           else

@@ -7,10 +7,11 @@
 /// instance that owns the code).
 ///
 /// Updateable slots swing an atomic Binding pointer from one version to
-/// the next; superseded bindings are retired to the slot's history, never
-/// freed while the slot lives, so in-flight calls through an old binding
-/// stay valid — the reproduction of the PLDI 2001 rule that old code
-/// remains resident and reachable until it is quiescent.
+/// the next.  A slot keeps the current binding and the rollback target;
+/// an older one is freed, with its keep-alive, only once the epoch
+/// domain has graced it, so in-flight calls through an old binding stay
+/// valid — the PLDI 2001 rule that old code remains resident and
+/// reachable until it is quiescent, with a bound on how much of it.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -43,6 +44,9 @@ struct Binding {
 
   /// Keeps the code's owner alive: a LoadedLibrary for dlopen'd patches,
   /// an interpreter instance for VTAL patches, a closure box for lambdas.
+  /// Released when the binding leaves its slot's rollback window and is
+  /// graced (runtime/UpdateableRegistry.h), or when the last copy
+  /// sharing it (a rollback copy, the patch's own) goes.
   std::shared_ptr<void> KeepAlive;
 
   /// Runtime traps observed in this implementation (division by zero,

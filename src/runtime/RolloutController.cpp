@@ -130,6 +130,7 @@ uint64_t RolloutController::trapsInNewBindings(
   // counters at prepare time, so their absolute counts are exactly the
   // traps attributable to the rollout.
   uint64_t Traps = 0;
+  epoch::Guard G; // the bindings stay allocated while their counts are read
   for (const std::string &Name : Names)
     if (const UpdateableSlot *Slot = RT.updateables().lookup(Name))
       if (const Binding *B = Slot->newest())

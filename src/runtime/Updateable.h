@@ -4,7 +4,9 @@
 /// Updateable<Sig> is the typed call-side view of an updateable slot: the
 /// reproduction of the indirected call the PLDI 2001 compiler emits for
 /// references to updateable functions.  Invoking the handle costs one
-/// atomic acquire load plus one indirect call (bench_indirection, E1).
+/// atomic acquire load plus one indirect call (bench_indirection, E1),
+/// and an epoch::Guard: free on a reactor worker, a pin elsewhere, so
+/// the binding cannot be freed while the call runs.
 ///
 /// CTypeOf<T> maps the C++ scalar types used in updateable signatures to
 /// dsu type descriptors so definitions can be typechecked end to end:
@@ -74,9 +76,13 @@ public:
 
   /// The indirected call.  An ActivationTracker frame marks this thread
   /// as executing updateable code for the duration (the paper's
-  /// activeness information for update timing).
+  /// activeness information for update timing).  The epoch guard keeps
+  /// the binding alive on a thread that is not a reactor worker: a
+  /// superseded binding is freed once every participant has passed a
+  /// later epoch, and an unpinned thread is not a participant.
   R operator()(Args... As) const {
     assert(Slot && "calling an unbound updateable handle");
+    epoch::Guard G;
     ActivationTracker::Frame F;
     const Binding *B = Slot->current();
     auto Invoke = reinterpret_cast<R (*)(void *, Args...)>(B->Invoker);
@@ -87,6 +93,7 @@ public:
   /// separate the cost of the indirection itself from the cost of
   /// activation tracking.
   R callUntracked(Args... As) const {
+    epoch::Guard G;
     const Binding *B = Slot->current();
     auto Invoke = reinterpret_cast<R (*)(void *, Args...)>(B->Invoker);
     return Invoke(B->Ctx, static_cast<Args &&>(As)...);

@@ -19,13 +19,17 @@ bool chainGraced(const RollEntry *Head, uint64_t MinObservedEpoch) {
   return true;
 }
 
-} // namespace
-
-size_t UpdateableSlot::historySize() const {
-  // History is only appended under the registry lock; size() is a benign
-  // race used for reporting only.
-  return History.size();
+/// Whether an entry of the live chain at \p Head still redirects
+/// readers to \p B.
+bool chainNames(const RollEntry *Head, const Binding *B) {
+  for (const RollEntry *R = Head; R;
+       R = R->Prev.load(std::memory_order_relaxed))
+    if (R->Old == B)
+      return true;
+  return false;
 }
+
+} // namespace
 
 size_t UpdateableSlot::rollDepth() const {
   size_t N = 0;
@@ -81,6 +85,16 @@ void UpdateableRegistry::appendAndPublish(UpdateableSlot &Slot,
   Slot.TypeHistory.push_back(Ty);
   Slot.FnTy.store(Ty, std::memory_order_release);
   Slot.Current.store(Raw, std::memory_order_release);
+  Slot.Installed.fetch_add(1, std::memory_order_relaxed);
+  if (Slot.History.size() > UpdateableSlot::kWindow) {
+    // Unlinked from the window, but a reader may still hold it, and a
+    // live chain entry may still redirect readers to it:
+    // flushGracedRolls() decides when it is freed.
+    Slot.DroppedBindings.push_back({std::move(Slot.History.front())});
+    Slot.History.erase(Slot.History.begin());
+    Slot.TypeHistory.erase(Slot.TypeHistory.begin());
+    Pending.fetch_add(1, std::memory_order_relaxed);
+  }
 }
 
 RollEntry *UpdateableRegistry::swingPreparedSlot(
@@ -90,8 +104,8 @@ RollEntry *UpdateableRegistry::swingPreparedSlot(
   RollEntry *Entry = nullptr;
   if (Rolling) {
     // The current binding stays reachable two ways: through the slot's
-    // history (rollback support, "old code stays resident") and through
-    // the RollEntry for readers still inside an older epoch.  Epoch
+    // window (it becomes the rollback target) and through the RollEntry
+    // for readers still inside an older epoch.  Epoch
     // stays kUnpublished (UINT64_MAX): every reader resolves to Old
     // until the caller lowers it inside Domain::advanceWith.
     Entry = new RollEntry();
@@ -99,7 +113,7 @@ RollEntry *UpdateableRegistry::swingPreparedSlot(
     RollEntry *Head = Slot.Roll.load(std::memory_order_relaxed);
     Entry->Prev.store(Head, std::memory_order_relaxed);
     if (!Head)
-      LiveRollChains.fetch_add(1, std::memory_order_relaxed);
+      Pending.fetch_add(1, std::memory_order_relaxed);
     // Entry before Current: a reader that sees the new Current is
     // guaranteed (release/acquire on Current) to also see the entry and
     // be redirected while its epoch predates the swing.
@@ -123,22 +137,77 @@ Expected<UpdateableSlot *> UpdateableRegistry::installPreparedSlot(
 
 void UpdateableRegistry::flushGracedRolls(
     uint64_t MinObservedEpoch, std::vector<RollEntry *> &DetachedOut) {
-  std::lock_guard<std::mutex> G(Lock);
-  for (auto &[Name, Slot] : Slots) {
-    (void)Name;
-    RollEntry *Head = Slot->Roll.load(std::memory_order_relaxed);
-    if (!Head)
-      continue;
-    // Mid-publication, within a reader's grace window, or carrying an
-    // unresolved canary gate (control workers still depend on the
-    // redirection): the chain must stay.
-    if (!chainGraced(Head, MinObservedEpoch))
-      continue;
-    for (RollEntry *R = Head; R; R = R->Prev.load(std::memory_order_relaxed))
-      DetachedOut.push_back(R);
-    Slot->Roll.store(nullptr, std::memory_order_release);
-    LiveRollChains.fetch_sub(1, std::memory_order_relaxed);
+  std::vector<std::unique_ptr<Binding>> Freed;
+  {
+    std::lock_guard<std::mutex> G(Lock);
+    if (!Pending.load(std::memory_order_relaxed))
+      return;
+    // Dropped bindings whose last unlink happened by now; they wait for
+    // the epoch the advance below publishes.
+    std::vector<UpdateableSlot::Dropped *> Unlinked;
+    bool AwaitingGrace = false;
+    for (auto &[Name, Slot] : Slots) {
+      (void)Name;
+      RollEntry *Head = Slot->Roll.load(std::memory_order_relaxed);
+      // Mid-publication, within a reader's grace window, or carrying an
+      // unresolved canary gate (control workers still depend on the
+      // redirection): the chain must stay.
+      if (Head && chainGraced(Head, MinObservedEpoch)) {
+        for (RollEntry *R = Head; R;
+             R = R->Prev.load(std::memory_order_relaxed))
+          DetachedOut.push_back(R);
+        Slot->Roll.store(nullptr, std::memory_order_release);
+        Pending.fetch_sub(1, std::memory_order_relaxed);
+        Head = nullptr;
+      }
+      for (UpdateableSlot::Dropped &D : Slot->DroppedBindings) {
+        if (D.FreeAt != UpdateableSlot::Dropped::kNamed)
+          AwaitingGrace = true;
+        else if (!chainNames(Head, D.B.get()))
+          Unlinked.push_back(&D);
+      }
+    }
+    if (Unlinked.empty() && !AwaitingGrace)
+      return;
+    epoch::Domain &Dom = epoch::domain();
+    if (!Unlinked.empty()) {
+      // A reader that observes the published epoch E loaded the slot
+      // and its chain after every unlink above, so it cannot reach
+      // these bindings; one that may still hold one announces < E.
+      Dom.advanceWith(
+          [](uint64_t E, void *Raw) {
+            for (UpdateableSlot::Dropped *D :
+                 *static_cast<std::vector<UpdateableSlot::Dropped *> *>(Raw))
+              D->FreeAt = E;
+          },
+          &Unlinked);
+    }
+    // Freshly sampled: a minimum read before the advance could predate
+    // a reader that pinned in between.  With no participant it is
+    // kIdle, which frees every stamped binding but no named one.
+    uint64_t Min = Dom.minObservedEpoch();
+    for (auto &[Name, Slot] : Slots) {
+      (void)Name;
+      std::vector<UpdateableSlot::Dropped> &Ds = Slot->DroppedBindings;
+      size_t Kept = 0;
+      for (size_t I = 0; I != Ds.size(); ++I) {
+        if (Ds[I].FreeAt != UpdateableSlot::Dropped::kNamed &&
+            Ds[I].FreeAt <= Min)
+          Freed.push_back(std::move(Ds[I].B));
+        else
+          Ds[Kept++] = std::move(Ds[I]);
+      }
+      Pending.fetch_sub(Ds.size() - Kept, std::memory_order_relaxed);
+      Ds.resize(Kept);
+    }
   }
+  // Freed outside the lock: a VTAL instance's teardown or a dlclose
+  // must not hold up staging threads that look slots up.
+}
+
+size_t UpdateableRegistry::residentBindings(const UpdateableSlot &Slot) const {
+  std::lock_guard<std::mutex> G(Lock);
+  return Slot.History.size() + Slot.DroppedBindings.size();
 }
 
 Expected<RollEntry *> UpdateableRegistry::rollback(const std::string &Name) {

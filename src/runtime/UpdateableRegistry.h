@@ -13,8 +13,15 @@
 /// binding, append it to the slot's history, publish it with a release
 /// store.  The type-compatibility judgement runs before that, in
 /// Linker::prepare().
-/// Superseded bindings stay in the slot's history forever (old code
-/// stays resident, as in the paper).
+///
+/// A slot keeps a bounded window of two bindings: the current one and
+/// the rollback target.  A binding pushed out of that window stays
+/// resident while a live RollEntry of the slot still names it, then for
+/// one epoch grace period; flushGracedRolls() frees it, at a commit or
+/// a pool worker's idle point, with everything its KeepAlive owns (a
+/// VTAL instance, a dlopen'd library).  Callers must therefore be epoch participants:
+/// Updateable<Sig>::operator() takes an epoch::Guard, which is free on a
+/// reactor worker.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -95,6 +102,10 @@ struct RollEntry {
 /// Updateable<Sig> handles stay valid for the program's life.
 class UpdateableSlot {
 public:
+  /// How many bindings a slot keeps: the current one and the one
+  /// rollback() restores.  Rollback depth is 1 by design.
+  static constexpr size_t kWindow = 2;
+
   UpdateableSlot(std::string Name, const Type *FnTy,
                  std::unique_ptr<Binding> Initial)
       : Name(std::move(Name)), FnTy(FnTy), Current(Initial.get()) {
@@ -125,14 +136,13 @@ public:
   /// generation it started with.  Steady-state cost over the original
   /// single load is one predictable null check.
   ///
-  /// Only epoch participants (a registered worker, or a thread inside
-  /// an epoch::Guard) walk the redirection chain: their pin is what
-  /// keeps detached entries alive, and their pinned epoch is the
-  /// consistency anchor.  An unpinned thread is invisible to grace
-  /// periods, so it must not touch the chain — it takes the newest
-  /// binding directly (adopting new code immediately, exactly the
-  /// semantics an unanchored thread had all along), which keeps this
-  /// callable from any thread, as before the epoch subsystem.
+  /// The caller must be an epoch participant (a registered worker, or
+  /// a thread inside an epoch::Guard) for as long as it uses the
+  /// result: its pin keeps detached chain entries and superseded
+  /// bindings alive, and its pinned epoch is the consistency anchor.
+  /// An unpinned thread is invisible to grace periods; it takes the
+  /// newest binding without walking the chain, and that binding may be
+  /// freed under it once two more swings pass.
   const Binding *current() const {
     const Binding *B = Current.load(std::memory_order_acquire);
     const RollEntry *R = Roll.load(std::memory_order_acquire);
@@ -147,7 +157,10 @@ public:
     return B;
   }
 
-  uint32_t currentVersion() const { return current()->Version; }
+  uint32_t currentVersion() const {
+    epoch::Guard G;
+    return current()->Version;
+  }
 
   /// The newest installed binding, ignoring any epoch redirection.
   /// Registry internals derive version numbers from this — the
@@ -160,7 +173,9 @@ public:
   }
 
   /// Number of bindings ever installed (including the initial one).
-  size_t historySize() const;
+  size_t historySize() const {
+    return Installed.load(std::memory_order_relaxed);
+  }
 
   /// Live entries of the rolling redirection chain (0 in steady state).
   size_t rollDepth() const;
@@ -172,8 +187,24 @@ private:
   std::atomic<const Type *> FnTy; // may be rebound on version-bumped updates
   std::atomic<const Binding *> Current;
   std::atomic<RollEntry *> Roll{nullptr}; ///< newest rolling swing first
-  std::vector<std::unique_ptr<Binding>> History; // guarded by registry lock
-  std::vector<const Type *> TypeHistory;         // parallel to History
+  std::atomic<size_t> Installed{1};       ///< bindings ever installed
+
+  // Guarded by the registry lock.
+  /// The rollback window, oldest first: at most kWindow bindings.
+  std::vector<std::unique_ptr<Binding>> History;
+  std::vector<const Type *> TypeHistory; ///< parallel to History
+
+  /// A binding pushed out of the window, awaiting its free.
+  struct Dropped {
+    /// FreeAt while a live RollEntry still names B.
+    static constexpr uint64_t kNamed = UINT64_MAX;
+
+    std::unique_ptr<Binding> B;
+    /// The epoch from which no reader can hold B: published by the
+    /// advance that follows its last unlink.
+    uint64_t FreeAt = kNamed;
+  };
+  std::vector<Dropped> DroppedBindings;
 };
 
 /// Registry of all updateable slots of one runtime.
@@ -220,15 +251,29 @@ public:
   /// gate resolved), restoring the single-load fast path; the detached
   /// entries are appended to \p DetachedOut for epoch-retirement by the
   /// caller.
+  ///
+  /// Then it reclaims the bindings pushed out of each slot's window.  A
+  /// dropped binding that no live chain entry names any more is
+  /// unreachable: one epoch advance stamps every such binding with the
+  /// epoch it publishes, and a binding is freed here, on the calling
+  /// thread (a committer, or a pool worker at its idle point), once
+  /// every participant has observed that epoch.  Never from an epoch
+  /// deleter, which any retire, unpin or quiesce may run: freeing a .so
+  /// binding may dlclose.
   void flushGracedRolls(uint64_t MinObservedEpoch,
                         std::vector<RollEntry *> &DetachedOut);
 
-  /// Whether any slot still carries a rolling-redirection chain.  Lock
-  /// free (one relaxed load): each pool worker polls this at every
+  /// Whether flushGracedRolls() has anything to do: a slot carries a
+  /// rolling-redirection chain or a dropped binding awaits its free.
+  /// Lock free (one relaxed load): each pool worker polls this at every
   /// idle point, and must not contend with the serving path.
-  bool hasLiveRolls() const {
-    return LiveRollChains.load(std::memory_order_relaxed) != 0;
+  bool hasPendingReclaim() const {
+    return Pending.load(std::memory_order_relaxed) != 0;
   }
+
+  /// Bindings of \p Slot still allocated: its window plus the dropped
+  /// ones not yet freed (introspection and tests).
+  size_t residentBindings(const UpdateableSlot &Slot) const;
 
   /// Reverts \p Name to the implementation (and recorded type) it had
   /// before its most recent swing.  The rollback is itself an update:
@@ -252,16 +297,17 @@ public:
 private:
   /// The one append-and-publish step behind every binding swing (the
   /// caller holds Lock): numbers \p B past the slot's newest version,
-  /// appends it and \p Ty to the slot's history, and publishes the type
-  /// and then the binding.
-  static void appendAndPublish(UpdateableSlot &Slot, const Type *Ty,
-                               std::unique_ptr<Binding> B);
+  /// appends it and \p Ty to the slot's window, publishes the type and
+  /// then the binding, and moves the binding that leaves the window to
+  /// the slot's dropped list.
+  void appendAndPublish(UpdateableSlot &Slot, const Type *Ty,
+                        std::unique_ptr<Binding> B);
 
   mutable std::mutex Lock;
   std::map<std::string, std::unique_ptr<UpdateableSlot>> Slots;
-  /// Number of slots whose Roll pointer is non-null; maintained under
-  /// Lock, read lock-free by hasLiveRolls().
-  std::atomic<size_t> LiveRollChains{0};
+  /// Live roll chains plus dropped bindings, over all slots; maintained
+  /// under Lock, read lock-free by hasPendingReclaim().
+  std::atomic<size_t> Pending{0};
 };
 
 /// Thread-local count of updateable activations on the current thread's

@@ -6,6 +6,7 @@
 #include <cstdarg>
 #include <cstdio>
 #include <cstdlib>
+#include <string>
 
 using namespace dsu;
 
@@ -45,10 +46,33 @@ LogLevel dsu::logLevel() { return static_cast<LogLevel>(GLevel.load()); }
 void dsu::logMessage(LogLevel Level, const char *Fmt, ...) {
   if (Level > GLevel.load(std::memory_order_relaxed))
     return;
-  std::fprintf(stderr, "[dsu:%s] ", levelName(Level));
+  // One line, one write: the prefix, the message and the newline are
+  // formatted into one buffer, so lines from concurrent threads never
+  // interleave on the unbuffered stderr.
+  char Stack[512];
+  int Prefix = std::snprintf(Stack, sizeof(Stack), "[dsu:%s] ",
+                             levelName(Level));
   va_list Args;
   va_start(Args, Fmt);
-  std::vfprintf(stderr, Fmt, Args);
+  va_list Again;
+  va_copy(Again, Args);
+  int Len = std::vsnprintf(Stack + Prefix, sizeof(Stack) - Prefix, Fmt, Args);
   va_end(Args);
-  std::fputc('\n', stderr);
+  if (Len < 0) {
+    va_end(Again);
+    return;
+  }
+  size_t Total = static_cast<size_t>(Prefix) + static_cast<size_t>(Len) + 1;
+  std::string Heap;
+  char *Line = Stack;
+  if (Total > sizeof(Stack)) {
+    Heap.assign(Stack, static_cast<size_t>(Prefix));
+    Heap.resize(Total);
+    std::vsnprintf(&Heap[static_cast<size_t>(Prefix)],
+                   static_cast<size_t>(Len) + 1, Fmt, Again);
+    Line = &Heap[0];
+  }
+  va_end(Again);
+  Line[Total - 1] = '\n';
+  std::fwrite(Line, 1, Total, stderr);
 }

@@ -14,26 +14,60 @@ ProfileRegistry &ProfileRegistry::instance() {
   return *R;
 }
 
+namespace {
+
+void addCounts(ProfileRegistry::Totals &T, const ModuleProfile &P) {
+  for (size_t I = 0; I != P.size(); ++I) {
+    const FnProfile &F = P.fn(I);
+    T.Calls += F.Calls.load(std::memory_order_relaxed);
+    T.Fuel += F.SelfFuel.load(std::memory_order_relaxed);
+    T.Traps += F.Traps.load(std::memory_order_relaxed);
+  }
+}
+
+} // namespace
+
 std::shared_ptr<ModuleProfile>
 ProfileRegistry::create(std::string PatchId, std::string ModuleName,
                         std::vector<std::string> FnNames) {
-  auto P = std::make_shared<ModuleProfile>(
-      std::move(PatchId), std::move(ModuleName), std::move(FnNames));
+  auto *P = new ModuleProfile(std::move(PatchId), std::move(ModuleName),
+                              std::move(FnNames));
+  {
+    std::lock_guard<std::mutex> L(Mu);
+    Profiles.push_back(P);
+  }
+  return std::shared_ptr<ModuleProfile>(
+      P, [this](ModuleProfile *Dead) { destroy(Dead); });
+}
+
+void ProfileRegistry::destroy(ModuleProfile *P) {
+  {
+    std::lock_guard<std::mutex> L(Mu);
+    auto It = std::find(Profiles.begin(), Profiles.end(), P);
+    // Absent after clearForTest(), which dropped its counts with it.
+    if (It != Profiles.end()) {
+      addCounts(Retired, *P);
+      *It = Profiles.back();
+      Profiles.pop_back();
+    }
+  }
+  delete P;
+}
+
+size_t ProfileRegistry::liveProfiles(const std::string &PatchId) const {
   std::lock_guard<std::mutex> L(Mu);
-  Profiles.push_back(P);
-  return P;
+  return static_cast<size_t>(
+      std::count_if(Profiles.begin(), Profiles.end(),
+                    [&](const ModuleProfile *P) {
+                      return P->patchId() == PatchId;
+                    }));
 }
 
 ProfileRegistry::Totals ProfileRegistry::totals() const {
-  Totals T;
   std::lock_guard<std::mutex> L(Mu);
-  for (const std::shared_ptr<ModuleProfile> &P : Profiles)
-    for (size_t I = 0; I != P->size(); ++I) {
-      const FnProfile &F = P->fn(I);
-      T.Calls += F.Calls.load(std::memory_order_relaxed);
-      T.Fuel += F.SelfFuel.load(std::memory_order_relaxed);
-      T.Traps += F.Traps.load(std::memory_order_relaxed);
-    }
+  Totals T = Retired;
+  for (const ModuleProfile *P : Profiles)
+    addCounts(T, *P);
   return T;
 }
 
@@ -41,7 +75,7 @@ std::vector<HotFn> ProfileRegistry::ranking(size_t K) const {
   std::vector<HotFn> Rows;
   {
     std::lock_guard<std::mutex> L(Mu);
-    for (const std::shared_ptr<ModuleProfile> &P : Profiles)
+    for (const ModuleProfile *P : Profiles)
       for (size_t I = 0; I != P->size(); ++I) {
         const FnProfile &F = P->fn(I);
         HotFn R;
@@ -73,13 +107,15 @@ std::vector<HotFn> ProfileRegistry::ranking(size_t K) const {
 
 void ProfileRegistry::resetAll() {
   std::lock_guard<std::mutex> L(Mu);
-  for (const std::shared_ptr<ModuleProfile> &P : Profiles)
+  for (ModuleProfile *P : Profiles)
     P->reset();
+  Retired = Totals();
 }
 
 void ProfileRegistry::clearForTest() {
   std::lock_guard<std::mutex> L(Mu);
   Profiles.clear();
+  Retired = Totals();
 }
 
 std::string dsu::trace::profileJson(size_t K) {

@@ -10,8 +10,11 @@
 ///
 /// One ModuleProfile is created per loaded VTAL patch instance and
 /// attached to the one interpreter executing that module; a global
-/// ProfileRegistry aggregates them for the `/admin/profile` hot-function
-/// ranking and the `dsu_vtal_{calls,fuel,traps}_total` metrics.  Each
+/// ProfileRegistry aggregates the live ones for the `/admin/profile`
+/// hot-function ranking and the `dsu_vtal_{calls,fuel,traps}_total`
+/// metrics.  A profile dies with its instance, once the instance's
+/// last binding leaves the rollback window; its counts fold into the
+/// registry's retired totals, so the metrics stay monotone.  Each
 /// row's tier column says whether the native tier compiled the function
 /// at load (DESIGN.md §17).
 ///
@@ -102,10 +105,11 @@ struct HotFn {
   uint8_t Tier = 0; ///< 0 = interpreted, 1 = native
 };
 
-/// Process-wide registry of live module profiles.  Profiles are kept
-/// for the process lifetime (bounded by patches ever loaded), so the
-/// ranking covers retired versions too — "did the old version burn
-/// more fuel than the new one" is exactly the canary question.
+/// Process-wide registry of live module profiles.  The ranking covers
+/// every loaded version still resident, the serving one and the
+/// rollback target — "did the old version burn more fuel than the new
+/// one" is exactly the canary question.  A profile unregisters itself
+/// when the last owner of the returned pointer drops it.
 class ProfileRegistry {
 public:
   static ProfileRegistry &instance();
@@ -115,7 +119,11 @@ public:
                                         std::string ModuleName,
                                         std::vector<std::string> FnNames);
 
-  /// Fleet totals for the dsu_vtal_*_total metrics.
+  /// Registered profiles of patch \p PatchId (introspection and tests).
+  size_t liveProfiles(const std::string &PatchId) const;
+
+  /// Fleet totals for the dsu_vtal_*_total metrics: the live profiles'
+  /// counts plus those folded in from dead ones.
   struct Totals {
     uint64_t Calls = 0;
     uint64_t Fuel = 0;
@@ -126,15 +134,21 @@ public:
   /// Top-\p K functions by self-fuel (then calls).  K==0 means all.
   std::vector<HotFn> ranking(size_t K) const;
 
-  /// Zeros every counter in every registered profile (`?reset=1`).
+  /// Zeros every counter in every registered profile and the retired
+  /// totals (`?reset=1`).
   void resetAll();
 
-  /// Drops every registered profile (test isolation only).
+  /// Unregisters every profile and zeros the retired totals (test
+  /// isolation only).
   void clearForTest();
 
 private:
+  /// The deleter of every pointer create() hands out.
+  void destroy(ModuleProfile *P);
+
   mutable std::mutex Mu;
-  std::vector<std::shared_ptr<ModuleProfile>> Profiles;
+  std::vector<ModuleProfile *> Profiles;
+  Totals Retired;
 };
 
 /// The `GET /admin/profile` document: `{…, "functions": [{…}, …]}`,

@@ -43,11 +43,14 @@ namespace {
 
 /// Operator new calls per miss of a 1024-document fill, at version 1
 /// and after P3 alike, the table's growth steps amortized into the last
-/// digits.  The epoch domain's limbo list adds 0-2 allocations per fill,
-/// depending on where its storage stands when the fill starts (about
-/// 0.002 per miss).  A put that copied the whole cache made this grow
-/// with the number of entries.
-constexpr double AllocsPerMiss = 7.02;
+/// digits: 7 per miss plus 16 per fill (7184), 14 of them the table's
+/// slot arrays.  The epoch domain's limbo list adds 0-2 allocations per
+/// fill, depending on where its storage stands when the fill starts,
+/// and the thread's reusable reclaim buffer one on its first reclaim.
+/// A reclaim that built a fresh buffer for each of the six growth
+/// retires read 7.02 (7190); a put that copied the whole cache made
+/// this grow with the number of entries.
+constexpr double AllocsPerMiss = 7.015;
 constexpr int WarmupHits = 100;
 constexpr int MeasuredHits = 100000;
 const std::string Request =

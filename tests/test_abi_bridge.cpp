@@ -5,7 +5,10 @@
 
 #include "patch/AbiBridge.h"
 #include "runtime/Updateable.h"
+#include "support/Logging.h"
 #include "types/TypeParser.h"
+
+#include "StderrCapture.h"
 
 #include <gtest/gtest.h>
 
@@ -101,6 +104,35 @@ TEST_F(AbiBridgeTest, TrapContained) {
   UpdateableSlot *Slot = cantFail(Reg.define("t", FnTy, std::move(B)));
   Updateable<int64_t(int64_t)> H(Slot);
   EXPECT_EQ(H(5), 0);
+}
+
+TEST_F(AbiBridgeTest, TrapLogIsBoundedButTheCountIsExact) {
+  // A patch that traps on every request must not write a line per
+  // request on the serving thread: the first trap and each power of two
+  // are logged (1, 2, 4, ..., 512 for 1000 traps), every trap counted.
+  const Type *FnTy = ty("fn(int) -> int");
+  Binding B = cantFail(makeValueBinding(
+      Ctx, FnTy,
+      [](const std::vector<Value> &) -> Expected<Value> {
+        return Error::make(ErrorCode::EC_Invalid, "division by zero");
+      },
+      1, "test"));
+  UpdateableSlot *Slot = cantFail(Reg.define("t", FnTy, std::move(B)));
+  Updateable<int64_t(int64_t)> H(Slot);
+  LogLevel Saved = logLevel();
+  setLogLevel(LL_Error);
+  testing_support::StderrCapture Capture;
+  for (int I = 0; I != 1000; ++I)
+    EXPECT_EQ(H(I), 0);
+  std::string Text = Capture.finish();
+  setLogLevel(Saved);
+  EXPECT_EQ(Slot->newest()->trapCount(), 1000u);
+  size_t Lines = 0;
+  for (const std::string &L : testing_support::StderrCapture::lines(Text))
+    if (L.find("patch code trapped") != std::string::npos)
+      ++Lines;
+  EXPECT_GE(Lines, 1u);
+  EXPECT_LE(Lines, 11u) << Text;
 }
 
 TEST_F(AbiBridgeTest, StringsCrossAsPointers) {

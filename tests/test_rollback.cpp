@@ -1,12 +1,19 @@
 //===- tests/test_rollback.cpp - Rollback tests ---------------*- C++ -*-===//
 ///
 /// Rolling an updateable back to its previous implementation — the
-/// PLDI 2001 future-work item implemented as append-only history.
+/// PLDI 2001 future-work item, one version deep: a slot keeps the
+/// current binding and the rollback target, and frees older ones once
+/// no reader can hold them.
 
 #include "core/Runtime.h"
 #include "patch/PatchBuilder.h"
 
 #include <gtest/gtest.h>
+
+#include <atomic>
+#include <memory>
+#include <thread>
+#include <vector>
 
 using namespace dsu;
 
@@ -138,6 +145,106 @@ TEST_F(RollbackTest, RefusedInsideUpdateableCode) {
   auto Probe = cantFail(bindUpdateable<int64_t()>(RT.updateables(),
                                                   RT.types(), "app.inner"));
   EXPECT_EQ(Probe(), 1); // rollback refused re-entrantly
+}
+
+/// A binding that leaves the two-binding window while an unresolved
+/// canary gate still names it stays allocated, even with no epoch
+/// participant anywhere: a control reader, pinned however late, is
+/// redirected through the gates to it.
+TEST_F(RollbackTest, BindingNamedByAGateOutlivesTheWindow) {
+  auto H = cantFail(RT.defineUpdateable("app.f", &v1));
+  Linker L(RT.updateables(), RT.exports());
+  auto Plan = [&](int64_t (*Fn)(int64_t)) {
+    LinkUnit Unit;
+    Unit.Provides.push_back(ProvideRequest{
+        "app.f", fnTypeOf<int64_t, int64_t>(RT.types()), makeRawBinding(Fn)});
+    return cantFail(L.prepare(std::move(Unit)));
+  };
+  std::vector<RollEntry *> Gated;
+  // Two canary commits, each granted to worker 0 only: v1 leaves the
+  // window with the second, and the first's gate still names it.
+  ASSERT_FALSE(L.commit(Plan(&v2), /*Rolling=*/true, /*CanaryMask=*/1, &Gated));
+  ASSERT_FALSE(L.commit(Plan(&v3), /*Rolling=*/true, /*CanaryMask=*/1, &Gated));
+  RT.flushRetiredBindings();
+  EXPECT_EQ(RT.updateables().residentBindings(*H.slot()), 3u);
+  EXPECT_EQ(H(0), 1); // this thread is no canary: v1, through both gates
+
+  // Resolving the gates unnames it; then it goes like any other.
+  epoch::domain().advanceWith(
+      [](uint64_t E, void *Raw) {
+        for (RollEntry *R : *static_cast<std::vector<RollEntry *> *>(Raw))
+          R->PromoteEpoch.store(E, std::memory_order_release);
+      },
+      &Gated);
+  EXPECT_EQ(H(0), 3);
+  RT.flushRetiredBindings();
+  EXPECT_EQ(H.slot()->rollDepth(), 0u);
+  EXPECT_EQ(RT.updateables().residentBindings(*H.slot()),
+            UpdateableSlot::kWindow);
+}
+
+/// Threads that are not reactor workers call an updateable while the
+/// main thread rebinds it 10^3 times, so superseded bindings are really
+/// freed under them.  Each call's epoch guard must keep its binding
+/// alive: a call through a freed closure is a use-after-free that ASan
+/// reports, and a torn one returns a value no binding ever held.
+TEST_F(RollbackTest, UnpinnedCallersOutliveFreedBindings) {
+  constexpr int64_t Rebinds = 1000;
+  auto H = cantFail(RT.defineUpdateable("app.f", &v1));
+  std::atomic<bool> Stop{false};
+  std::atomic<uint64_t> Bad{0}, Calls{0};
+  std::vector<std::thread> Readers;
+  for (int T = 0; T != 4; ++T)
+    Readers.emplace_back([&] {
+      while (!Stop.load(std::memory_order_relaxed)) {
+        int64_t R = H(0);
+        if (R != 1 && (R < 1000 || R >= 1000 + Rebinds))
+          Bad.fetch_add(1, std::memory_order_relaxed);
+        Calls.fetch_add(1, std::memory_order_relaxed);
+      }
+    });
+
+  std::vector<std::weak_ptr<void>> Code;
+  size_t FreedWhileServing = 0;
+  for (int64_t K = 0; K != Rebinds; ++K) {
+    // Every rebind overlaps calls in flight.
+    uint64_t Seen = Calls.load();
+    while (Calls.load() < Seen + 4)
+      std::this_thread::yield();
+    // Heap-owned state per binding: what a freed binding would leave
+    // dangling.
+    auto Value = std::make_shared<const int64_t>(1000 + K);
+    Binding B = makeClosureBinding<int64_t, int64_t>(
+        [Value](int64_t X) { return X + *Value; });
+    Code.push_back(B.KeepAlive);
+    Patch P = cantFail(PatchBuilder(RT.types(), "rebind-" + std::to_string(K))
+                           .provideBinding("app.f",
+                                           RT.updateables().lookup("app.f")
+                                               ->type(),
+                                           std::move(B))
+                           .build());
+    RT.requestUpdate(std::move(P));
+    ASSERT_EQ(RT.updatePoint(Runtime::PendingCommit::Rolling), 1u);
+  }
+  for (const std::weak_ptr<void> &W : Code)
+    FreedWhileServing += W.expired();
+  Stop.store(true);
+  for (std::thread &T : Readers)
+    T.join();
+
+  EXPECT_EQ(Bad.load(), 0u);
+  EXPECT_GT(Calls.load(), 0u);
+  EXPECT_GT(FreedWhileServing, 0u);
+  // Once the readers are gone, one flush frees all but the window.
+  RT.flushRetiredBindings();
+  size_t Alive = 0;
+  for (const std::weak_ptr<void> &W : Code)
+    Alive += !W.expired();
+  EXPECT_LE(Alive, UpdateableSlot::kWindow);
+  EXPECT_EQ(H.slot()->historySize(), static_cast<size_t>(Rebinds + 1));
+  EXPECT_EQ(H(0), 1000 + Rebinds - 1);
+  ASSERT_FALSE(RT.rollbackUpdateable("app.f"));
+  EXPECT_EQ(H(0), 1000 + Rebinds - 2);
 }
 
 } // namespace

@@ -3,14 +3,19 @@
 #include "support/Error.h"
 #include "support/Hashing.h"
 #include "support/Json.h"
+#include "support/Logging.h"
 #include "support/MemoryBuffer.h"
 #include "support/SExpr.h"
 #include "support/StringUtil.h"
 #include "support/Timer.h"
 
+#include "StderrCapture.h"
+
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <thread>
+#include <vector>
 
 using namespace dsu;
 
@@ -311,4 +316,45 @@ TEST(SExprTest, NegativeLooksLikeSymbolWhenNotNumeric) {
   ASSERT_TRUE(S);
   EXPECT_TRUE((*S)[0].isSymbol());
   EXPECT_TRUE((*S)[1].isSymbol());
+}
+
+TEST(LoggingTest, ConcurrentLinesStayWhole) {
+  // Each line is formatted into one buffer and written once, so lines
+  // from concurrent threads never interleave.
+  constexpr int Threads = 4, PerThread = 500;
+  LogLevel Saved = logLevel();
+  setLogLevel(LL_Warning);
+  std::string Text;
+  {
+    testing_support::StderrCapture Capture;
+    std::vector<std::thread> Ts;
+    for (int T = 0; T != Threads; ++T)
+      Ts.emplace_back([T] {
+        for (int I = 0; I != PerThread; ++I)
+          DSU_LOG_WARN("thread %d line %d of a message long enough to "
+                       "straddle a partial write",
+                       T, I);
+      });
+    for (std::thread &T : Ts)
+      T.join();
+    Text = Capture.finish();
+  }
+  setLogLevel(Saved);
+  std::vector<std::string> Lines = testing_support::StderrCapture::lines(Text);
+  ASSERT_EQ(Lines.size(), static_cast<size_t>(Threads * PerThread));
+  for (const std::string &L : Lines) {
+    EXPECT_EQ(L.rfind("[dsu:warn] thread ", 0), 0u) << L;
+    EXPECT_EQ(L.find("[dsu:", 1), std::string::npos) << L;
+  }
+}
+
+TEST(LoggingTest, LongLinesAreWrittenWhole) {
+  std::string Long(2000, 'x');
+  std::string Text;
+  {
+    testing_support::StderrCapture Capture;
+    DSU_LOG_ERROR("%s|end", Long.c_str());
+    Text = Capture.finish();
+  }
+  EXPECT_EQ(Text, "[dsu:error] " + Long + "|end\n");
 }
