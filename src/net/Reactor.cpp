@@ -42,6 +42,7 @@ void Reactor::close() {
       ::close(C->Fd);
   Pool.clear();
   FreeList = nullptr;
+  Fresh.clear();
   PendingRelease.clear();
   ActiveConns = 0;
   AcceptPaused = false;
@@ -99,6 +100,9 @@ Error Reactor::open(const ReactorOptions &O) {
     return Fail("socket");
   int One = 1;
   ::setsockopt(ListenFd, SOL_SOCKET, SO_REUSEADDR, &One, sizeof(One));
+  // Linux copies TCP_NODELAY from the listener to every socket it
+  // accepts, so no accepted connection needs a setsockopt of its own.
+  ::setsockopt(ListenFd, IPPROTO_TCP, TCP_NODELAY, &One, sizeof(One));
   if (O.ReusePort &&
       ::setsockopt(ListenFd, SOL_SOCKET, SO_REUSEPORT, &One, sizeof(One)) <
           0)
@@ -173,14 +177,22 @@ Reactor::Conn *Reactor::allocConn(int Fd) {
   C->Tail.reset();
   C->TailPos = 0;
   C->WriteArmed = false;
+  C->Registered = false;
   C->CloseAfter = false;
   C->PeerClosed = false;
   C->NextFree = nullptr;
   return C;
 }
 
+void Reactor::setListenerEvents(uint32_t Events) {
+  epoll_event Ev{};
+  Ev.events = Events;
+  Ev.data.ptr = nullptr;
+  ::epoll_ctl(EpollFd, EPOLL_CTL_MOD, ListenFd, &Ev);
+}
+
 void Reactor::pauseAccepting() {
-  ::epoll_ctl(EpollFd, EPOLL_CTL_DEL, ListenFd, nullptr);
+  setListenerEvents(0);
   AcceptPaused = true;
   AcceptResumeAt = std::chrono::steady_clock::now() + AcceptBackoffMs;
 }
@@ -189,70 +201,97 @@ void Reactor::resumeAcceptingIfDue() {
   if (!AcceptPaused || ListenFd < 0 ||
       std::chrono::steady_clock::now() < AcceptResumeAt)
     return;
-  epoll_event Ev{};
-  Ev.events = EPOLLIN;
-  Ev.data.ptr = nullptr;
-  if (::epoll_ctl(EpollFd, EPOLL_CTL_ADD, ListenFd, &Ev) == 0)
-    AcceptPaused = false;
+  setListenerEvents(EPOLLIN);
+  AcceptPaused = false;
 }
 
-void Reactor::acceptPending() {
-  while (true) {
-    int Fd = ::accept4(ListenFd, nullptr, nullptr, SOCK_NONBLOCK);
-    if (Fd < 0) {
-      if (errno == EAGAIN || errno == EWOULDBLOCK)
-        return;
-      if (errno == EINTR || errno == ECONNABORTED)
-        continue; // transient, keep draining the backlog
-      // Persistent errors (EMFILE, ENFILE, ENOBUFS, ENOMEM): spinning on
-      // a level-triggered listener would peg the loop, so log once and
-      // take the listener out of the epoll set for a short backoff.
-      if (!AcceptErrorLogged) {
-        DSU_LOG_WARN("reactor accept: %s; backing off",
-                     std::strerror(errno));
-        AcceptErrorLogged = true;
-      }
-      pauseAccepting();
-      return;
+void Reactor::acceptOne() {
+  // One accept per listener event: the listener is level-triggered, so
+  // it fires again while its backlog is non-empty, and no trailing
+  // accept4 has to return EAGAIN.
+  int Fd =
+      ::accept4(ListenFd, nullptr, nullptr, SOCK_NONBLOCK | SOCK_CLOEXEC);
+  if (Fd < 0) {
+    if (errno == EAGAIN || errno == EWOULDBLOCK || errno == EINTR ||
+        errno == ECONNABORTED)
+      return; // transient
+    // Persistent errors (EMFILE, ENFILE, ENOBUFS, ENOMEM): spinning on
+    // a level-triggered listener would peg the loop, so log once and
+    // mute the listener for a short backoff.
+    if (!AcceptErrorLogged) {
+      DSU_LOG_WARN("reactor accept: %s; backing off", std::strerror(errno));
+      AcceptErrorLogged = true;
     }
-    AcceptErrorLogged = false;
-    int One = 1;
-    ::setsockopt(Fd, IPPROTO_TCP, TCP_NODELAY, &One, sizeof(One));
-    Conn *C = allocConn(Fd);
-    epoll_event Ev{};
-    Ev.events = EPOLLIN;
-    Ev.data.ptr = C;
-    if (::epoll_ctl(EpollFd, EPOLL_CTL_ADD, Fd, &Ev) < 0) {
-      ::close(Fd);
-      C->Fd = -1;
-      C->NextFree = FreeList;
-      FreeList = C;
-      continue;
-    }
-    ++ActiveConns;
-    Stats.noteConnection();
+    pauseAccepting();
+    return;
   }
+  AcceptErrorLogged = false;
+  Conn *C = allocConn(Fd);
+  ++ActiveConns;
+  Stats.noteConnection();
+  // A client sends its request as soon as it connects, so read it now.
+  // Serving waits for the next pollOnce(), after the caller's idle
+  // point: a request never runs code older than the last update that
+  // committed before its connection was accepted.
+  if (!readInput(C))
+    return;
+  if (C->In.empty() && !C->PeerClosed)
+    registerConn(C);
+  else
+    Fresh.push_back(C);
+}
+
+void Reactor::registerConn(Conn *C) {
+  epoll_event Ev{};
+  Ev.events = C->WriteArmed ? (EPOLLIN | EPOLLOUT) : EPOLLIN;
+  Ev.data.ptr = C;
+  if (::epoll_ctl(EpollFd, EPOLL_CTL_ADD, C->Fd, &Ev) < 0) {
+    closeConn(C);
+    return;
+  }
+  C->Registered = true;
+}
+
+void Reactor::serveFresh() {
+  for (Conn *C : Fresh) {
+    processConn(C);
+    // Only a connection that stays open (keep-alive, a partial request,
+    // backpressured output) enters the epoll set.
+    if (C->Fd >= 0)
+      registerConn(C);
+  }
+  Fresh.clear();
 }
 
 void Reactor::armWrite(Conn *C, bool Enable) {
   if (C->WriteArmed == Enable)
     return;
+  C->WriteArmed = Enable;
+  if (!C->Registered)
+    return; // registerConn() takes the mask from WriteArmed
   epoll_event Ev{};
   Ev.events = Enable ? (EPOLLIN | EPOLLOUT) : EPOLLIN;
   Ev.data.ptr = C;
   ::epoll_ctl(EpollFd, EPOLL_CTL_MOD, C->Fd, &Ev);
-  C->WriteArmed = Enable;
 }
 
 void Reactor::closeConn(Conn *C) {
-  ::epoll_ctl(EpollFd, EPOLL_CTL_DEL, C->Fd, nullptr);
+  // No epoll_ctl: the fd is CLOEXEC and never duplicated, so close(2)
+  // drops the last reference to the socket and the kernel removes its
+  // epoll registration with it.
   ::close(C->Fd);
   C->Fd = -1;
   C->Tail.reset();
   assert(ActiveConns > 0 && "closing more conns than were accepted");
   --ActiveConns;
+  if (!C->Registered) {
+    C->NextFree = FreeList; // never in the epoll set: no stale events
+    FreeList = C;
+    return;
+  }
   // Deferred recycling: a stale event for this conn may still sit later
   // in the current epoll_wait batch.
+  C->Registered = false;
   PendingRelease.push_back(C);
 }
 
@@ -393,41 +432,38 @@ void Reactor::processConn(Conn *C) {
   }
 }
 
-void Reactor::handleReadable(Conn *C) {
+bool Reactor::readInput(Conn *C) {
   char Buf[1 << 16];
   while (true) {
     ssize_t N = ::read(C->Fd, Buf, sizeof(Buf));
     if (N > 0) {
       C->In.append(Buf, static_cast<size_t>(N));
       if (static_cast<size_t>(N) < sizeof(Buf))
-        break; // short read: the socket is drained
+        return true; // short read: the socket is drained
       continue;
     }
     if (N == 0) {
       // Half-close: the client may have pipelined requests and shut
       // down its write side; serve what is buffered before closing.
       C->PeerClosed = true;
-      break;
+      return true;
     }
     if (errno == EAGAIN || errno == EWOULDBLOCK)
-      break;
+      return true;
     if (errno == EINTR)
       continue;
     closeConn(C);
-    return;
+    return false;
   }
-  processConn(C);
 }
 
 void Reactor::beginDrain() {
   Draining = true;
   DrainDeadline = std::chrono::steady_clock::now() +
                   std::chrono::milliseconds(DrainTimeoutMs);
-  // Stop accepting: the listener leaves the epoll set and closes, so
-  // the port frees up while existing connections drain.
+  // Stop accepting: closing the listener takes it out of the epoll set
+  // and frees the port while existing connections drain.
   if (ListenFd >= 0) {
-    if (!AcceptPaused)
-      ::epoll_ctl(EpollFd, EPOLL_CTL_DEL, ListenFd, nullptr);
     ::close(ListenFd);
     ListenFd = -1;
     AcceptPaused = false;
@@ -443,6 +479,7 @@ void Reactor::beginDrain() {
 Expected<int> Reactor::pollOnce(int TimeoutMs) {
   if (EpollFd < 0)
     return Error::make(ErrorCode::EC_IO, "pollOnce before open");
+  serveFresh();
   if (StopRequested.load(std::memory_order_acquire) && !Draining)
     beginDrain();
   if (Draining && ActiveConns != 0 &&
@@ -486,7 +523,7 @@ Expected<int> Reactor::pollOnce(int TimeoutMs) {
   for (int I = 0; I != N; ++I) {
     void *P = Events[I].data.ptr;
     if (!P) {
-      acceptPending();
+      acceptOne();
       continue;
     }
     if (P == &WakeFd) {
@@ -503,7 +540,9 @@ Expected<int> Reactor::pollOnce(int TimeoutMs) {
       continue;
     }
     if (Events[I].events & EPOLLIN) {
-      handleReadable(C);
+      if (!readInput(C))
+        continue;
+      processConn(C);
       if (C->Fd < 0)
         continue;
     }

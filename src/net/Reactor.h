@@ -21,6 +21,17 @@
 /// closed after its response.  pollOnce() returns between requests:
 /// its caller's loop is where the per-worker update point runs.
 ///
+/// A one-shot request costs five syscalls: a share of one `epoll_wait`
+/// (the listener event), `accept4`, `read`, `writev` and `close`.  The
+/// listener carries TCP_NODELAY, which accepted sockets inherit; each
+/// listener event accepts one connection and reads what its client
+/// already sent.  A connection with buffered input waits on the Fresh
+/// list and is served at the start of the next pollOnce(), after the
+/// caller's idle point, so it runs the code of every update committed
+/// before it was accepted.  Only a connection still open after that
+/// (keep-alive, a partial request, backpressured output) enters the
+/// epoll set, and close(2) alone takes it out again.
+///
 /// Shutdown is graceful by default: requestStop() (callable from any
 /// thread) closes the listener, serves every already-buffered pipelined
 /// request, flushes backpressured output, closes idle keep-alive
@@ -138,7 +149,8 @@ private:
     size_t OutPos = 0;
     std::shared_ptr<const std::string> Tail; ///< zero-copy body after Out
     size_t TailPos = 0;
-    bool WriteArmed = false;
+    bool WriteArmed = false; ///< wants EPOLLOUT (backpressured output)
+    bool Registered = false; ///< in the epoll set
     bool CloseAfter = false;
     bool PeerClosed = false; ///< read side saw EOF (client half-close)
     Conn *NextFree = nullptr;
@@ -149,11 +161,18 @@ private:
   };
 
   Conn *allocConn(int Fd);
-  void acceptPending();
+  /// Accepts one connection and reads what its client already sent.
+  void acceptOne();
+  /// Serves the Fresh list and registers the conns that stay open.
+  void serveFresh();
+  void registerConn(Conn *C);
+  void setListenerEvents(uint32_t Events);
   void pauseAccepting();
   void resumeAcceptingIfDue();
   void beginDrain();
-  void handleReadable(Conn *C);
+  /// Reads everything the socket holds; false when a read error closed
+  /// the connection.
+  bool readInput(Conn *C);
   /// Serves every buffered request backpressure allows, then flushes.
   void processConn(Conn *C);
   void serveOne(Conn *C, const flashed::RequestHead &Head,
@@ -172,8 +191,13 @@ private:
 
   std::vector<std::unique_ptr<Conn>> Pool;
   Conn *FreeList = nullptr;
-  /// Conns closed mid-batch; recycled only after the batch so stale
-  /// events in the same epoll_wait return cannot hit a reused object.
+  /// Conns accepted with buffered input (or EOF), not yet registered:
+  /// served at the start of the next pollOnce(), after the caller's
+  /// idle point.
+  std::vector<Conn *> Fresh;
+  /// Registered conns closed mid-batch; recycled only after the batch
+  /// so stale events in the same epoll_wait return cannot hit a reused
+  /// object.
   std::vector<Conn *> PendingRelease;
   size_t ActiveConns = 0;
 

@@ -348,37 +348,31 @@ void UpdateJournal::indexRecord(const JournalRecord &R) {
   case RecordKind::Intent:
     IntentIndex[R.Seq] = All.size();
     break;
-  case RecordKind::Seal:
+  case RecordKind::Seal: {
     LatestSeal[R.IntentSeq] = All.size();
-    if (R.Outcome == SealOutcome::Quarantined) {
-      auto It = IntentIndex.find(R.IntentSeq);
-      if (It != IntentIndex.end())
-        Quarantined.insert(All[It->second].Hash);
-    }
+    auto It = IntentIndex.find(R.IntentSeq);
+    if (It == IntentIndex.end())
+      break;
+    const std::string &Hash = All[It->second].Hash;
+    // The consecutive-Crashed streak, kept in seal order: a Committed
+    // seal proves the patch can land and resets it; a RolledBack seal
+    // is a deterministic rejection, not a crash, and leaves it alone.
+    if (R.Outcome == SealOutcome::Crashed)
+      ++CrashStreaks[Hash];
+    else if (R.Outcome == SealOutcome::Committed)
+      CrashStreaks[Hash] = 0;
+    else if (R.Outcome == SealOutcome::Quarantined)
+      Quarantined.insert(Hash);
     break;
+  }
   case RecordKind::CleanShutdown:
     break;
   }
 }
 
 uint32_t UpdateJournal::crashStreak(const std::string &Hash) const {
-  // Consecutive-Crashed streak for one artifact, in seal order: a
-  // Committed seal proves the patch can land and resets the count; a
-  // RolledBack seal is a deterministic rejection, not a crash, and
-  // leaves the streak alone.
-  uint32_t Streak = 0;
-  for (const JournalRecord &R : All) {
-    if (R.Kind != RecordKind::Seal)
-      continue;
-    auto It = IntentIndex.find(R.IntentSeq);
-    if (It == IntentIndex.end() || All[It->second].Hash != Hash)
-      continue;
-    if (R.Outcome == SealOutcome::Crashed)
-      ++Streak;
-    else if (R.Outcome == SealOutcome::Committed)
-      Streak = 0;
-  }
-  return Streak;
+  auto It = CrashStreaks.find(Hash);
+  return It == CrashStreaks.end() ? 0 : It->second;
 }
 
 // --- Appending -----------------------------------------------------------

@@ -265,6 +265,8 @@ private:
   std::map<uint64_t, size_t> IntentIndex;  ///< Intent seq -> index in All
   std::map<uint64_t, size_t> LatestSeal;   ///< Intent seq -> seal index
   std::set<std::string> Quarantined;       ///< hashes
+  /// Consecutive-Crashed streak per hash, maintained by indexRecord().
+  std::map<std::string, uint32_t> CrashStreaks;
   uint64_t Boots = 0;
   bool PrevCrashed = false;
   bool BootBegun = false;

@@ -11,6 +11,7 @@
 #include "flashed/Client.h"
 #include "flashed/Patches.h"
 #include "net/ReactorPool.h"
+#include "patch/PatchLoader.h"
 #include "runtime/UpdateController.h"
 
 #include <gtest/gtest.h>
@@ -583,6 +584,44 @@ TEST_F(FastServerTest, UpdateAppliesBetweenKeepAliveRequests) {
   // Both exchanges used one connection: the update really happened
   // mid-connection.
   EXPECT_EQ(Srv->connectionsAccepted(), 1u);
+}
+
+TEST_F(FastServerTest, FreshConnectionAfterRollingCommitServesNewCode) {
+  // A request is served only after an idle point that follows its
+  // connection's accept.  Two workers with a long poll timeout: the one
+  // that accepts the trigger connection commits the rolling VTAL parse
+  // fix at its idle point, while the other sits in epoll_wait on the
+  // epoch it observed before the commit.  Every fresh connection after
+  // the commit, whichever worker the kernel hands it to, must run the
+  // fix.
+  Srv.reset();
+  net::PoolOptions O;
+  O.Workers = 2;
+  O.PollTimeoutMs = 10000;
+  Srv = std::make_unique<net::ReactorPool>(appHandler(App), O);
+  Srv->setUpdateRuntime(RT);
+  ASSERT_FALSE(Srv->start());
+
+  Expected<Patch> P =
+      loadVtalPatch(RT.types(), RT.exports(), vtalParseFixPatchText());
+  ASSERT_TRUE(P) << P.takeError().str();
+  RT.requestUpdate(std::move(*P));
+  Expected<FetchResult> Trigger = httpGet(Srv->port(), "/index.html");
+  ASSERT_TRUE(Trigger) << Trigger.takeError().str();
+  for (int Spin = 0; Spin != 1000 && RT.updatesApplied() == 0; ++Spin)
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  ASSERT_EQ(RT.updatesApplied(), 1u);
+  EXPECT_EQ(RT.rollingCommits(), 1u);
+  EXPECT_EQ(Srv->barrierRounds(), 0u);
+
+  for (int I = 0; I != 50; ++I) {
+    Expected<FetchResult> R = httpGet(Srv->port(), "/doc.html?x=1");
+    ASSERT_TRUE(R) << R.takeError().str();
+    EXPECT_EQ(R->Status, 200) << "request " << I;
+  }
+  // The kernel spread the connections over both workers.
+  EXPECT_GT(Srv->workerStats(0).Requests.load(), 0u);
+  EXPECT_GT(Srv->workerStats(1).Requests.load(), 0u);
 }
 
 // --- The /admin control plane over the wire ------------------------------

@@ -365,6 +365,49 @@ TEST(JournalTest, CrashLoopTripsTheQuarantinePolicy) {
   EXPECT_NE(Refused.error().str().find("quarantined"), std::string::npos);
 }
 
+TEST(JournalTest, CrashStreakResetsOnCommitAndIgnoresRollback) {
+  std::string Dir = freshDir("streak");
+  std::string Art = mimePatch("streaky", "text/x-streak");
+  std::string Other = mimePatch("bystander", "text/x-other");
+  // Each Intent's Attempt is one more than its artifact's streak of
+  // consecutive Crashed seals.
+  auto Attempt = [](persist::UpdateJournal &J, const std::string &Id,
+                    const std::string &Text,
+                    persist::SealOutcome Outcome) -> uint32_t {
+    Expected<uint64_t> Seq =
+        J.appendIntent(Id, Text, persist::IntentOrigin::Operator);
+    EXPECT_TRUE(Seq) << (Seq ? "" : Seq.error().str());
+    if (!Seq)
+      return 0;
+    uint32_t A = J.records().back().Attempt;
+    EXPECT_FALSE(J.appendSeal(*Seq, Outcome, "barrier", "test"));
+    return A;
+  };
+  using persist::SealOutcome;
+  {
+    auto J = openJ(Dir);
+    ASSERT_TRUE(J);
+    J->beginBoot("");
+    EXPECT_EQ(Attempt(*J, "streaky", Art, SealOutcome::Crashed), 1u);
+    // Another artifact's seals do not touch this one's streak.
+    EXPECT_EQ(Attempt(*J, "bystander", Other, SealOutcome::Crashed), 1u);
+    // RolledBack leaves the streak unchanged.
+    EXPECT_EQ(Attempt(*J, "streaky", Art, SealOutcome::RolledBack), 2u);
+    EXPECT_EQ(Attempt(*J, "streaky", Art, SealOutcome::Crashed), 2u);
+    // Committed resets it.
+    EXPECT_EQ(Attempt(*J, "streaky", Art, SealOutcome::Committed), 3u);
+    EXPECT_EQ(Attempt(*J, "streaky", Art, SealOutcome::Crashed), 1u);
+    EXPECT_EQ(Attempt(*J, "bystander", Other, SealOutcome::Committed), 2u);
+    ASSERT_FALSE(J->sealCleanShutdown());
+  }
+  // Recovery rebuilds the streaks from the log in seal order.
+  auto J = openJ(Dir);
+  ASSERT_TRUE(J);
+  J->beginBoot("");
+  EXPECT_EQ(Attempt(*J, "streaky", Art, SealOutcome::RolledBack), 2u);
+  EXPECT_EQ(Attempt(*J, "bystander", Other, SealOutcome::Crashed), 1u);
+}
+
 // --- In-process replay equivalence --------------------------------------
 
 TEST(JournalReplayTest, ReplayRebuildsTheCommittedChain) {
