@@ -85,12 +85,15 @@ void Runtime::finalize(UpdateTransaction &Tx, UpdatePhase Phase,
   trace::Recorder::instance().instant("update", updatePhaseName(Phase));
   Tx.Phase.store(Phase, std::memory_order_release);
   UpdateRecord RecCopy;
+  bool Held;
   {
     std::lock_guard<std::mutex> G(Tx.RecLock);
     Tx.Rec.Phase = updatePhaseName(Phase);
     Tx.Rec.Succeeded = Phase == UpdatePhase::Committed;
     if (E)
       Tx.Rec.FailureReason = E->str();
+    Tx.Finalized = true;
+    Held = Tx.HeldForRollout.load(std::memory_order_acquire);
     RecCopy = Tx.Rec;
   }
   // Seal the transaction's durable-journal Intent with the terminal
@@ -115,10 +118,8 @@ void Runtime::finalize(UpdateTransaction &Tx, UpdatePhase Phase,
                      SE.str().c_str());
     }
   }
-  {
-    std::lock_guard<std::mutex> G(LogLock);
-    Log.push_back(std::move(RecCopy));
-  }
+  if (!Held)
+    appendLog(std::move(RecCopy));
   if (Phase == UpdatePhase::Committed)
     Applied.fetch_add(1);
   // A terminal front transaction becomes collectable at the next update
@@ -631,17 +632,19 @@ void Runtime::maybeFlushRetiredBindings() {
   flushRetiredBindingsLocked();
 }
 
-void Runtime::annotateRollout(const std::shared_ptr<UpdateTransaction> &Tx,
-                              const std::string &Verdict,
-                              const std::string &Reason) {
+void Runtime::settleRollout(UpdateTransaction &Tx, RolloutRecord R) {
   // The rollout thread seals the verdict here; tag the journal-seal
   // span (inside appendSeal) with the update id.
-  trace::ScopedUpdateId TraceId(Tx->id());
+  trace::ScopedUpdateId TraceId(Tx.id());
+  std::string Verdict = R.Verdict, Reason = R.Reason;
+  UpdateRecord RecCopy;
   {
-    std::lock_guard<std::mutex> G(Tx->RecLock);
-    Tx->Rec.Rollout = Verdict;
-    if (!Reason.empty())
-      Tx->Rec.FailureReason = Reason;
+    std::lock_guard<std::mutex> G(Tx.RecLock);
+    if (!Verdict.empty() && !Reason.empty())
+      Tx.Rec.FailureReason = Reason;
+    Tx.Rec.Rollout = std::make_shared<const RolloutRecord>(std::move(R));
+    Tx.HeldForRollout.store(false, std::memory_order_release);
+    RecCopy = Tx.Rec;
   }
   // The canary verdict supersedes the commit-time seal: a rollout first
   // commits (sealed Committed via finalize), then the health gates
@@ -649,35 +652,28 @@ void Runtime::annotateRollout(const std::shared_ptr<UpdateTransaction> &Tx,
   // same Intent — latest seal wins in the journal's chain derivation —
   // so a reverted patch is never replayed at the next boot; a promotion
   // re-seals Committed carrying the verdict for the history surface.
-  if (Tx->JournalSeq != 0) {
+  // A failed rollout has no verdict: finalize sealed its outcome.
+  if (Tx.JournalSeq != 0 && !Verdict.empty()) {
     if (persist::UpdateJournal *J = Journal.load(std::memory_order_acquire)) {
       persist::SealOutcome Outcome = Verdict == "promoted"
                                          ? persist::SealOutcome::Committed
                                          : persist::SealOutcome::RolledBack;
-      std::string Mode;
-      {
-        std::lock_guard<std::mutex> G(Tx->RecLock);
-        Mode = Tx->Rec.CommitMode;
-      }
-      if (Error SE =
-              J->appendSeal(Tx->JournalSeq, Outcome, Mode, Reason, Verdict))
+      if (Error SE = J->appendSeal(Tx.JournalSeq, Outcome, RecCopy.CommitMode,
+                                   Reason, Verdict))
         DSU_LOG_WARN("journal: rollout verdict seal for intent %llu "
                      "failed: %s",
-                     static_cast<unsigned long long>(Tx->JournalSeq),
+                     static_cast<unsigned long long>(Tx.JournalSeq),
                      SE.str().c_str());
     }
   }
-  // The commit already appended this transaction's log entry; patch the
-  // verdict in after the fact (search from the back — the entry is
-  // almost always the most recent).
+  appendLog(std::move(RecCopy));
+}
+
+void Runtime::appendLog(UpdateRecord R) {
   std::lock_guard<std::mutex> G(LogLock);
-  for (size_t I = Log.size(); I-- > 0;)
-    if (Log[I].TxId == Tx->id()) {
-      Log[I].Rollout = Verdict;
-      if (!Reason.empty())
-        Log[I].FailureReason = Reason;
-      break;
-    }
+  if (Log.size() == kLogCap)
+    Log.pop_front();
+  Log.push_back(std::move(R));
 }
 
 void Runtime::flushRetiredBindingsLocked() {
@@ -843,7 +839,14 @@ Error Runtime::rollback(const std::vector<std::string> &Names,
 
 std::vector<UpdateRecord> Runtime::updateLog() const {
   std::lock_guard<std::mutex> G(LogLock);
-  return Log;
+  return std::vector<UpdateRecord>(Log.begin(), Log.end());
+}
+
+void Runtime::forEachUpdate(
+    const std::function<void(const UpdateRecord &)> &Fn) const {
+  std::lock_guard<std::mutex> G(LogLock);
+  for (const UpdateRecord &R : Log)
+    Fn(R);
 }
 
 std::vector<UpdateRecord> Runtime::pendingUpdates() const {

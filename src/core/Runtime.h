@@ -46,6 +46,8 @@
 #include "state/Transform.h"
 #include "types/Type.h"
 
+#include <deque>
+#include <functional>
 #include <memory>
 #include <vector>
 
@@ -283,9 +285,6 @@ public:
   void setStagingDeadlineMs(uint64_t Ms) {
     StagingDeadlineMs.store(Ms, std::memory_order_relaxed);
   }
-  uint64_t stagingDeadlineMs() const {
-    return StagingDeadlineMs.load(std::memory_order_relaxed);
-  }
 
   /// True while a canary rollout owns the commit plane (workers neither
   /// commit nor arm the barrier; the RolloutController drives every
@@ -311,8 +310,18 @@ public:
 
   // -- Introspection -------------------------------------------------------
 
-  /// Chronological record of every terminal update transaction.
+  /// Records the update log keeps: over three times the 1252 that a 10 s
+  /// update_churn benchmark run appends, so such a run never wraps it.
+  static constexpr size_t kLogCap = 4096;
+
+  /// The update log, oldest first: the records of the newest kLogCap
+  /// terminal transactions (a rollout's once it resolves).
   std::vector<UpdateRecord> updateLog() const;
+
+  /// Calls \p Fn on each update-log record, oldest first, under the log
+  /// lock, without a copy: \p Fn must be quick (every finalize() waits
+  /// for it) and must not call back into the runtime.
+  void forEachUpdate(const std::function<void(const UpdateRecord &)> &Fn) const;
 
   /// Records of the transactions still queued (staging or ready),
   /// front-of-queue first.
@@ -321,7 +330,7 @@ public:
   /// Number of transactions waiting at the update point (any phase).
   size_t queueDepth() const { return Queue.depth(); }
 
-  /// Number of successfully committed updates.
+  /// Number of successfully committed updates (a running total).
   unsigned updatesApplied() const;
 
 private:
@@ -337,12 +346,13 @@ private:
   /// for a rollout.
   static PendingCommit commitModeOf(const UpdateTransaction &T);
 
-  /// Records a rollout verdict ("promoted" / "rolled-back") on \p Tx's
-  /// live record and on its already-appended update-log entry, so the
-  /// verdict is visible in GET /admin/updates.
-  void annotateRollout(const std::shared_ptr<UpdateTransaction> &Tx,
-                       const std::string &Verdict,
-                       const std::string &Reason);
+  /// Settles the rollout of finalized transaction \p Tx: \p R becomes
+  /// the rollout part of its record, a verdict is sealed in the journal,
+  /// and the record enters the update log.
+  void settleRollout(UpdateTransaction &Tx, RolloutRecord R);
+
+  /// Appends \p R to the update log, dropping the oldest at kLogCap.
+  void appendLog(UpdateRecord R);
 
   /// The one rollback body (see rollbackUpdateables()).  \p RolloutGates
   /// is null for an operator rollback.  The RolloutController's revert
@@ -389,7 +399,8 @@ private:
   /// flushRetiredBindings() with CommitLock already held.
   void flushRetiredBindingsLocked();
 
-  /// Appends \p Tx's record to the log with terminal phase \p Phase.
+  /// Records terminal phase \p Phase on \p Tx and appends its record
+  /// to the log, unless a rollout holds it (see settleRollout()).
   void finalize(UpdateTransaction &Tx, UpdatePhase Phase, const Error *E);
 
   TypeContext Types;
@@ -438,7 +449,7 @@ private:
   std::atomic<persist::UpdateJournal *> Journal{nullptr};
 
   mutable std::mutex LogLock;
-  std::vector<UpdateRecord> Log;
+  std::deque<UpdateRecord> Log; ///< at most kLogCap records
   std::atomic<unsigned> Applied{0};
 
   std::mutex CtlLock;

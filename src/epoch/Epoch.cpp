@@ -19,7 +19,6 @@ thread_local bool TLIsWorker = false;
 } // namespace
 
 uint64_t dsu::epoch::threadPinnedEpoch() { return TLEpoch; }
-bool dsu::epoch::onWorkerThread() { return TLIsWorker; }
 
 namespace {
 

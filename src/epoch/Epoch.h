@@ -208,9 +208,6 @@ Domain &domain();
 /// anyway, and cross-TU wrappers trip UBSan.)
 uint64_t threadPinnedEpoch();
 
-/// True while this thread is a registered worker of the default domain.
-bool onWorkerThread();
-
 // -- RAII helpers ---------------------------------------------------------
 
 /// Registers the calling thread as a worker of \p D for the object's

@@ -6,14 +6,16 @@
 /// appendHttpResponseHead() (flashed/Http.h).  The endpoints:
 ///
 ///   POST /admin/patches     stage a .dsup body off-thread; 202 {tx, phase}
-///   GET  /admin/updates     {log, pending}: terminal and queued records
+///   GET  /admin/updates     {log, pending}: the capped update log and
+///                           the queued records
 ///   GET  /admin/status      counters; worker_state (pool), journal
 ///   GET  /admin/journal     journal state, quarantine table and records
 ///                           (?quarantined=1: no records)
 ///   GET  /admin/metrics     text exposition 0.0.4 (see renderMetrics())
 ///   POST /admin/rollout     canary rollout of a .dsup body; 202 {rollout}
 ///                           (query parameters: parseRolloutOptions())
-///   GET  /admin/rollouts    every rollout record (?id=N: one)
+///   GET  /admin/rollouts    the rollouts in the update log, then the one
+///                           in flight (?id=N: one)
 ///   POST /admin/rollback    roll ?name=F (or the body) back as a rolling
 ///                           swing; 409 past a state-migrating patch
 ///   GET  /admin/lint?id=N   the analyzer's findings for one transaction
@@ -68,8 +70,8 @@ void writeRecord(JsonWriter &W, const UpdateRecord &R) {
     W.key("commit_mode").value(R.CommitMode);
     W.key("stage_to_commit_us").value(R.StageToCommitUs);
   }
-  if (!R.Rollout.empty())
-    W.key("rollout").value(R.Rollout);
+  if (R.Rollout && !R.Rollout->Verdict.empty())
+    W.key("rollout").value(R.Rollout->Verdict);
   if (!R.FailureReason.empty())
     W.key("failure").value(R.FailureReason);
   // Analyzer verdict summary — flat fields only, so line-oriented
@@ -289,6 +291,8 @@ void FlashedApp::handleAdmin(const RequestHead &Head, std::string_view Raw,
 
   if (Head.Method == "GET" && PathOnly == "/admin/updates") {
     W.beginObject().key("log").beginArray();
+    // Rendered from a copy: rendering under the log lock would hold up
+    // every finalize(), a barrier commit's included, for as long.
     for (const UpdateRecord &R : RT.updateLog())
       writeRecord(W, R);
     W.endArray().key("pending").beginArray();
@@ -318,7 +322,7 @@ void FlashedApp::handleAdmin(const RequestHead &Head, std::string_view Raw,
     W.key("rolling_commits").value(RT.rollingCommits());
     W.key("epoch_global").value(GlobalEpoch);
     W.key("staging_backlog").value(Admin->backlog());
-    W.key("requests_handled").value(requestsHandled());
+    W.key("requests_handled").value(Pool ? Pool->requestsServed() : 0);
     W.key("verify_functions_total").value(RT.verifyFunctionsTotal());
     W.key("analysis_findings_total").value(RT.analysisFindingsTotal());
     if (Pool) {
@@ -442,27 +446,31 @@ void FlashedApp::handleAdmin(const RequestHead &Head, std::string_view Raw,
     uint64_t Id = 0;
     if (!parseUInt(queryParam(Target, "id"), Id))
       return Respond(400, errorJson("missing or malformed ?id=<tx>"));
-    // A tx still staging lives in the pending list; finished ones (and
-    // analyzer refusals, which never stage) are in the terminal log.
-    for (const std::vector<UpdateRecord> &List :
-         {RT.pendingUpdates(), RT.updateLog()})
-      for (const UpdateRecord &R : List) {
-        if (R.TxId != Id)
-          continue;
-        W.beginObject().key("tx").value(R.TxId);
-        W.key("patch").value(R.PatchId);
-        W.key("phase").value(R.Phase);
-        W.key("analysis_ran").value(R.AnalysisRan);
-        W.key("analysis_ms").value(R.AnalysisMs, 3);
-        W.key("code_only_predicted").value(R.CodeOnlyPredicted);
-        W.key("findings").beginArray();
-        for (const analysis::Finding &F : R.AnalysisFindings)
-          analysis::writeFindingJson(W, F);
-        W.endArray().endObject();
-        return Respond(200, J);
-      }
-    return Respond(404, errorJson(formatString(
-                            "no update record for tx %" PRIu64, Id)));
+    // A tx still queued is in the pending list; finished ones (and
+    // analyzer refusals, which never stage) are in the update log.
+    std::optional<UpdateRecord> Found;
+    auto Match = [&](const UpdateRecord &R) {
+      if (R.TxId == Id)
+        Found = R;
+    };
+    for (const UpdateRecord &R : RT.pendingUpdates())
+      Match(R);
+    RT.forEachUpdate(Match);
+    if (!Found)
+      return Respond(404, errorJson(formatString(
+                              "no update record for tx %" PRIu64, Id)));
+    const UpdateRecord &R = *Found;
+    W.beginObject().key("tx").value(R.TxId);
+    W.key("patch").value(R.PatchId);
+    W.key("phase").value(R.Phase);
+    W.key("analysis_ran").value(R.AnalysisRan);
+    W.key("analysis_ms").value(R.AnalysisMs, 3);
+    W.key("code_only_predicted").value(R.CodeOnlyPredicted);
+    W.key("findings").beginArray();
+    for (const analysis::Finding &F : R.AnalysisFindings)
+      analysis::writeFindingJson(W, F);
+    W.endArray().endObject();
+    return Respond(200, J);
   }
 
   if (Head.Method == "GET" && PathOnly == "/admin/trace") {
@@ -539,7 +547,7 @@ void emitHistogram(std::string &T, const char *Name,
 std::string FlashedApp::renderMetrics() const {
   std::string T;
   scalar(T, "dsu_requests_total", "counter", "Requests handled by the app.",
-         requestsHandled());
+         Pool ? Pool->requestsServed() : 0);
   scalar(T, "dsu_updates_applied_total", "counter",
          "Committed dynamic updates.", RT.updatesApplied());
   scalar(T, "dsu_rolling_commits_total", "counter",

@@ -185,7 +185,6 @@ void FlashedApp::handleIntoWith(const RequestHead &Head,
   // across two generations — and keeps every epoch-published payload
   // touched below alive.  Free on a reactor worker thread.
   epoch::Guard EpochScope;
-  Requests.fetch_add(1, std::memory_order_relaxed);
   bool KeepAlive = Head.KeepAlive && !Head.Malformed;
   // A HEAD response ends at its header section (RFC 9110 §9.3.2), error
   // responses included, whatever a patched parse stage returns.
@@ -242,11 +241,8 @@ void FlashedApp::handleIntoWith(const RequestHead &Head,
 
 void FlashedApp::handleInto(const RequestHead &Head, std::string_view Raw,
                             std::string &Out, SharedBody &Body) {
-  if (Admin && !Head.Malformed && startsWith(Head.Target, AdminPrefix)) {
-    Requests.fetch_add(1, std::memory_order_relaxed);
-    handleAdmin(Head, Raw, Out);
-    return;
-  }
+  if (Admin && !Head.Malformed && startsWith(Head.Target, AdminPrefix))
+    return handleAdmin(Head, Raw, Out);
   handleIntoWith(Head, Raw, Out, Body, ParseTarget, MapUrl, MimeType,
                  CacheGet, CachePut, LogAccess);
 }

@@ -43,7 +43,6 @@
 #include "runtime/RolloutController.h"
 #include "support/SharedStr.h"
 
-#include <atomic>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -85,7 +84,6 @@ public:
     Admin = &Ctl;
     wireUpdateWake();
   }
-  bool adminEnabled() const { return Admin != nullptr; }
 
   /// Attaches the multi-core serving plane: per-worker rows in
   /// /admin/status and /admin/metrics, and the per-worker counters the
@@ -128,10 +126,6 @@ public:
   Runtime &runtime() { return RT; }
   DocStore &docs() { return Docs; }
   StateCell *cacheCell() { return Cache; }
-
-  uint64_t requestsHandled() const {
-    return Requests.load(std::memory_order_relaxed);
-  }
 
   // Typed pipeline handles (valid after init()).
   Updateable<SharedStr(SharedStr)> ParseTarget;
@@ -182,11 +176,6 @@ private:
   persist::UpdateJournal *Journal = nullptr;
   std::mutex RolloutLock; ///< guards lazy Rollout creation
   std::unique_ptr<RolloutController> Rollout;
-  /// Serving now happens on N reactor workers concurrently; the request
-  /// counter is the only pipeline state the app itself mutates per
-  /// request, so it is a relaxed atomic (cache/state cells have their
-  /// own payload locks).
-  std::atomic<uint64_t> Requests{0};
 };
 
 } // namespace flashed

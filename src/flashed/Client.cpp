@@ -322,17 +322,6 @@ Expected<FetchResult> KeepAliveClient::roundTrip(const std::string &Request,
   return Error::make(ErrorCode::EC_IO, "keep-alive request failed");
 }
 
-Expected<FetchResult> KeepAliveClient::getWithRetry(const std::string &Target,
-                                                    const RetryPolicy &P) {
-  for (unsigned Attempt = 0;; ++Attempt) {
-    Expected<FetchResult> R = get(Target);
-    if (!R || R->Status != 503 || Attempt + 1 >= P.MaxAttempts)
-      return R;
-    std::this_thread::sleep_for(
-        std::chrono::milliseconds(backoffMs(P, Attempt, retryAfterMs(*R))));
-  }
-}
-
 Expected<FetchResult>
 KeepAliveClient::postWithRetry(const std::string &Target,
                                const std::string &Body,

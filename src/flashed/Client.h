@@ -69,8 +69,6 @@ public:
   /// Connects to 127.0.0.1:\p Port.  Idempotent while connected.
   Error connectTo(uint16_t Port);
 
-  bool connected() const { return Fd >= 0; }
-
   /// Bounds every socket send/receive (SO_SNDTIMEO/SO_RCVTIMEO): a
   /// server that wedges mid-response fails the request with EC_Timeout
   /// instead of hanging the operator.  0 (default) = no timeout.
@@ -91,14 +89,12 @@ public:
                                  "application/octet-stream",
                              bool Close = false);
 
-  /// get()/post() with RetryPolicy backoff on 503 responses: retries
+  /// post() with RetryPolicy backoff on 503 responses: retries
   /// with capped exponential backoff plus jitter, using the server's
   /// Retry-After hint when it is longer than the computed backoff.
   /// Non-503 responses (including other errors) return immediately;
   /// transport failures are NOT retried beyond roundTrip()'s single
   /// reconnect — a dead server should fail fast and distinctly.
-  Expected<FetchResult> getWithRetry(const std::string &Target,
-                                     const RetryPolicy &P = {});
   Expected<FetchResult> postWithRetry(const std::string &Target,
                                       const std::string &Body,
                                       const std::string &ContentType =
@@ -138,9 +134,6 @@ struct LoadStats {
 
   double requestsPerSecond() const {
     return Seconds > 0 ? Requests / Seconds : 0;
-  }
-  double megabitsPerSecond() const {
-    return Seconds > 0 ? (BytesReceived * 8.0 / 1e6) / Seconds : 0;
   }
 };
 

@@ -36,14 +36,6 @@ public:
                           makeRawBinding(Fn, 0, "patch:" + P.Id));
   }
 
-  /// Provides an implementation with an explicit type (used when the
-  /// signature mentions named types, which C++ signatures cannot carry).
-  template <typename R, typename... Args>
-  PatchBuilder &provideAs(const std::string &Name, const Type *FnTy,
-                          R (*Fn)(Args...)) {
-    return provideBinding(Name, FnTy, makeRawBinding(Fn, 0, "patch:" + P.Id));
-  }
-
   PatchBuilder &provideBinding(const std::string &Name, const Type *FnTy,
                                Binding Code) {
     P.Unit.Provides.push_back(ProvideRequest{Name, FnTy, std::move(Code)});

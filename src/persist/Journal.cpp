@@ -8,6 +8,7 @@
 #include "support/StringUtil.h"
 #include "trace/Trace.h"
 
+#include <algorithm>
 #include <cerrno>
 #include <chrono>
 #include <cstring>
@@ -279,7 +280,8 @@ UpdateJournal::open(const std::string &Dir, Options Opts) {
   return std::move(J);
 }
 
-Error UpdateJournal::recover() {
+Error UpdateJournal::scanLog(const std::function<void(JournalRecord &)> &Fn,
+                             bool TruncateTail) const {
   struct stat St;
   if (::fstat(LogFd, &St) != 0)
     return Error::make(ErrorCode::EC_IO, "fstat on journal.log failed: %s",
@@ -300,9 +302,9 @@ Error UpdateJournal::recover() {
   // Scan frames: u32 payload-length | payload | u64 FNV-64(payload).
   // The scan stops at the first record that fails to frame, decode, or
   // verify — everything after a torn write is unreachable by design —
-  // and the torn tail is truncated so the next append starts clean.
+  // and recovery truncates the torn tail so the next append starts clean.
   size_t Off = 0;
-  bool CleanSinceBoot = true;
+  uint64_t Seq = 0;
   while (Buf.size() - Off >= 4) {
     uint32_t Len;
     std::memcpy(&Len, Buf.data() + Off, 4);
@@ -316,18 +318,13 @@ Error UpdateJournal::recover() {
     JournalRecord R;
     if (!decodePayload(Payload, Len, R))
       break;
-    if (R.Seq < NextSeq)
+    if (R.Seq <= Seq)
       break; // sequence went backwards: treat as corruption
-    indexRecord(R);
-    NextSeq = R.Seq + 1;
-    if (R.Kind == RecordKind::BootStart)
-      CleanSinceBoot = false;
-    else if (R.Kind == RecordKind::CleanShutdown)
-      CleanSinceBoot = true;
-    All.push_back(std::move(R));
+    Seq = R.Seq;
+    Fn(R);
     Off += 4 + Len + 8;
   }
-  if (Off < Buf.size()) {
+  if (TruncateTail && Off < Buf.size()) {
     DSU_LOG_WARN("journal '%s': truncating torn tail (%zu of %zu bytes "
                  "valid)",
                  Dir.c_str(), Off, Buf.size());
@@ -336,6 +333,21 @@ Error UpdateJournal::recover() {
                          "cannot truncate torn journal tail: %s",
                          std::strerror(errno));
   }
+  return Error::success();
+}
+
+Error UpdateJournal::recover() {
+  bool CleanSinceBoot = true;
+  auto Index = [&](JournalRecord &R) {
+    indexRecord(R);
+    NextSeq = R.Seq + 1;
+    if (R.Kind == RecordKind::BootStart)
+      CleanSinceBoot = false;
+    else if (R.Kind == RecordKind::CleanShutdown)
+      CleanSinceBoot = true;
+  };
+  if (Error E = scanLog(Index, /*TruncateTail=*/true))
+    return E;
   PrevCrashed = Boots > 0 && !CleanSinceBoot;
   return Error::success();
 }
@@ -345,24 +357,30 @@ void UpdateJournal::indexRecord(const JournalRecord &R) {
   case RecordKind::BootStart:
     ++Boots;
     break;
-  case RecordKind::Intent:
-    IntentIndex[R.Seq] = All.size();
+  case RecordKind::Intent: {
+    IntentEntry &E = Intents[R.Seq];
+    E.PatchId = R.PatchId;
+    E.Hash = R.Hash;
+    E.Origin = R.Origin;
+    E.Attempt = R.Attempt;
     break;
+  }
   case RecordKind::Seal: {
-    LatestSeal[R.IntentSeq] = All.size();
-    auto It = IntentIndex.find(R.IntentSeq);
-    if (It == IntentIndex.end())
+    auto It = Intents.find(R.IntentSeq);
+    if (It == Intents.end())
       break;
-    const std::string &Hash = All[It->second].Hash;
+    IntentEntry &E = It->second;
+    E.Seal = R.Outcome;
     // The consecutive-Crashed streak, kept in seal order: a Committed
     // seal proves the patch can land and resets it; a RolledBack seal
     // is a deterministic rejection, not a crash, and leaves it alone.
     if (R.Outcome == SealOutcome::Crashed)
-      ++CrashStreaks[Hash];
+      ++CrashStreaks[E.Hash];
     else if (R.Outcome == SealOutcome::Committed)
-      CrashStreaks[Hash] = 0;
+      CrashStreaks[E.Hash] = 0;
     else if (R.Outcome == SealOutcome::Quarantined)
-      Quarantined.insert(Hash);
+      Quarantined.emplace(E.Hash,
+                          QuarantineInfo{E.PatchId, E.Hash, E.Attempt, R.Seq});
     break;
   }
   case RecordKind::CleanShutdown:
@@ -393,7 +411,6 @@ Error UpdateJournal::appendLocked(JournalRecord &R) {
                        std::strerror(errno));
   ++NextSeq;
   indexRecord(R);
-  All.push_back(R);
   return Error::success();
 }
 
@@ -410,11 +427,11 @@ BootInfo UpdateJournal::beginBoot(const std::string &PrevExit) {
   // quarantine policy to the resulting streak.
   if (!BootBegun) {
     std::vector<uint64_t> Unsealed;
-    for (const auto &KV : IntentIndex)
-      if (!LatestSeal.count(KV.first))
+    for (const auto &KV : Intents)
+      if (!KV.second.Seal)
         Unsealed.push_back(KV.first);
     for (uint64_t Seq : Unsealed) {
-      const JournalRecord Intent = All[IntentIndex[Seq]];
+      const IntentEntry Intent = Intents[Seq];
       JournalRecord S;
       S.Kind = RecordKind::Seal;
       S.IntentSeq = Seq;
@@ -520,7 +537,7 @@ Error UpdateJournal::appendSeal(uint64_t IntentSeq, SealOutcome Outcome,
                                 const std::string &Verdict) {
   trace::Span Sp("journal", "seal", IntentSeq);
   std::lock_guard<std::mutex> G(Mu);
-  if (!IntentIndex.count(IntentSeq))
+  if (!Intents.count(IntentSeq))
     return Error::make(ErrorCode::EC_Invalid,
                        "seal references unknown intent %llu",
                        static_cast<unsigned long long>(IntentSeq));
@@ -551,21 +568,17 @@ bool UpdateJournal::isQuarantined(const std::string &Hash) const {
   return Quarantined.count(Hash) != 0;
 }
 
+bool UpdateJournal::inChain(const IntentEntry &E) const {
+  return E.Origin == IntentOrigin::Operator &&
+         E.Seal == SealOutcome::Committed && !Quarantined.count(E.Hash);
+}
+
 std::vector<ChainEntry> UpdateJournal::committedChain() const {
   std::lock_guard<std::mutex> G(Mu);
   std::vector<ChainEntry> Chain;
-  for (const JournalRecord &R : All) {
-    if (R.Kind != RecordKind::Intent || R.Origin != IntentOrigin::Operator)
-      continue;
-    auto SealIt = LatestSeal.find(R.Seq);
-    if (SealIt == LatestSeal.end())
-      continue;
-    if (All[SealIt->second].Outcome != SealOutcome::Committed)
-      continue;
-    if (Quarantined.count(R.Hash))
-      continue;
-    Chain.push_back(ChainEntry{R.Seq, R.PatchId, R.Hash});
-  }
+  for (const auto &[Seq, E] : Intents)
+    if (inChain(E))
+      Chain.push_back(ChainEntry{Seq, E.PatchId, E.Hash});
   return Chain;
 }
 
@@ -582,33 +595,24 @@ Expected<std::string> UpdateJournal::readArtifact(const std::string &Hash) const
 }
 
 std::vector<JournalRecord> UpdateJournal::records() const {
+  // Under Mu no append is half-written, so the scan reads whole frames.
   std::lock_guard<std::mutex> G(Mu);
-  return All;
+  std::vector<JournalRecord> Out;
+  auto Collect = [&Out](JournalRecord &R) { Out.push_back(std::move(R)); };
+  if (Error E = scanLog(Collect, /*TruncateTail=*/false))
+    DSU_LOG_WARN("journal '%s': %s", Dir.c_str(), E.str().c_str());
+  return Out;
 }
 
 std::vector<QuarantineInfo> UpdateJournal::quarantined() const {
   std::lock_guard<std::mutex> G(Mu);
   std::vector<QuarantineInfo> Out;
-  for (const JournalRecord &R : All) {
-    if (R.Kind != RecordKind::Seal || R.Outcome != SealOutcome::Quarantined)
-      continue;
-    auto It = IntentIndex.find(R.IntentSeq);
-    if (It == IntentIndex.end())
-      continue;
-    const JournalRecord &Intent = All[It->second];
-    // One entry per hash: the first Quarantined seal wins.
-    bool Seen = false;
-    for (const QuarantineInfo &Q : Out)
-      Seen |= Q.Hash == Intent.Hash;
-    if (Seen)
-      continue;
-    QuarantineInfo Q;
-    Q.PatchId = Intent.PatchId;
-    Q.Hash = Intent.Hash;
-    Q.CrashCount = Intent.Attempt;
-    Q.SealSeq = R.Seq;
-    Out.push_back(std::move(Q));
-  }
+  for (const auto &KV : Quarantined)
+    Out.push_back(KV.second);
+  std::sort(Out.begin(), Out.end(),
+            [](const QuarantineInfo &A, const QuarantineInfo &B) {
+              return A.SealSeq < B.SealSeq;
+            });
   return Out;
 }
 
@@ -617,17 +621,9 @@ JournalStatus UpdateJournal::status() const {
   JournalStatus S;
   S.Boots = Boots;
   S.PrevCrashed = PrevCrashed;
-  S.Records = All.size();
   S.QuarantinedCount = Quarantined.size();
-  for (const JournalRecord &R : All) {
-    if (R.Kind != RecordKind::Intent || R.Origin != IntentOrigin::Operator)
-      continue;
-    auto SealIt = LatestSeal.find(R.Seq);
-    if (SealIt != LatestSeal.end() &&
-        All[SealIt->second].Outcome == SealOutcome::Committed &&
-        !Quarantined.count(R.Hash))
-      ++S.ChainLength;
-  }
+  for (const auto &KV : Intents)
+    S.ChainLength += inChain(KV.second);
   S.ReplayAttempted = ReplayAttempted;
   S.ReplayCommitted = ReplayCommitted;
   S.ReplayFailed = ReplayFailed;

@@ -46,10 +46,11 @@
 #include "support/Error.h"
 
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
-#include <set>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -135,7 +136,6 @@ struct BootInfo {
 struct JournalStatus {
   uint64_t Boots = 0;
   bool PrevCrashed = false;
-  uint64_t Records = 0;
   uint64_t ChainLength = 0;
   uint64_t QuarantinedCount = 0;
   unsigned ReplayAttempted = 0;
@@ -166,9 +166,9 @@ public:
 
   /// Opens (creating if needed) the journal directory, acquires the
   /// single-writer lock, scans the log — truncating a torn tail — and
-  /// rebuilds the in-memory index.  EC_IO when the directory is locked
-  /// by a live process or cannot be created; torn/corrupt tails are
-  /// recovered, not errors.
+  /// rebuilds the in-memory index (one IntentEntry per Intent).  EC_IO
+  /// when the directory is locked by a live process or cannot be
+  /// created; torn/corrupt tails are recovered, not errors.
   static Expected<std::unique_ptr<UpdateJournal>> open(const std::string &Dir,
                                                        Options Opts);
   static Expected<std::unique_ptr<UpdateJournal>> open(const std::string &Dir) {
@@ -215,7 +215,8 @@ public:
   /// verifies its fingerprint (EC_Corrupt on mismatch).
   Expected<std::string> readArtifact(const std::string &Hash) const;
 
-  /// Snapshot of every record (decoded), for GET /admin/journal and the
+  /// Every record, decoded from journal.log on each call (nothing but
+  /// the index is kept in memory), for GET /admin/journal and the
   /// dsu-updatectl history command.
   std::vector<JournalRecord> records() const;
 
@@ -230,9 +231,6 @@ public:
   void noteReplay(unsigned Attempted, unsigned Committed, unsigned Failed,
                   uint64_t DurationMs);
 
-  const std::string &dir() const { return Dir; }
-  unsigned quarantineAfter() const { return Opts.QuarantineAfter; }
-
   /// The artifact content hash used as the store key and the quarantine
   /// identity: the 16-hex-digit FNV-1a fingerprint of the artifact text.
   static std::string artifactHash(const std::string &ArtifactText);
@@ -243,6 +241,11 @@ private:
   /// Scans journal.log, truncating a torn tail; called from open().
   Error recover();
 
+  /// Calls \p Fn on each record of journal.log's valid prefix, in order,
+  /// and with \p TruncateTail set cuts the file to that prefix.
+  Error scanLog(const std::function<void(JournalRecord &)> &Fn,
+                bool TruncateTail) const;
+
   /// Serializes one record, appends it (length + payload + checksum)
   /// and syncs.  Lock held by caller.
   Error appendLocked(JournalRecord &R);
@@ -250,6 +253,19 @@ private:
   /// Applies \p R to the in-memory index.  Lock held by caller (or
   /// during single-threaded recovery).
   void indexRecord(const JournalRecord &R);
+
+  /// What the journal keeps in memory of one Intent: enough to derive
+  /// the committed chain, the quarantine table and crash accounting.
+  struct IntentEntry {
+    std::string PatchId;
+    std::string Hash;
+    IntentOrigin Origin = IntentOrigin::Operator;
+    uint32_t Attempt = 1;
+    std::optional<SealOutcome> Seal; ///< the latest seal's outcome
+  };
+
+  /// True when \p E is in the committed chain (Mu held).
+  bool inChain(const IntentEntry &E) const;
 
   /// Consecutive-Crashed streak for \p Hash (reset by Committed).
   uint32_t crashStreak(const std::string &Hash) const;
@@ -259,12 +275,11 @@ private:
   int LogFd = -1;
   int LockFd = -1;
 
-  mutable std::mutex Mu;
-  std::vector<JournalRecord> All; ///< every decoded record, in order
+  mutable std::mutex Mu; ///< guards the index and appends to journal.log
   uint64_t NextSeq = 1;
-  std::map<uint64_t, size_t> IntentIndex;  ///< Intent seq -> index in All
-  std::map<uint64_t, size_t> LatestSeal;   ///< Intent seq -> seal index
-  std::set<std::string> Quarantined;       ///< hashes
+  std::map<uint64_t, IntentEntry> Intents; ///< by Intent seq
+  /// Quarantined hashes, each as its first Quarantined seal found it.
+  std::map<std::string, QuarantineInfo> Quarantined;
   /// Consecutive-Crashed streak per hash, maintained by indexRecord().
   std::map<std::string, uint32_t> CrashStreaks;
   uint64_t Boots = 0;

@@ -57,31 +57,43 @@ Expected<uint64_t> RolloutController::startArtifactText(std::string Text,
       std::move(Text), SourceName, /*HoldForRollout=*/true);
   std::shared_ptr<UpdateTransaction> Tx = U.Tx;
 
-  RolloutRecord R;
-  R.Id = NextId++;
-  R.TxId = Tx->id();
-  R.PatchId = Tx->patchId();
-  R.State = "staged";
-  R.WindowMs = Opts.WindowMs;
-  Records.push_back(std::move(R));
-  size_t RecIdx = Records.size() - 1;
+  InFlight.emplace();
+  InFlight->Id = NextId++;
+  InFlight->TxId = Tx->id();
+  InFlight->PatchId = Tx->patchId();
+  InFlight->State = "staged";
+  InFlight->WindowMs = Opts.WindowMs;
 
-  Thread = std::thread([this, Tx = std::move(Tx), Opts, RecIdx] {
-    runOne(Tx, Opts, RecIdx);
-  });
-  return Records[RecIdx].Id;
+  Thread = std::thread([this, Tx = std::move(Tx), Opts] { runOne(Tx, Opts); });
+  return InFlight->Id;
 }
 
+// Both views hold Lock across the log read: a rollout's end moves the
+// in-flight record into the log under it, so no view sees a rollout
+// twice or not at all.
 std::vector<RolloutRecord> RolloutController::rollouts() const {
   std::lock_guard<std::mutex> G(Lock);
-  return Records;
+  std::vector<RolloutRecord> Out;
+  RT.forEachUpdate([&](const UpdateRecord &R) {
+    if (R.Rollout)
+      Out.push_back(*R.Rollout);
+  });
+  if (InFlight)
+    Out.push_back(*InFlight);
+  return Out;
 }
 
 Expected<RolloutRecord> RolloutController::rollout(uint64_t Id) const {
   std::lock_guard<std::mutex> G(Lock);
-  for (const RolloutRecord &R : Records)
-    if (R.Id == Id)
-      return R;
+  if (InFlight && InFlight->Id == Id)
+    return *InFlight;
+  std::shared_ptr<const RolloutRecord> Found;
+  RT.forEachUpdate([&](const UpdateRecord &R) {
+    if (R.Rollout && R.Rollout->Id == Id)
+      Found = R.Rollout;
+  });
+  if (Found)
+    return *Found;
   return Error::make(ErrorCode::EC_Invalid, "no rollout with id %llu",
                      static_cast<unsigned long long>(Id));
 }
@@ -92,9 +104,9 @@ void RolloutController::waitIdle() {
 }
 
 void RolloutController::setRecord(
-    size_t RecIdx, const std::function<void(RolloutRecord &)> &Fn) {
+    const std::function<void(RolloutRecord &)> &Fn) {
   std::lock_guard<std::mutex> G(Lock);
-  Fn(Records[RecIdx]);
+  Fn(*InFlight);
 }
 
 void RolloutController::sampleGroups(
@@ -139,12 +151,25 @@ uint64_t RolloutController::trapsInNewBindings(
 }
 
 void RolloutController::runOne(std::shared_ptr<UpdateTransaction> Tx,
-                               RolloutOptions Opts, size_t RecIdx) {
+                               RolloutOptions Opts) {
   // Every event the rollout thread records below lands in this
   // update's span tree.
   trace::ScopedUpdateId TraceId(Tx->id());
   auto Finish = [&] {
-    Tx->HeldForRollout.store(false, std::memory_order_release);
+    // Every path here leaves Tx terminal or, after an abort mid-staging,
+    // about to be: its stager finalizes it when staging ends.  Then the
+    // in-flight record moves into Tx's record, and that into the log.
+    auto Finalized = [&] {
+      std::lock_guard<std::mutex> G(Tx->RecLock);
+      return Tx->Finalized;
+    };
+    while (!Finalized())
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    {
+      std::lock_guard<std::mutex> G(Lock);
+      RT.settleRollout(*Tx, std::move(*InFlight));
+      InFlight.reset();
+    }
     RT.setRolloutActive(false);
     if (H.Wake)
       H.Wake(); // collect the terminal front tx promptly
@@ -153,7 +178,7 @@ void RolloutController::runOne(std::shared_ptr<UpdateTransaction> Tx,
   auto Fail = [&](std::string Reason) {
     DSU_LOG_WARN("rollout of tx %llu failed: %s",
                  static_cast<unsigned long long>(Tx->id()), Reason.c_str());
-    setRecord(RecIdx, [&](RolloutRecord &R) {
+    setRecord([&](RolloutRecord &R) {
       R.State = "failed";
       R.Reason = std::move(Reason);
       R.PatchId = Tx->patchId();
@@ -227,7 +252,7 @@ void RolloutController::runOne(std::shared_ptr<UpdateTransaction> Tx,
          static_cast<unsigned>(Workers) - 1, 63});
     Mask = (uint64_t(1) << K) - 1;
   }
-  setRecord(RecIdx, [&](RolloutRecord &R) {
+  setRecord([&](RolloutRecord &R) {
     R.State = "canary";
     R.CanaryMask = Mask;
     R.PatchId = Tx->patchId();
@@ -256,7 +281,7 @@ void RolloutController::runOne(std::shared_ptr<UpdateTransaction> Tx,
   GroupSample Can0, Ctl0;
   std::vector<GroupSample> PerCanary;
   sampleGroups(Mask, Can0, Ctl0, PerCanary);
-  setRecord(RecIdx, [&](RolloutRecord &R) { R.State = "observing"; });
+  setRecord([&](RolloutRecord &R) { R.State = "observing"; });
 
   GroupSample DCan, DCtl;
   double CanRate = 0, CtlRate = 0;
@@ -377,8 +402,7 @@ void RolloutController::runOne(std::shared_ptr<UpdateTransaction> Tx,
   // outcomes report alike.
   auto Settle = [&](const char *Verdict, const std::string &Reason,
                     double RevertMs) {
-    RT.annotateRollout(Tx, Verdict, Reason);
-    setRecord(RecIdx, [&](RolloutRecord &R) {
+    setRecord([&](RolloutRecord &R) {
       R.State = Verdict;
       R.Verdict = Verdict;
       R.Reason = Reason;

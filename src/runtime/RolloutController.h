@@ -48,6 +48,7 @@
 #define DSU_RUNTIME_ROLLOUTCONTROLLER_H
 
 #include "net/WorkerStats.h"
+#include "runtime/UpdateTransaction.h"
 #include "support/Error.h"
 
 #include <atomic>
@@ -55,6 +56,7 @@
 #include <functional>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -62,7 +64,6 @@
 namespace dsu {
 
 class Runtime;
-class UpdateTransaction;
 struct RollEntry;
 
 /// Health-gate and pacing configuration for one rollout.
@@ -101,33 +102,6 @@ struct RolloutOptions {
   uint64_t StageTimeoutMs = 10000;
 };
 
-/// One rollout's introspectable record (GET /admin/rollouts).
-struct RolloutRecord {
-  uint64_t Id = 0;
-  uint64_t TxId = 0;
-  std::string PatchId;
-  std::string State;   ///< "staged", "canary", "observing", "promoted",
-                       ///< "rolled-back", "failed"
-  std::string Verdict; ///< "" until resolved, then "promoted"/"rolled-back"
-  std::string Reason;  ///< which gate tripped, or why the rollout failed
-  uint64_t CanaryMask = 0; ///< UINT64_MAX: ungated (fleet < 2 workers)
-  uint64_t WindowMs = 0;
-
-  double DetectMs = 0; ///< canary commit -> gate verdict
-  double RevertMs = 0; ///< gate trip -> rollback complete (0 if promoted)
-
-  // Group health over the observation window (deltas, not totals).
-  uint64_t CanaryRequests = 0;
-  uint64_t CanaryServes = 0;
-  uint64_t CanaryErrors = 0;
-  uint64_t CanaryTraps = 0;
-  uint64_t ControlRequests = 0;
-  uint64_t ControlServes = 0;
-  uint64_t ControlErrors = 0;
-  double CanaryErrorRate = 0;
-  double ControlErrorRate = 0;
-};
-
 /// Drives metric-gated canary rollouts over a Runtime.  The serving
 /// plane is injected as hooks so this stays a runtime-layer component:
 /// the net layer (or a test) supplies worker counters without the
@@ -160,10 +134,11 @@ public:
                                        std::string SourceName,
                                        RolloutOptions Opts);
 
-  /// All rollouts, newest last.
+  /// Every rollout still in the runtime's update log, then the one in
+  /// flight: newest last.
   std::vector<RolloutRecord> rollouts() const;
 
-  /// One rollout by id.
+  /// One rollout by id: the one in flight, or one in the update log.
   Expected<RolloutRecord> rollout(uint64_t Id) const;
 
   /// True while a rollout is staging/observing.
@@ -180,21 +155,22 @@ private:
     uint64_t ServeUs = 0;
   };
 
-  void runOne(std::shared_ptr<UpdateTransaction> Tx, RolloutOptions Opts,
-              size_t RecIdx);
+  void runOne(std::shared_ptr<UpdateTransaction> Tx, RolloutOptions Opts);
   /// Sums the workers' counters into the canary (bit set in \p Mask)
   /// and control groups.  \p CanaryWorkers gets each canary worker's
   /// own sample, indexed by worker (zero for control workers).
   void sampleGroups(uint64_t Mask, GroupSample &Canary, GroupSample &Control,
                     std::vector<GroupSample> &CanaryWorkers) const;
   uint64_t trapsInNewBindings(const std::vector<std::string> &Names) const;
-  void setRecord(size_t RecIdx, const std::function<void(RolloutRecord &)> &Fn);
+  void setRecord(const std::function<void(RolloutRecord &)> &Fn);
 
   Runtime &RT;
   Hooks H;
 
-  mutable std::mutex Lock; ///< guards Records and Thread handoff
-  std::vector<RolloutRecord> Records;
+  mutable std::mutex Lock; ///< guards InFlight and Thread handoff
+  /// The rollout in flight (Busy allows one); resolved ones live in the
+  /// update log.
+  std::optional<RolloutRecord> InFlight;
   std::thread Thread; ///< at most one rollout in flight
   std::atomic<bool> Busy{false};
   uint64_t NextId = 1;

@@ -55,6 +55,35 @@ enum class UpdatePhase {
 /// Stable lower-case name for \p P ("staging", "ready", "committed", ...).
 const char *updatePhaseName(UpdatePhase P);
 
+/// One canary rollout's outcome (GET /admin/rollouts).  While the
+/// rollout runs it is the RolloutController's in-flight record; once it
+/// resolves it lives in its transaction's UpdateRecord.
+struct RolloutRecord {
+  uint64_t Id = 0;
+  uint64_t TxId = 0;
+  std::string PatchId;
+  std::string State;   ///< "staged", "canary", "observing", "promoted",
+                       ///< "rolled-back", "failed"
+  std::string Verdict; ///< "" until resolved, then "promoted"/"rolled-back"
+  std::string Reason;  ///< which gate tripped, or why the rollout failed
+  uint64_t CanaryMask = 0; ///< UINT64_MAX: ungated (fleet < 2 workers)
+  uint64_t WindowMs = 0;
+
+  double DetectMs = 0; ///< canary commit -> gate verdict
+  double RevertMs = 0; ///< gate trip -> rollback complete (0 if promoted)
+
+  // Group health over the observation window (deltas, not totals).
+  uint64_t CanaryRequests = 0;
+  uint64_t CanaryServes = 0;
+  uint64_t CanaryErrors = 0;
+  uint64_t CanaryTraps = 0;
+  uint64_t ControlRequests = 0;
+  uint64_t ControlServes = 0;
+  uint64_t ControlErrors = 0;
+  double CanaryErrorRate = 0;
+  double ControlErrorRate = 0;
+};
+
 /// Timing and outcome of one update transaction, kept while it is in
 /// flight and appended to the runtime's update log when it reaches a
 /// terminal phase.
@@ -98,11 +127,10 @@ struct UpdateRecord {
   size_t CellsMigrated = 0;
   size_t ProvidesLinked = 0;
 
-  /// Canary rollout verdict, when this transaction was committed through
-  /// the rollout controller: "promoted" (health gates passed; the patch
-  /// reached the whole fleet) or "rolled-back" (a gate tripped and the
-  /// canary was reverted).  Empty for updates committed directly.
-  std::string Rollout;
+  /// The rollout's record, when this transaction went through the
+  /// rollout controller (its Verdict is empty for a failed rollout).
+  /// Null for updates committed directly.
+  std::shared_ptr<const RolloutRecord> Rollout;
 
   /// Whole-patch analyzer results.  AnalysisRan distinguishes "the
   /// analyzer found nothing" from "this staging path never ran it"
@@ -148,8 +176,10 @@ private:
 
   /// Reserved by a rollout: pool workers must not commit this
   /// transaction at their quiescent points — the RolloutController
-  /// commits it itself, canary-gated, and drives the verdict.  Atomic
-  /// because workers read it from UpdateQueue acceptance predicates.
+  /// commits it itself, canary-gated, and drives the verdict.  Its
+  /// record enters the update log when the rollout settles, with the
+  /// rollout's record inside (Runtime::settleRollout).  Atomic because
+  /// workers read it from UpdateQueue acceptance predicates.
   std::atomic<bool> HeldForRollout{false};
 
   /// Absolute staging deadline (steady clock); zero (the epoch) = no
@@ -186,8 +216,10 @@ private:
   StagedStateSwap Swap;
   uint64_t PreparedAtGeneration = 0; ///< runtime commit generation observed
 
-  mutable std::mutex RecLock; ///< guards Rec (read from other threads)
+  mutable std::mutex RecLock; ///< guards Rec and Finalized
   UpdateRecord Rec;
+  /// Set by Runtime::finalize once Rec holds the terminal outcome.
+  bool Finalized = false;
 };
 
 /// The operator's handle on a staged transaction: observe its phase,

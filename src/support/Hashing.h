@@ -50,8 +50,6 @@ public:
     return addBytes(Buf, 8);
   }
 
-  Fingerprint &addU32(uint32_t V) { return addU64(V); }
-
   uint64_t value() const { return State; }
 
   friend bool operator==(Fingerprint A, Fingerprint B) {

@@ -84,10 +84,7 @@ public:
   };
 
   KindTy kind() const { return Kind; }
-  bool isPrimitive() const { return Kind <= TK_Unit; }
   bool isFunction() const { return Kind == TK_Fn; }
-  bool isNamed() const { return Kind == TK_Named; }
-  bool isStruct() const { return Kind == TK_Struct; }
 
   /// Element type of a ptr or array.
   const Type *element() const {

@@ -41,26 +41,6 @@ const Type *dsu::vtal::valKindToType(TypeContext &Ctx, ValKind K) {
   return Ctx.unitType();
 }
 
-Expected<ValKind> dsu::vtal::typeToValKind(const Type *Ty) {
-  assert(Ty && "null type");
-  switch (Ty->kind()) {
-  case Type::TK_Int:
-    return ValKind::VK_Int;
-  case Type::TK_Float:
-    return ValKind::VK_Float;
-  case Type::TK_Bool:
-    return ValKind::VK_Bool;
-  case Type::TK_String:
-    return ValKind::VK_Str;
-  case Type::TK_Unit:
-    return ValKind::VK_Unit;
-  default:
-    return Error::make(ErrorCode::EC_Invalid,
-                       "type '%s' has no VTAL scalar representation",
-                       Ty->str().c_str());
-  }
-}
-
 std::string Signature::str() const {
   std::string S = "(";
   for (size_t I = 0; I != Params.size(); ++I) {

@@ -41,9 +41,6 @@ const char *valKindName(ValKind K);
 /// Maps a VTAL scalar kind to the corresponding dsu type descriptor.
 const Type *valKindToType(TypeContext &Ctx, ValKind K);
 
-/// Maps a primitive dsu type back to a VTAL kind; fails on non-scalars.
-Expected<ValKind> typeToValKind(const Type *Ty);
-
 /// A function signature over scalar kinds.
 struct Signature {
   std::vector<ValKind> Params;

@@ -10,8 +10,10 @@
 /// rollback target) plus any a live roll chain still names, at most as
 /// many VTAL instances must be alive, the profile registry must hold at
 /// most two profiles per patch id, and its totals must never fall.  The
-/// run ends with a rollback, which must still restore the previous
-/// behaviour.
+/// update log must stay within Runtime::kLogCap with the update just
+/// committed as its newest record, while updatesApplied() keeps the
+/// running total.  The run ends with a rollback, which must still
+/// restore the previous behaviour.
 ///
 /// Its own binary and ctest label (`ctest -L soak`), so a sanitizer lane
 /// can run or repeat it by label.
@@ -90,7 +92,7 @@ protected:
     A.PatchId = P->Id;
     A.Code.push_back(P->Unit.Provides[0].Code.KeepAlive);
     A.Instances.push_back(P->VtalMod);
-    RT.requestUpdate(std::move(*P));
+    LastTx = RT.requestUpdate(std::move(*P)).id();
     ASSERT_EQ(RT.updatePoint(Runtime::PendingCommit::Rolling), 1u);
   }
 
@@ -99,8 +101,24 @@ protected:
         RT.types(), VersionedName{"soak_counter", BumpFrom},
         RT.types().intType()));
     ++BumpFrom;
-    RT.requestUpdate(std::move(P));
+    LastTx = RT.requestUpdate(std::move(P)).id();
     ASSERT_EQ(RT.updatePoint(), 1u);
+  }
+
+  /// The update log after \p Commits commits, the last of them LastTx:
+  /// within its cap, with LastTx newest.  Counted through
+  /// forEachUpdate(): copying the log after every update would dominate
+  /// the run.
+  void expectLogBounded(unsigned Commits) {
+    size_t Size = 0;
+    uint64_t Newest = 0;
+    RT.forEachUpdate([&](const UpdateRecord &R) {
+      ++Size;
+      Newest = R.TxId;
+    });
+    ASSERT_LE(Size, Runtime::kLogCap) << "after commit " << Commits;
+    ASSERT_EQ(Newest, LastTx) << "after commit " << Commits;
+    ASSERT_EQ(RT.updatesApplied(), Commits);
   }
 
   /// The bounds every update must leave behind.
@@ -133,6 +151,7 @@ protected:
   FlashedApp App{RT};
   Artifact Arts[2];
   uint32_t BumpFrom = 1;
+  uint64_t LastTx = 0; ///< the transaction committed last
   trace::ProfileRegistry::Totals Last;
 };
 
@@ -149,8 +168,14 @@ TEST_F(SoakTest, TenThousandUpdatesKeepTwoBindingsPerSlot) {
       EXPECT_NE(App.handle(Svg).find("image/svg+xml"), std::string::npos);
     }
     ASSERT_NO_FATAL_FAILURE(expectBounded(K));
+    ASSERT_NO_FATAL_FAILURE(expectLogBounded(K + 1));
   }
   EXPECT_EQ(RT.updatesApplied(), kUpdates);
+  // The full log holds the newest kLogCap transactions, oldest first.
+  std::vector<UpdateRecord> Log = RT.updateLog();
+  ASSERT_EQ(Log.size(), Runtime::kLogCap);
+  EXPECT_EQ(Log.front().TxId, LastTx - Runtime::kLogCap + 1);
+  EXPECT_EQ(Log.back().TxId, LastTx);
   EXPECT_GT(Last.Calls, 0u);
   const UpdateableSlot *Parse = RT.updateables().lookup(Arts[0].Slot);
   EXPECT_EQ(Parse->historySize(), 1 + kUpdates / 4);
@@ -161,6 +186,8 @@ TEST_F(SoakTest, TenThousandUpdatesKeepTwoBindingsPerSlot) {
                            .provide(Arts[0].Slot, &noTarget)
                            .build());
   ASSERT_FALSE(RT.applyNow(std::move(Bad)));
+  ++LastTx;
+  ASSERT_NO_FATAL_FAILURE(expectLogBounded(kUpdates + 1));
   EXPECT_EQ(App.handle(WithQuery).find("200 OK"), std::string::npos);
   ASSERT_FALSE(RT.rollbackUpdateable(Arts[0].Slot));
   EXPECT_NE(App.handle(WithQuery).find("200 OK"), std::string::npos);

@@ -194,7 +194,8 @@ TEST_F(RolloutPoolTest, GoodPatchCanariesThenPromotes) {
   // The verdict is annotated into the regular update log too.
   std::vector<UpdateRecord> Log = RT.updateLog();
   ASSERT_FALSE(Log.empty());
-  EXPECT_EQ(Log.back().Rollout, "promoted");
+  ASSERT_TRUE(Log.back().Rollout);
+  EXPECT_EQ(Log.back().Rollout->Verdict, "promoted");
   EXPECT_EQ(Log.back().CommitMode, "canary");
 
   // The fleet serves the promoted binding.
@@ -259,7 +260,8 @@ TEST_F(RolloutPoolTest, Error500PatchAutoRollsBackUnderLoad) {
   }
   std::vector<UpdateRecord> Log = RT.updateLog();
   ASSERT_FALSE(Log.empty());
-  EXPECT_EQ(Log.back().Rollout, "rolled-back");
+  ASSERT_TRUE(Log.back().Rollout);
+  EXPECT_EQ(Log.back().Rollout->Verdict, "rolled-back");
 }
 
 /// A trapping patch's faults surface as zero values (404s), not 5xxs —
