@@ -21,12 +21,10 @@
 /// the unattached hook cost (one null check per call boundary); DESIGN.md
 /// §16 records it.
 ///
-/// The *Native rows rerun the call-heavy and dispatch-floor workloads
-/// through the baseline compiler (vtal/native/), and the *StaticC rows
-/// are the same algorithms as ahead-of-time C++ called through a
-/// function pointer (the binding indirection every updateable call pays
-/// anyway) — together the interp : native : static-C ladder of DESIGN.md
-/// §17.  `bench_vtal_interp --json [--out F | --merge F]` emits that
+/// The *StaticC rows are the call-tree and dispatch-floor algorithms as
+/// ahead-of-time C++ called through a function pointer (the binding
+/// indirection every updateable call pays anyway) — the interp : static-C
+/// ladder.  `bench_vtal_interp --json [--out F | --merge F]` emits that
 /// ladder as machine-readable rows (BENCH_vtal.json via the bench-json
 /// target) instead of running Google Benchmark.
 ///
@@ -38,9 +36,6 @@
 #include "vtal/Assembler.h"
 #include "vtal/Interp.h"
 #include "vtal/Verifier.h"
-#ifndef DSU_VTAL_NO_NATIVE
-#include "vtal/native/NativeImage.h"
-#endif
 
 #include <benchmark/benchmark.h>
 
@@ -332,80 +327,6 @@ void BM_ArithLoopProfiled(benchmark::State &State) {
 }
 BENCHMARK(BM_ArithLoopProfiled)->Arg(10000);
 
-#ifndef DSU_VTAL_NO_NATIVE
-/// Attaches a fully compiled image to \p I; aborts if \p Fn did not
-/// actually compile (a bench row must never silently measure the wrong
-/// tier).
-void attachNative(Interpreter &I, const char *Fn) {
-  auto Img = native::NativeImage::compile(I.resolved());
-  if (!Img) {
-    std::fprintf(stderr, "native compile failed: %s\n",
-                 Img.error().str().c_str());
-    std::abort();
-  }
-  uint32_t Idx = cantFail(I.functionIndex(Fn), "bench fn index");
-  if (!(*Img)->compiled(Idx)) {
-    std::fprintf(stderr, "bench fn '%s' did not compile natively\n", Fn);
-    std::abort();
-  }
-  I.setNativeImage(*Img);
-}
-
-void BM_CallTreeNative(benchmark::State &State) {
-  Module M = callTreeModule();
-  Interpreter I(M);
-  attachNative(I, "fib");
-  std::vector<Value> Args{Value::makeInt(State.range(0))};
-  uint64_t Fuel = 0;
-  for (auto _ : State) {
-    Expected<Value> R = I.call("fib", Args);
-    if (!R)
-      State.SkipWithError(R.error().str().c_str());
-    benchmark::DoNotOptimize(R->asInt());
-    Fuel = I.lastFuelUsed();
-  }
-  State.counters["insts/s"] = benchmark::Counter(
-      static_cast<double>(Fuel), benchmark::Counter::kIsIterationInvariantRate);
-}
-BENCHMARK(BM_CallTreeNative)->Arg(15)->Arg(20);
-
-void BM_CallChainNative(benchmark::State &State) {
-  Module M = callChainModule(8);
-  Interpreter I(M);
-  attachNative(I, "drive");
-  std::vector<Value> Args{Value::makeInt(State.range(0))};
-  uint64_t Fuel = 0;
-  for (auto _ : State) {
-    Expected<Value> R = I.call("drive", Args);
-    if (!R)
-      State.SkipWithError(R.error().str().c_str());
-    benchmark::DoNotOptimize(R->asInt());
-    Fuel = I.lastFuelUsed();
-  }
-  State.counters["insts/s"] = benchmark::Counter(
-      static_cast<double>(Fuel), benchmark::Counter::kIsIterationInvariantRate);
-}
-BENCHMARK(BM_CallChainNative)->Arg(1000);
-
-void BM_ArithLoopNative(benchmark::State &State) {
-  Module M = arithModule();
-  Interpreter I(M);
-  attachNative(I, "sum");
-  std::vector<Value> Args{Value::makeInt(State.range(0))};
-  uint64_t Fuel = 0;
-  for (auto _ : State) {
-    Expected<Value> R = I.call("sum", Args);
-    if (!R)
-      State.SkipWithError(R.error().str().c_str());
-    benchmark::DoNotOptimize(R->asInt());
-    Fuel = I.lastFuelUsed();
-  }
-  State.counters["insts/s"] = benchmark::Counter(
-      static_cast<double>(Fuel), benchmark::Counter::kIsIterationInvariantRate);
-}
-BENCHMARK(BM_ArithLoopNative)->Arg(10000);
-#endif // DSU_VTAL_NO_NATIVE
-
 // The ahead-of-time ceiling: the same algorithms as -O2 C++, called
 // through a function pointer so the comparison includes the one
 // indirection every updateable call pays (E1's result: that cost is the
@@ -472,7 +393,7 @@ noquery:
 BENCHMARK(BM_StringOps);
 
 //===----------------------------------------------------------------------===//
-// --json mode: the interp / native / static-C ladder as data
+// --json mode: the interp / static-C ladder as data
 //===----------------------------------------------------------------------===//
 
 /// Median-of-iterations nanoseconds per call of \p Fn (self-calibrating:
@@ -498,12 +419,11 @@ struct TierRow {
   const char *Workload;
   uint64_t Insts = 0;      ///< fuel per call (size of one workload run)
   double InterpNs = 0;
-  double NativeNs = 0;     ///< 0 when the tier is compiled out
   double StaticNs = 0;
 };
 
-/// One workload through all three tiers.  \p Fn / \p Arg name the VTAL
-/// entry; \p CFn is the ahead-of-time twin.
+/// One workload, interpreted and as ahead-of-time C++.  \p Fn / \p Arg
+/// name the VTAL entry; \p CFn is the ahead-of-time twin.
 TierRow runLadder(const char *Workload, Module M, const char *Fn,
                   int64_t Arg, int64_t (*volatile &CFn)(int64_t)) {
   TierRow Row;
@@ -516,15 +436,6 @@ TierRow runLadder(const char *Workload, Module M, const char *Fn,
     });
     Row.Insts = I.lastFuelUsed();
   }
-#ifndef DSU_VTAL_NO_NATIVE
-  {
-    Interpreter I(M);
-    attachNative(I, Fn);
-    Row.NativeNs = nsPerCall([&] {
-      benchmark::DoNotOptimize(cantFail(I.call(Fn, Args), Fn).asInt());
-    });
-  }
-#endif
   Row.StaticNs = nsPerCall([&] { benchmark::DoNotOptimize(CFn(Arg)); });
   return Row;
 }
@@ -540,19 +451,15 @@ int runJson(const char *OutPath, const char *MergePath) {
     bool First = true;
     for (const TierRow &R : Rows) {
       char Buf[512];
-      double NvI = R.NativeNs > 0 ? R.InterpNs / R.NativeNs : 0.0;
-      double NvC = R.StaticNs > 0 && R.NativeNs > 0
-                       ? R.NativeNs / R.StaticNs
-                       : 0.0;
+      double IvC = R.StaticNs > 0 ? R.InterpNs / R.StaticNs : 0.0;
       std::snprintf(
           Buf, sizeof(Buf),
           "%s\n    {\"workload\": \"%s\", \"insts\": %llu, "
-          "\"interp_ns\": %.1f, \"native_ns\": %.1f, "
-          "\"static_c_ns\": %.1f, \"native_speedup_vs_interp\": %.2f, "
-          "\"native_slowdown_vs_static_c\": %.2f}",
+          "\"interp_ns\": %.1f, \"static_c_ns\": %.1f, "
+          "\"interp_slowdown_vs_static_c\": %.2f}",
           First ? "" : ",", R.Workload,
-          static_cast<unsigned long long>(R.Insts), R.InterpNs, R.NativeNs,
-          R.StaticNs, NvI, NvC);
+          static_cast<unsigned long long>(R.Insts), R.InterpNs, R.StaticNs,
+          IvC);
       J += Buf;
       First = false;
     }
@@ -586,13 +493,7 @@ int runJson(const char *OutPath, const char *MergePath) {
     return 0;
   }
 
-  std::string J = "{\n  \"bench\": \"vtal_tiers\",\n  \"native_tier\": ";
-#ifdef DSU_VTAL_NO_NATIVE
-  J += "false";
-#else
-  J += "true";
-#endif
-  J += ",\n  \"vtal_tiers\": [";
+  std::string J = "{\n  \"bench\": \"vtal_tiers\",\n  \"vtal_tiers\": [";
   appendRows(J);
   J += "\n  ]\n}\n";
 

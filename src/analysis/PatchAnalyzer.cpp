@@ -36,8 +36,6 @@
 #include "types/Compat.h"
 #include "vtal/Interp.h"
 #include "vtal/Module.h"
-#include "vtal/Resolve.h"
-#include "vtal/native/NativeImage.h"
 
 #include <algorithm>
 #include <deque>
@@ -838,33 +836,6 @@ void analyzeModule(const Module &M, uint64_t FuelBudget, AnalysisReport &R) {
   }
 }
 
-/// Informational pass for the native tier: names each function the
-/// baseline compiler will leave interpreted and why.  Strings are the
-/// dominant cause — string values have no raw 8-byte frame encoding, so
-/// string-typed locals/params/results pin a function to the interpreter
-/// (string *operations* on a string-free frame merely deoptimize the one
-/// activation that reaches them).  Purely advisory: interpreted execution
-/// is always correct, this only explains the tier column in
-/// /admin/profile.
-void findNativeUnsupported(const Module &M, AnalysisReport &R) {
-  Expected<vtal::ResolvedModule> RM = vtal::linkModule(M);
-  if (!RM)
-    return; // link problems are auditLink's findings, not ours
-  for (const vtal::ResolvedFunction &F : RM->Functions) {
-    const char *Why = vtal::native::NativeImage::unsupportedReason(F);
-    if (!Why)
-      continue;
-    Finding Fd;
-    Fd.Sev = Severity::Info;
-    Fd.Code = "native-unsupported";
-    Fd.Fn = F.Src ? F.Src->Name : "";
-    Fd.Message = formatString(
-        "function '%s' stays interpreted under the native tier: %s",
-        Fd.Fn.c_str(), Why);
-    R.Findings.push_back(std::move(Fd));
-  }
-}
-
 } // namespace
 
 AnalysisReport analysis::analyzePatch(const Patch &P, const AnalyzerEnv &Env,
@@ -883,11 +854,8 @@ AnalysisReport analysis::analyzePatch(const Patch &P, const AnalyzerEnv &Env,
   predictClassification(P, Env, R, Bumps);
 
   // Pass 3: abstract interpretation of the shipped VTAL module.
-  if (P.VtalMod) {
+  if (P.VtalMod)
     analyzeModule(*P.VtalMod, FuelBudget, R);
-    // Pass 3b: native-tier coverage (informational).
-    findNativeUnsupported(*P.VtalMod, R);
-  }
 
   // Pass 4: import/provide audit.
   auditLink(P, Env, R);

@@ -41,7 +41,6 @@
 #include "support/StringUtil.h"
 #include "trace/Profile.h"
 #include "trace/Trace.h"
-#include "vtal/native/NativeImage.h"
 
 #include <charconv>
 #include <cinttypes>
@@ -89,8 +88,7 @@ void writeRecord(JsonWriter &W, const UpdateRecord &R) {
     W.key("analysis_warnings").value(Warnings);
     W.key("analysis_ms").value(R.AnalysisMs, 3);
     W.key("code_only_predicted").value(R.CodeOnlyPredicted);
-    if (!Codes.empty())
-      W.key("analysis_codes").value(Codes);
+    W.key("analysis_codes").value(Codes);
   }
   W.endObject();
 }
@@ -581,30 +579,6 @@ std::string FlashedApp::renderMetrics() const {
          P.Fuel);
   scalar(T, "dsu_vtal_traps_total", "counter",
          "VTAL activations that trapped.", P.Traps);
-
-  // Native-tier counters.  The stats singleton is compiled in even when
-  // the tier itself is not (DSU_VTAL_NATIVE=OFF), so dashboards see
-  // stable zero-valued series instead of absent ones.
-  vtal::native::NativeStats &N = vtal::native::NativeStats::instance();
-  scalar(T, "dsu_vtal_native_functions_total", "counter",
-         "VTAL functions compiled to native code (cumulative across "
-         "images).",
-         load(N.FunctionsCompiled));
-  family(T, "dsu_vtal_deopts_total", "counter",
-         "Native-tier deoptimizations into the interpreter, by reason.");
-  static const char *const Reasons[] = {"fuel", "div_trap", "depth",
-                                        "unsupported"};
-  for (unsigned R = 0;
-       R != static_cast<unsigned>(vtal::native::DeoptReason::NumReasons); ++R)
-    T += formatString("dsu_vtal_deopts_total{reason=\"%s\"} %" PRIu64 "\n",
-                      Reasons[R], load(N.DeoptsByReason[R]));
-  scalar(T, "dsu_vtal_native_code_bytes", "gauge",
-         "Live executable code bytes in native-tier arenas.",
-         load(N.CodeBytesLive));
-  scalar(T, "dsu_vtal_native_arenas_retired_total", "counter",
-         "Superseded code arenas handed to the epoch domain for "
-         "reclamation.",
-         load(N.ArenasRetired));
 
   family(T, "dsu_update_phase_us", "histogram",
          "Update-pipeline phase latency, microseconds, by phase.");

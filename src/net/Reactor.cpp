@@ -32,6 +32,16 @@ Error sysError(const char *What) {
 /// accept failure (EMFILE and friends) before retrying.
 constexpr std::chrono::milliseconds AcceptBackoffMs{100};
 
+/// The most buffer capacity a closed connection keeps for the next
+/// client: typical heads and responses fit, so recycled conns allocate
+/// nothing, while a near-cap partial head does not stay resident.
+constexpr size_t KeptBufferBytes = 64 << 10;
+
+void releaseIfLarge(std::string &Buf) {
+  if (Buf.capacity() > KeptBufferBytes)
+    std::string().swap(Buf);
+}
+
 } // namespace
 
 Reactor::~Reactor() { close(); }
@@ -170,7 +180,7 @@ Reactor::Conn *Reactor::allocConn(int Fd) {
     C = Pool.back().get();
   }
   C->Fd = Fd;
-  C->In.clear(); // clear() keeps capacity: buffers are recycled
+  C->In.clear(); // clear() keeps capacity: closeConn bounded it
   C->InPos = 0;
   C->Out.clear();
   C->OutPos = 0;
@@ -282,6 +292,8 @@ void Reactor::closeConn(Conn *C) {
   ::close(C->Fd);
   C->Fd = -1;
   C->Tail.reset();
+  releaseIfLarge(C->In);
+  releaseIfLarge(C->Out);
   assert(ActiveConns > 0 && "closing more conns than were accepted");
   --ActiveConns;
   if (!C->Registered) {

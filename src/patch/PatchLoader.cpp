@@ -13,9 +13,6 @@
 #include "vtal/Assembler.h"
 #include "vtal/Bytecode.h"
 #include "vtal/Interp.h"
-#ifndef DSU_VTAL_NO_NATIVE
-#include "vtal/native/NativeImage.h"
-#endif
 
 using namespace dsu;
 
@@ -61,10 +58,10 @@ Expected<VersionBump> parseBump(const ManifestTransformer &X) {
 /// every binding the patch creates so the code outlives the Patch value.
 ///
 /// The interpreter is set up while the patch loads (imports bound,
-/// profile and native image attached) and immutable afterwards.  Its
-/// execution state is per thread (vtal/Interp.h), so every reactor
-/// worker, the staging worker running a transformer and any other
-/// caller call it directly and at once.
+/// profile attached) and immutable afterwards.  Its execution state is
+/// per thread (vtal/Interp.h), so every reactor worker, the staging
+/// worker running a transformer and any other caller call it directly
+/// and at once.
 struct VtalInstance {
   explicit VtalInstance(vtal::Module M) : Mod(std::move(M)), Interp(Mod) {}
 
@@ -75,32 +72,6 @@ struct VtalInstance {
   /// global ProfileRegistry (GET /admin/profile, dsu_vtal_*_total
   /// metrics).
   std::shared_ptr<trace::ModuleProfile> Prof;
-
-#ifndef DSU_VTAL_NO_NATIVE
-  /// The native image, compiled once at load from every representable
-  /// function (null when none is) and never replaced.
-  std::shared_ptr<const vtal::native::NativeImage> Img;
-
-  /// Compiles the interpreter's resolved form into Img and attaches it.
-  void compileNative() {
-    using vtal::native::NativeImage;
-    const vtal::ResolvedModule &RM = Interp.resolved();
-    Expected<std::shared_ptr<const NativeImage>> NewImg =
-        NativeImage::compile(RM);
-    if (!NewImg) {
-      DSU_LOG_WARN("vtal native compile failed for '%s': %s",
-                   Mod.Name.c_str(), NewImg.error().str().c_str());
-      return;
-    }
-    if ((*NewImg)->compiledCount() == 0)
-      return;
-    Img = std::move(*NewImg);
-    for (size_t F = 0; F != RM.Functions.size(); ++F)
-      if (Img->compiled(static_cast<uint32_t>(F)))
-        Prof->fn(F).Tier.store(1, std::memory_order_relaxed);
-    Interp.setNativeImage(Img);
-  }
-#endif
 };
 
 } // namespace
@@ -227,9 +198,6 @@ Expected<Patch> dsu::loadVtalPatch(TypeContext &Ctx, const SymbolTable &Syms,
     P.Unit.Imports.push_back(ImportRequest{Imp.Name, WantTy});
   }
 
-  // (provide index in P.Unit.Provides, resolved function index): lets the
-  // native tier stamp Binding::NativeEntry after compile-at-link below.
-  std::vector<std::pair<size_t, uint32_t>> ProvideFns;
   for (const ManifestProvide &Prov : M->Provides) {
     if (Prov.VtalFn.empty())
       return Error::make(ErrorCode::EC_Link,
@@ -267,7 +235,6 @@ Expected<Patch> dsu::loadVtalPatch(TypeContext &Ctx, const SymbolTable &Syms,
       return B.takeError();
     P.Unit.Provides.push_back(
         ProvideRequest{Prov.Name, CodeTy, std::move(*B)});
-    ProvideFns.emplace_back(P.Unit.Provides.size() - 1, *FnIdx);
   }
 
   for (const ManifestTransformer &X : M->Transformers) {
@@ -329,26 +296,6 @@ Expected<Patch> dsu::loadVtalPatch(TypeContext &Ctx, const SymbolTable &Syms,
         P.Id, Inst->Mod.Name, std::move(FnNames));
     Inst->Interp.setProfile(Inst->Prof.get());
   }
-#ifndef DSU_VTAL_NO_NATIVE
-  // Native tier: compile every representable function now.  The image
-  // attaches to the interpreter the bindings already call, so rolling
-  // updates, canaries and graced roll chains see no new mechanism.
-  Inst->compileNative();
-  if (Inst->Img) {
-    // Link-layer visibility: each provide whose entry function compiled
-    // carries its machine-code address on the binding it ships.
-    for (const auto &[ProvIdx, FnIdx] : ProvideFns)
-      if (Inst->Img->compiled(FnIdx))
-        P.Unit.Provides[ProvIdx].Code.NativeEntry =
-            reinterpret_cast<const void *>(Inst->Img->entry(FnIdx));
-    DSU_LOG_INFO("vtal native tier: compiled %u/%zu function(s) of '%s' "
-                 "(%zu code bytes)",
-                 Inst->Img->compiledCount(), Inst->Mod.Functions.size(),
-                 Inst->Mod.Name.c_str(), Inst->Img->codeBytes());
-  }
-#else
-  (void)ProvideFns;
-#endif
 
   P.CodeBytes = ManifestText.size() + vtal::encodeModule(Inst->Mod).size();
   DSU_LOG_INFO("loaded VTAL patch '%s' (%zu provides, %zu instructions)",

@@ -208,12 +208,18 @@ Error makeDir(const std::string &Path) {
                      Path.c_str(), std::strerror(errno));
 }
 
-void syncDir(const std::string &Path) {
-  int Fd = ::open(Path.c_str(), O_RDONLY | O_DIRECTORY);
-  if (Fd >= 0) {
-    ::fsync(Fd);
-    ::close(Fd);
+/// Makes \p Path's entries (a created log, a renamed artifact) durable.
+Error syncDir(const std::string &Path) {
+  int Fd = ::open(Path.c_str(), O_RDONLY | O_DIRECTORY | O_CLOEXEC);
+  if (Fd < 0 || ::fsync(Fd) != 0) {
+    Error E = Error::make(ErrorCode::EC_IO, "cannot sync directory '%s': %s",
+                          Path.c_str(), std::strerror(errno));
+    if (Fd >= 0)
+      ::close(Fd);
+    return E;
   }
+  ::close(Fd);
+  return Error::success();
 }
 
 } // namespace
@@ -273,11 +279,12 @@ UpdateJournal::open(const std::string &Dir, Options Opts) {
   if (J->LogFd < 0)
     return Error::make(ErrorCode::EC_IO, "cannot open '%s/journal.log': %s",
                        Dir.c_str(), std::strerror(errno));
-  syncDir(Dir);
+  if (Error E = syncDir(Dir))
+    return E;
 
   if (Error E = J->recover())
     return E;
-  return std::move(J);
+  return J;
 }
 
 Error UpdateJournal::scanLog(const std::function<void(JournalRecord &)> &Fn,
@@ -514,8 +521,14 @@ Expected<uint64_t> UpdateJournal::appendIntent(const std::string &PatchId,
       return Error::make(ErrorCode::EC_IO,
                          "cannot publish artifact '%s': %s", Final.c_str(),
                          std::strerror(errno));
+    // An Intent must not name an artifact whose store entry a power
+    // loss could still undo: no Intent without the directory sync, and
+    // no published entry either, so a retry writes and syncs it again.
     if (Opts.Sync)
-      syncDir(Dir + "/store");
+      if (Error E = syncDir(Dir + "/store")) {
+        ::unlink(Final.c_str());
+        return E;
+      }
   }
 
   JournalRecord R;

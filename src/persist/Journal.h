@@ -167,8 +167,8 @@ public:
   /// Opens (creating if needed) the journal directory, acquires the
   /// single-writer lock, scans the log — truncating a torn tail — and
   /// rebuilds the in-memory index (one IntentEntry per Intent).  EC_IO
-  /// when the directory is locked by a live process or cannot be
-  /// created; torn/corrupt tails are recovered, not errors.
+  /// when the directory is locked by a live process, cannot be created
+  /// or cannot be synced; torn/corrupt tails are recovered, not errors.
   static Expected<std::unique_ptr<UpdateJournal>> open(const std::string &Dir,
                                                        Options Opts);
   static Expected<std::unique_ptr<UpdateJournal>> open(const std::string &Dir) {
@@ -188,7 +188,9 @@ public:
   /// Phase one of an update: content-addresses \p ArtifactText into the
   /// store and appends (+syncs) the Intent.  Returns the Intent's
   /// sequence number — the handle every later Seal references.
-  /// EC_Invalid when the artifact's hash is quarantined.
+  /// EC_Invalid when the artifact's hash is quarantined; EC_IO, with no
+  /// Intent appended, when the artifact or the store directory holding
+  /// it cannot be synced.
   Expected<uint64_t> appendIntent(const std::string &PatchId,
                                   const std::string &ArtifactText,
                                   IntentOrigin Origin);

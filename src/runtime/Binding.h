@@ -58,16 +58,6 @@ struct Binding {
   /// error-rate gate alone would miss them.
   std::shared_ptr<std::atomic<uint64_t>> Traps;
 
-  /// Raw machine-code entry when this implementation is backed by the
-  /// VTAL native tier (vtal/native/), null otherwise — set by the patch
-  /// loader when the provide's function was baseline-compiled at link
-  /// time.  Introspection only (tier visibility in the update log and
-  /// tests): calls always go through Ctx/Invoker, so tier changes never
-  /// move the binding identity the updateable slot swings between.  The
-  /// code pages stay alive through KeepAlive (the interpreter instance
-  /// holds the image; superseded images epoch-retire their pages).
-  const void *NativeEntry = nullptr;
-
   /// The id of the state-migrating patch whose commit installed this
   /// binding ("" for code-only installs).  The binding before it was
   /// written for the state's old representation, so the registry

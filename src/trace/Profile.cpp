@@ -89,7 +89,6 @@ std::vector<HotFn> ProfileRegistry::ranking(size_t K) const {
         R.Traps = F.Traps.load(std::memory_order_relaxed);
         R.SampledNs = F.SampledNs.load(std::memory_order_relaxed);
         R.Samples = F.Samples.load(std::memory_order_relaxed);
-        R.Tier = F.Tier.load(std::memory_order_relaxed);
         Rows.push_back(std::move(R));
       }
   }
@@ -131,7 +130,6 @@ std::string dsu::trace::profileJson(size_t K) {
     W.beginObject().key("patch").value(R.PatchId);
     W.key("module").value(R.Module);
     W.key("fn").value(R.Fn);
-    W.key("tier").value(R.Tier ? "native" : "interp");
     W.key("calls").value(R.Calls);
     W.key("self_fuel").value(R.SelfFuel);
     W.key("avg_fuel").value(R.Calls ? R.SelfFuel / R.Calls : 0);

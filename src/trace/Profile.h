@@ -14,9 +14,7 @@
 /// hot-function ranking and the `dsu_vtal_{calls,fuel,traps}_total`
 /// metrics.  A profile dies with its instance, once the instance's
 /// last binding leaves the rollback window; its counts fold into the
-/// registry's retired totals, so the metrics stay monotone.  Each
-/// row's tier column says whether the native tier compiled the function
-/// at load (DESIGN.md §17).
+/// registry's retired totals, so the metrics stay monotone.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -41,11 +39,6 @@ struct FnProfile {
   std::atomic<uint64_t> Traps{0};     ///< activations that trapped
   std::atomic<uint64_t> SampledNs{0}; ///< wall time of sampled activations
   std::atomic<uint64_t> Samples{0};   ///< how many activations were timed
-
-  /// Execution tier: 0 = interpreted, 1 = native (vtal/native/).  Set by
-  /// the patch loader when a compiled image covering this function is
-  /// published; describes current state, so reset() leaves it alone.
-  std::atomic<uint8_t> Tier{0};
 
   void reset() {
     Calls.store(0, std::memory_order_relaxed);
@@ -102,7 +95,6 @@ struct HotFn {
   uint64_t Traps = 0;
   uint64_t SampledNs = 0;
   uint64_t Samples = 0;
-  uint8_t Tier = 0; ///< 0 = interpreted, 1 = native
 };
 
 /// Process-wide registry of live module profiles.  The ranking covers

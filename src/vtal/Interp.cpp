@@ -5,10 +5,6 @@
 #include "support/StringUtil.h"
 #include "trace/Profile.h"
 #include "trace/Trace.h"
-#include "vtal/native/RawValue.h"
-#ifndef DSU_VTAL_NO_NATIVE
-#include "vtal/native/NativeImage.h"
-#endif
 
 #include <deque>
 
@@ -154,17 +150,7 @@ Expected<Value> Interpreter::callIndex(uint32_t FnIndex,
   const uint64_t SampleT0 = Sampled ? trace::Recorder::instance().nowNs() : 0;
 
   uint64_t Fuel = FuelLimit;
-#ifndef DSU_VTAL_NO_NATIVE
-  // Tier dispatch: a function compiled into the attached image starts in
-  // native code; everything else (and everything, when no image is
-  // attached) starts in the interpreter.  Both paths share the fuel
-  // counter, the trap vocabulary, and this boundary's profiling.
-  Expected<Value> Result = (Img && Img->compiled(FnIndex))
-                               ? runNative(FnIndex, Args, Fuel)
-                               : run(FnIndex, Args, Fuel);
-#else
   Expected<Value> Result = run(FnIndex, Args, Fuel);
-#endif
   Scratch.LastFuelUsed = FuelLimit - Fuel;
 
   if (Prof) {
@@ -194,91 +180,14 @@ Expected<Value> Interpreter::run(uint32_t FnIndex,
   for (const Value &A : Args)
     S.Arena.push_back(A);
   pushZeroLocals(S.Arena, RF, static_cast<uint32_t>(Args.size()));
-  return exec(Fuel, /*DepthBias=*/0, /*CountEntry=*/true);
+  return exec(Fuel);
 }
 
-Expected<Value> Interpreter::resumeAt(uint32_t FnIndex, uint32_t PC,
-                                      const uint64_t *FrameSlots,
-                                      const ValKind *StackKinds,
-                                      uint32_t StackDepth, uint64_t &Fuel,
-                                      uint32_t DepthBias) const {
-  if (LinkErr)
-    return LinkErr;
-  if (FnIndex >= RM.Functions.size())
-    return Error::make(ErrorCode::EC_Invalid,
-                       "resume: function index %u out of range in '%s'",
-                       FnIndex, M.Name.c_str());
-  const ResolvedFunction &RF = RM.Functions[FnIndex];
-  if (PC >= RF.Code.size())
-    return Error::make(ErrorCode::EC_Invalid,
-                       "resume: pc %u out of range in '%s'", PC,
-                       RF.Src->Name.c_str());
-  // Materialize the native frame on the arena: locals first, then the
-  // operand stack, exactly the layout a same-depth interpreted frame
-  // would have.  The dispatch loop takes over at PC with the same fuel —
-  // re-execution from here is indistinguishable from never having run
-  // natively at all (DESIGN.md §17's parity argument).
-  ExecScratch &S = Scratch;
-  uint32_t Base = static_cast<uint32_t>(S.Arena.size());
-  S.Frames.push_back(Frame{FnIndex, PC, Base});
-  for (uint32_t L = 0; L != RF.NumLocals; ++L)
-    S.Arena.push_back(native::rawToValue(RF.LocalKinds[L], FrameSlots[L]));
-  for (uint32_t K = 0; K != StackDepth; ++K)
-    S.Arena.push_back(
-        native::rawToValue(StackKinds[K], FrameSlots[RF.NumLocals + K]));
-  return exec(Fuel, DepthBias, /*CountEntry=*/false);
-}
-
-Expected<Value> Interpreter::callRaw(uint32_t FnIndex,
-                                     const uint64_t *RawArgs, uint64_t &Fuel,
-                                     uint32_t DepthBias) const {
-  if (LinkErr)
-    return LinkErr;
-  if (FnIndex >= RM.Functions.size())
-    return Error::make(ErrorCode::EC_Invalid,
-                       "bridge call: function index %u out of range in '%s'",
-                       FnIndex, M.Name.c_str());
-  const ResolvedFunction &RF = RM.Functions[FnIndex];
-  ExecScratch &S = Scratch;
-  uint32_t Base = static_cast<uint32_t>(S.Arena.size());
-  S.Frames.push_back(Frame{FnIndex, 0, Base});
-  for (uint32_t A = 0; A != RF.NumParams; ++A)
-    S.Arena.push_back(native::rawToValue(RF.LocalKinds[A], RawArgs[A]));
-  pushZeroLocals(S.Arena, RF, RF.NumParams);
-  return exec(Fuel, DepthBias, /*CountEntry=*/true);
-}
-
-Error Interpreter::callHostRaw(uint32_t Ordinal, const uint64_t *RawArgs,
-                               uint64_t &RawResult) const {
-  const Import &Imp = M.Imports[Ordinal];
-  const HostFn &Host = Imports[Ordinal];
-  if (!Host)
-    return Error::make(ErrorCode::EC_Link, "import '%s' was never bound",
-                       Imp.Name.c_str());
-  size_t NumArgs = Imp.Sig.Params.size();
-  ExecScratch &S = Scratch;
-  std::vector<Value> &CallArgs = S.pushHostArgs(NumArgs);
-  for (size_t A = 0; A != NumArgs; ++A)
-    CallArgs[A] = native::rawToValue(Imp.Sig.Params[A], RawArgs[A]);
-  Expected<Value> Result = Host(CallArgs);
-  S.popHostArgs();
-  if (Result && Result->kind() != Imp.Sig.Result)
-    return Error::make(ErrorCode::EC_Link,
-                       "host import '%s' returned %s, expected %s",
-                       Imp.Name.c_str(), valKindName(Result->kind()),
-                       valKindName(Imp.Sig.Result));
-  if (!Result)
-    return Result.takeError();
-  RawResult = native::valueToRaw(*Result);
-  return Error::success();
-}
-
-Expected<Value> Interpreter::exec(uint64_t &Fuel, uint32_t DepthBias,
-                                  bool CountEntry) const {
-  // The caller pushed exactly one frame (plus its locals and any resumed
-  // operand stack); this activation owns everything above it, and
-  // restores both vectors on every exit path, so errors and re-entrant
-  // activations cannot leak frames or values.
+Expected<Value> Interpreter::exec(uint64_t &Fuel) const {
+  // The caller pushed exactly one frame (plus its locals); this
+  // activation owns everything above it, and restores both vectors on
+  // every exit path, so errors and re-entrant activations cannot leak
+  // frames or values.
   ExecScratch &S = Scratch;
   std::vector<Frame> &Frames = S.Frames;
   std::vector<Value> &Arena = S.Arena;
@@ -320,7 +229,7 @@ Expected<Value> Interpreter::exec(uint64_t &Fuel, uint32_t DepthBias,
                                       std::memory_order_relaxed);
     }
   } ProfG{P, &ProfFn, &ProfMark, &Fuel};
-  if (P && CountEntry)
+  if (P)
     P->fn(FnIndex).Calls.fetch_add(1, std::memory_order_relaxed);
 
   auto popV = [&Arena]() {
@@ -552,7 +461,7 @@ Expected<Value> Interpreter::exec(uint64_t &Fuel, uint32_t DepthBias,
     }
 
     case Opcode::CallFn: {
-      if (Frames.size() - FrameBase + DepthBias > MaxCallDepth)
+      if (Frames.size() - FrameBase > MaxCallDepth)
         return Error::make(ErrorCode::EC_Invalid,
                            "call depth limit exceeded in '%s'",
                            Fns[I.Index].Src->Name.c_str());

@@ -32,9 +32,7 @@ namespace {
 
 int64_t gateV1(int64_t X) { return X; }
 
-/// f(x) = hold(x) + 1, where the host import blocks while x is 1.  The
-/// string local keeps f interpreted (the native tier compiles only
-/// string-free frames).
+/// f(x) = hold(x) + 1, where the host import blocks while x is 1.
 const char *GateManifest = R"dsu(
 (patch
   (id "vtal-share-gate")

@@ -4,7 +4,8 @@
 /// The counters behind dsu_syscall_tests.  The binary is linked with
 /// -Wl,--wrap for each counted function (counting_syscalls.cpp), so the
 /// counts cover every call the reactor makes, whatever its result.
-/// Only calls made on the thread under measurement count.
+/// Only calls made on the thread under measurement count.  fsync is
+/// wrapped too, not to count it but to fail it on demand.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -30,6 +31,10 @@ void startCounting();
 
 /// Stops counting and returns the counts since startCounting().
 Counts stopCounting();
+
+/// While armed, fsync of a directory fd made on this thread fails with
+/// EIO; file fds sync as usual.
+void failDirFsync(bool Armed);
 
 } // namespace syscall_pin
 

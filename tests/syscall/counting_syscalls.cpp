@@ -5,20 +5,25 @@
 /// dsu_core (a static library) and the tests make to accept4, read,
 /// writev, close, epoll_ctl, epoll_wait or setsockopt lands here first
 /// and is counted, on a thread between its syscall_pin::startCounting()
-/// and stopCounting(), before it goes on to the real function.
+/// and stopCounting(), before it goes on to the real function.  fsync
+/// lands here too, and fails for directories while failDirFsync() is
+/// armed on the calling thread.
 ///
 //===----------------------------------------------------------------------===//
 
 #include "SyscallCount.h"
 
+#include <cerrno>
 #include <sys/epoll.h>
 #include <sys/socket.h>
+#include <sys/stat.h>
 #include <sys/uio.h>
 
 namespace {
 
 thread_local bool Counting = false;
 thread_local syscall_pin::Counts Tally;
+thread_local bool FailDirFsync = false;
 
 void note(uint64_t syscall_pin::Counts::*Field) {
   if (Counting)
@@ -39,6 +44,8 @@ Counts stopCounting() {
   return Tally;
 }
 
+void failDirFsync(bool Armed) { FailDirFsync = Armed; }
+
 } // namespace syscall_pin
 
 extern "C" {
@@ -51,6 +58,7 @@ int __real_epoll_ctl(int EpFd, int Op, int Fd, epoll_event *Ev);
 int __real_epoll_wait(int EpFd, epoll_event *Evs, int Max, int TimeoutMs);
 int __real_setsockopt(int Fd, int Level, int Name, const void *Val,
                       socklen_t Len);
+int __real_fsync(int Fd);
 
 int __wrap_accept4(int Fd, sockaddr *Addr, socklen_t *Len, int Flags) {
   note(&syscall_pin::Counts::Accept4);
@@ -86,6 +94,15 @@ int __wrap_setsockopt(int Fd, int Level, int Name, const void *Val,
                       socklen_t Len) {
   note(&syscall_pin::Counts::Setsockopt);
   return __real_setsockopt(Fd, Level, Name, Val, Len);
+}
+
+int __wrap_fsync(int Fd) {
+  struct stat St;
+  if (FailDirFsync && ::fstat(Fd, &St) == 0 && S_ISDIR(St.st_mode)) {
+    errno = EIO;
+    return -1;
+  }
+  return __real_fsync(Fd);
 }
 
 } // extern "C"

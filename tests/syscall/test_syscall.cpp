@@ -12,17 +12,21 @@
 ///
 /// The same binary checks the two kernel behaviours the reactor relies
 /// on: an accepted socket inherits TCP_NODELAY from its listener, and a
-/// socket closed without EPOLL_CTL_DEL leaves the epoll set.
+/// socket closed without EPOLL_CTL_DEL leaves the epoll set.  It also
+/// fails directory fsyncs on demand, to check that the update journal
+/// refuses what it cannot make durable.
 ///
 //===----------------------------------------------------------------------===//
 
 #include "SyscallCount.h"
 
 #include "net/Reactor.h"
+#include "persist/Journal.h"
 
 #include <gtest/gtest.h>
 
 #include <arpa/inet.h>
+#include <cstdlib>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
 #include <string>
@@ -299,6 +303,48 @@ TEST(KernelAssumptionTest, SocketClosedWithoutEpollCtlDelLeavesTheSet) {
   EXPECT_EQ(::epoll_wait(Ep, Out, 4, 50), 0);
   ::close(Ep);
   ::close(L);
+}
+
+/// An empty journal directory under the test temp dir.
+std::string freshJournalDir(const std::string &Name) {
+  std::string D = ::testing::TempDir() + "dsu_syscall_" + Name;
+  std::system(("rm -rf '" + D + "'").c_str());
+  return D;
+}
+
+TEST(JournalDirSyncTest, FailedStoreSyncRefusesTheIntent) {
+  // The artifact's rename into the store is durable only once the store
+  // directory is synced.  When that sync fails, no Intent may name the
+  // artifact: replay after a power loss could not read it back.
+  Expected<std::unique_ptr<persist::UpdateJournal>> J =
+      persist::UpdateJournal::open(freshJournalDir("intent"));
+  ASSERT_TRUE(J) << J.takeError().str();
+  const std::string Art = "(patch (id \"dirsync\"))";
+  syscall_pin::failDirFsync(true);
+  Expected<uint64_t> Seq =
+      (*J)->appendIntent("dirsync", Art, persist::IntentOrigin::Operator);
+  syscall_pin::failDirFsync(false);
+  ASSERT_FALSE(Seq) << "Intent " << *Seq << " appended without a store sync";
+  EXPECT_EQ(Seq.error().code(), ErrorCode::EC_IO);
+  for (const persist::JournalRecord &R : (*J)->records())
+    EXPECT_NE(R.Kind, persist::RecordKind::Intent);
+
+  // Once the directory syncs again, a retry publishes and logs it.
+  Seq = (*J)->appendIntent("dirsync", Art, persist::IntentOrigin::Operator);
+  ASSERT_TRUE(Seq) << Seq.takeError().str();
+  Expected<std::string> Back =
+      (*J)->readArtifact(persist::UpdateJournal::artifactHash(Art));
+  ASSERT_TRUE(Back) << Back.takeError().str();
+  EXPECT_EQ(*Back, Art);
+}
+
+TEST(JournalDirSyncTest, FailedDirectorySyncRefusesOpen) {
+  syscall_pin::failDirFsync(true);
+  Expected<std::unique_ptr<persist::UpdateJournal>> J =
+      persist::UpdateJournal::open(freshJournalDir("open"));
+  syscall_pin::failDirFsync(false);
+  ASSERT_FALSE(J) << "journal opened without syncing its directory";
+  EXPECT_EQ(J.error().code(), ErrorCode::EC_IO);
 }
 
 } // namespace

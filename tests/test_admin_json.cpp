@@ -36,7 +36,8 @@ namespace {
 constexpr unsigned kWorkers = 2;
 
 /// A benign code-only patch for the rollout endpoints: map_url becomes
-/// a passthrough (the scenario never requests "/").
+/// a passthrough (the scenario never requests "/").  Its dead tail is an
+/// analyzer warning, so /admin/lint has a finding list to pin.
 const char *MapUrlPatch = R"dsu(
 (patch
   (id "admin-json-map-url")
@@ -48,6 +49,8 @@ const char *MapUrlPatch = R"dsu(
   (vtal-module
 "module admin_json
 func map_url (target: string) -> string {
+  load target
+  ret
   load target
   ret
 }"))
@@ -64,7 +67,7 @@ const Keys AnalysisKeys = {"analysis_errors", "analysis_warnings",
 const Keys RolloutKeys = {"id",        "tx",        "patch",     "state",
                           "verdict",   "canary_mask", "window_ms",
                           "detect_ms", "revert_ms", "canary",    "control"};
-const Keys FindingKeys = {"severity", "code", "message", "fn"};
+const Keys FindingKeys = {"severity", "code", "message", "fn", "pc"};
 const Keys ErrorKeys = {"error"};
 const Keys RetryableErrorKeys = {"error", "retryable"};
 
@@ -300,8 +303,8 @@ TEST_F(AdminJsonTest, EveryBodyParsesWithPinnedKeys) {
   expectEvery(V, "control",
               {"requests", "serves", "errors_5xx", "error_rate"});
 
-  // --- GET /admin/lint?id=1: the parse fix's finding list.
-  V = fetch("GET", "/admin/lint?id=1", 200);
+  // --- GET /admin/lint?id=2: the map_url patch's finding list.
+  V = fetch("GET", "/admin/lint?id=2", 200);
   EXPECT_TRUE(V.Canonical) << LastBody;
   expectEvery(V, "",
               {"tx", "patch", "phase", "analysis_ran", "analysis_ms",
@@ -334,9 +337,8 @@ TEST_F(AdminJsonTest, EveryBodyParsesWithPinnedKeys) {
   expectEvery(V, "", {"total_calls", "total_fuel", "total_traps",
                       "functions"});
   expectEach(V, "functions[]",
-             {{"patch", "module", "fn", "tier", "calls", "self_fuel",
-               "avg_fuel", "traps", "sampled_us", "samples",
-               "avg_sample_us"}});
+             {{"patch", "module", "fn", "calls", "self_fuel", "avg_fuel",
+               "traps", "sampled_us", "samples", "avg_sample_us"}});
   EXPECT_FALSE(V.Shapes["functions[]"].empty()) << LastBody;
 
   // --- POST /admin/rollback: 200 for a patched slot.

@@ -11,6 +11,8 @@
 /// Run alone with `ctest -L persist`.  The subprocess drills kill child
 /// processes, so this binary is excluded from the TSan lane.
 
+#include "WaitFor.h"
+
 #include "core/Runtime.h"
 #include "flashed/App.h"
 #include "flashed/Client.h"
@@ -41,14 +43,6 @@ using namespace dsu;
 using namespace dsu::flashed;
 
 namespace {
-
-#define WAIT_FOR(Pred)                                                     \
-  do {                                                                     \
-    int Spin_ = 0;                                                         \
-    while (!(Pred) && Spin_++ != 5000)                                     \
-      std::this_thread::sleep_for(std::chrono::milliseconds(2));           \
-    ASSERT_TRUE(Pred) << "timed out waiting for: " #Pred;                  \
-  } while (0)
 
 /// A code-only patch making mime_type return the constant \p CType — a
 /// response byte every crash-recovery assertion can see on the wire.

@@ -6,6 +6,8 @@
 /// — the paper's "update at quiescence" guarantee, preserved per worker
 /// and coordinated across all of them.
 
+#include "WaitFor.h"
+
 #include "flashed/App.h"
 #include "flashed/Client.h"
 #include "flashed/Patches.h"
@@ -89,16 +91,6 @@ size_t countOccurrences(const std::string &Hay, const std::string &Needle) {
     ++Count;
   return Count;
 }
-
-/// Spins (bounded) until \p Pred holds; asserts instead of hanging the
-/// suite when loader threads die early and the condition never comes.
-#define WAIT_FOR(Pred)                                                     \
-  do {                                                                     \
-    int Spin_ = 0;                                                         \
-    while (!(Pred) && Spin_++ != 5000)                                     \
-      std::this_thread::sleep_for(std::chrono::milliseconds(2));           \
-    ASSERT_TRUE(Pred) << "timed out waiting for: " #Pred;                  \
-  } while (0)
 
 /// FlashEd on a kWorkers-wide pool with the admin plane enabled.
 class ReactorPoolTest : public ::testing::Test {

@@ -12,6 +12,8 @@
 ///
 /// Run alone with `ctest -L epoch`.
 
+#include "WaitFor.h"
+
 #include "epoch/Epoch.h"
 #include "flashed/App.h"
 #include "flashed/Client.h"
@@ -24,9 +26,6 @@
 #include "runtime/RolloutController.h"
 #include "runtime/UpdateController.h"
 #include "trace/Trace.h"
-#ifndef DSU_VTAL_NO_NATIVE
-#include "vtal/native/NativeImage.h"
-#endif
 
 #include <gtest/gtest.h>
 
@@ -42,14 +41,6 @@ using namespace dsu::flashed;
 namespace {
 
 constexpr unsigned kWorkers = 3;
-
-#define WAIT_FOR(Pred)                                                     \
-  do {                                                                     \
-    int Spin_ = 0;                                                         \
-    while (!(Pred) && Spin_++ != 5000)                                     \
-      std::this_thread::sleep_for(std::chrono::milliseconds(2));           \
-    ASSERT_TRUE(Pred) << "timed out waiting for: " #Pred;                  \
-  } while (0)
 
 int64_t retOne(int64_t) { return 1; }
 int64_t retTwo(int64_t) { return 2; }
@@ -371,132 +362,6 @@ TEST(RollingRollbackTest, TwoSlotRollbackIsAtomicPerReader) {
   epoch::Guard Fresh;
   EXPECT_EQ((*F)(0), 1);
   EXPECT_EQ((*S)(0), 1);
-}
-
-/// A code-only VTAL patch whose functions the native tier compiles at
-/// link time must behave exactly like any other code-only patch: it
-/// commits rolling with zero barrier rounds and zero parks under live
-/// load.  Superseded machine-code pages stay resident while the slot
-/// lives (an in-flight worker may still be executing them — the PLDI
-/// 2001 old-code-stays rule), and when the bindings finally release
-/// they leave through the epoch domain, never a straight munmap.
-/// (This is the TSan acceptance case: the `ctest -L epoch` binary runs
-/// under the TSan CI lane.)
-TEST(RollingNativeTest, NativeCodePatchRollsAndRetiresSupersededPages) {
-#ifdef DSU_VTAL_NO_NATIVE
-  GTEST_SKIP() << "native tier compiled out (DSU_VTAL_NATIVE=OFF)";
-#else
-  using vtal::native::NativeStats;
-  NativeStats &S = NativeStats::instance();
-  uint64_t RetiredBefore = S.ArenasRetired.load(std::memory_order_relaxed);
-  uint64_t EntriesBefore = S.NativeEntries.load(std::memory_order_relaxed);
-
-  {
-    Runtime RT;
-    auto F = RT.defineUpdateable("pair.first", &retOne);
-    auto S2 = RT.defineUpdateable("pair.second", &retOne);
-    ASSERT_TRUE(F);
-    ASSERT_TRUE(S2);
-    Updateable<int64_t(int64_t)> First = *F, Second = *S2;
-
-    net::PoolOptions O;
-    O.Workers = kWorkers;
-    O.PollTimeoutMs = 2;
-    net::ReactorPool Pool(
-        [&](const RequestHead &Head, std::string_view, std::string &Out,
-            SharedBody &) {
-          std::string Body =
-              std::to_string(First(0)) + "," + std::to_string(Second(0));
-          appendHttpResponse(Out, 200, "text/plain", Body, Head.KeepAlive);
-        },
-        O);
-    Pool.setUpdateRuntime(RT);
-    ASSERT_FALSE(Pool.start());
-
-    auto MakeVtalPair = [&](int64_t N) {
-      std::string Id = "vtal-pair-v" + std::to_string(N);
-      std::string Text = R"dsu(
-(patch
-  (id ")dsu" + Id + R"dsu(")
-  (description "code-only VTAL pair, native-compiled at link")
-  (provides
-    (fn (name "pair.first")
-        (type "fn(int) -> int")
-        (vtal-fn "both"))
-    (fn (name "pair.second")
-        (type "fn(int) -> int")
-        (vtal-fn "both")))
-  (vtal-module
-"module vtal_pair
-func both (x: int) -> int {
-  push.i )dsu" + std::to_string(N) + R"dsu(
-  ret
-}"))
-)dsu";
-      return loadVtalPatch(RT.types(), RT.exports(), Text);
-    };
-
-    std::atomic<bool> Stop{false};
-    std::atomic<uint64_t> Served{0};
-    std::vector<std::thread> Loaders;
-    for (unsigned T = 0; T != kWorkers; ++T)
-      Loaders.emplace_back([&] {
-        KeepAliveClient C;
-        ASSERT_FALSE(C.connectTo(Pool.port()));
-        while (!Stop.load())
-          if (C.get("/pair"))
-            Served.fetch_add(1);
-          else
-            break;
-      });
-    WAIT_FOR(Served.load() >= 50);
-
-    // Two generations: v7 supersedes the seed, v8 supersedes v7's
-    // machine code while workers are still hitting the slot.
-    for (int64_t V = 7; V != 9; ++V) {
-      Expected<Patch> P = MakeVtalPair(V);
-      ASSERT_TRUE(P) << P.takeError().str();
-      // Both provides were baseline-compiled at link time.
-      for (const ProvideRequest &Prov : P->Unit.Provides)
-        EXPECT_NE(Prov.Code.NativeEntry, nullptr)
-            << Prov.Name << " was not native-compiled";
-      RT.requestUpdate(std::move(*P));
-      Pool.wake();
-      WAIT_FOR(RT.updatesApplied() >= static_cast<uint64_t>(V - 6));
-      uint64_t Now = Served.load();
-      WAIT_FOR(Served.load() >= Now + 20);
-    }
-    Stop.store(true);
-    for (std::thread &T : Loaders)
-      T.join();
-
-    // Native-backed code-only patches take the rolling path, not the
-    // barrier, and worker requests actually ran the machine code.
-    EXPECT_EQ(RT.rollingCommits(), 2u);
-    EXPECT_EQ(Pool.barrierRounds(), 0u)
-        << "a native code-only patch armed the barrier";
-    EXPECT_GT(S.NativeEntries.load(std::memory_order_relaxed),
-              EntriesBefore);
-    for (unsigned I = 0; I != kWorkers; ++I) {
-      Expected<FetchResult> R = httpGet(Pool.port(), "/pair");
-      ASSERT_TRUE(R);
-      EXPECT_EQ(R->Body, "8,8");
-    }
-
-    // While the slots live, v7's superseded pages must still be
-    // resident (a parked worker could hold a frame in them).
-    EXPECT_EQ(S.ArenasRetired.load(std::memory_order_relaxed),
-              RetiredBefore)
-        << "superseded pages were reclaimed while the slot was live";
-    Pool.stop();
-    // Runtime teardown releases the binding history and with it both
-    // VTAL instances' images.
-  }
-  EXPECT_GE(S.ArenasRetired.load(std::memory_order_relaxed),
-            RetiredBefore + 2)
-      << "superseded native pages were never epoch-retired";
-  epoch::domain().reclaim();
-#endif // DSU_VTAL_NO_NATIVE
 }
 
 /// A worker stuck mid-request must not delay a rolling commit (that is

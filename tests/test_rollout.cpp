@@ -16,6 +16,8 @@
 ///
 /// Run alone with `ctest -L rollout`.
 
+#include "WaitFor.h"
+
 #include "flashed/App.h"
 #include "flashed/Client.h"
 #include "flashed/DocStore.h"
@@ -54,14 +56,6 @@ size_t countOccurrencesOf(const std::string &Hay,
     ++Count;
   return Count;
 }
-
-#define WAIT_FOR(Pred)                                                     \
-  do {                                                                     \
-    int Spin_ = 0;                                                         \
-    while (!(Pred) && Spin_++ != 5000)                                     \
-      std::this_thread::sleep_for(std::chrono::milliseconds(2));           \
-    ASSERT_TRUE(Pred) << "timed out waiting for: " #Pred;                  \
-  } while (0)
 
 /// A benign code-only patch: map_url becomes a straight passthrough
 /// (the fixture never requests "/", the only target v1 rewrites).

@@ -6,6 +6,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstdint>
+#include <utility>
+#include <vector>
+
 using namespace dsu;
 using namespace dsu::vtal;
 
@@ -233,6 +238,162 @@ func f (a: int, b: int) -> int {
   ASSERT_FALSE(Bad);
   EXPECT_NE(Bad.error().message().find("division by zero"),
             std::string::npos);
+}
+
+TEST(InterpTest, DivisionOverflowTraps) {
+  Module M = mustAssembleVerified(R"(
+module ovf
+func div (a: int, b: int) -> int {
+  load a
+  load b
+  div
+  ret
+}
+func rem (a: int, b: int) -> int {
+  load a
+  load b
+  rem
+  ret
+}
+)");
+  Interpreter I(M);
+  const Value Min = Value::makeInt(INT64_MIN);
+  const Value MinusOne = Value::makeInt(-1);
+  // INT64_MIN / -1 and INT64_MIN % -1 have no int64 result: both trap
+  // at the div/rem instruction, with fuel charged through it.
+  Expected<Value> Q = I.call("div", {Min, MinusOne});
+  ASSERT_FALSE(Q);
+  EXPECT_EQ(Q.error().message(),
+            "integer overflow in division in 'div' at pc 2");
+  EXPECT_EQ(I.lastFuelUsed(), 3u);
+  Expected<Value> R = I.call("rem", {Min, MinusOne});
+  ASSERT_FALSE(R);
+  EXPECT_EQ(R.error().message(),
+            "integer overflow in division in 'rem' at pc 2");
+  EXPECT_EQ(I.lastFuelUsed(), 3u);
+
+  // Neighbouring operands are ordinary, truncating toward zero.
+  Expected<Value> Q1 = I.call("div", {Min, Value::makeInt(1)});
+  ASSERT_TRUE(Q1) << Q1.error().str();
+  EXPECT_EQ(Q1->asInt(), INT64_MIN);
+  Expected<Value> Q2 = I.call("div", {Value::makeInt(INT64_MAX), MinusOne});
+  ASSERT_TRUE(Q2) << Q2.error().str();
+  EXPECT_EQ(Q2->asInt(), -INT64_MAX);
+  Expected<Value> R1 = I.call("rem", {Value::makeInt(-7), Value::makeInt(2)});
+  ASSERT_TRUE(R1) << R1.error().str();
+  EXPECT_EQ(R1->asInt(), -1);
+  EXPECT_EQ(I.lastFuelUsed(), 4u);
+}
+
+TEST(InterpTest, NegWrapsAtInt64Min) {
+  Module M = mustAssembleVerified(R"(
+module negw
+func f (a: int) -> int {
+  load a
+  neg
+  ret
+}
+)");
+  Interpreter I(M);
+  Expected<Value> R = I.call("f", {Value::makeInt(INT64_MIN)});
+  ASSERT_TRUE(R) << R.error().str();
+  EXPECT_EQ(R->asInt(), INT64_MIN);
+  Expected<Value> R2 = I.call("f", {Value::makeInt(INT64_MAX)});
+  ASSERT_TRUE(R2) << R2.error().str();
+  EXPECT_EQ(R2->asInt(), -INT64_MAX);
+}
+
+TEST(InterpTest, NaNComparesUnordered) {
+  Module M = mustAssembleVerified(R"(
+module nan
+func nan () -> float {
+  push.f 0.0
+  push.f 0.0
+  fdiv
+  ret
+}
+func feq (a: float, b: float) -> bool {
+  load a
+  load b
+  feq
+  ret
+}
+func fne (a: float, b: float) -> bool {
+  load a
+  load b
+  fne
+  ret
+}
+func flt (a: float, b: float) -> bool {
+  load a
+  load b
+  flt
+  ret
+}
+func fle (a: float, b: float) -> bool {
+  load a
+  load b
+  fle
+  ret
+}
+func fgt (a: float, b: float) -> bool {
+  load a
+  load b
+  fgt
+  ret
+}
+func fge (a: float, b: float) -> bool {
+  load a
+  load b
+  fge
+  ret
+}
+)");
+  Interpreter I(M);
+  Expected<Value> N = I.call("nan", {});
+  ASSERT_TRUE(N) << N.error().str();
+  ASSERT_TRUE(std::isnan(N->asFloat()));
+  const Value One = Value::makeFloat(1.0);
+  // Every ordered comparison with a NaN operand is false; only fne holds.
+  const std::pair<const char *, bool> Want[] = {
+      {"feq", false}, {"fne", true},  {"flt", false},
+      {"fle", false}, {"fgt", false}, {"fge", false}};
+  for (const auto &[Fn, Expect] : Want)
+    for (const auto &Args : {std::vector<Value>{*N, *N},
+                             std::vector<Value>{*N, One},
+                             std::vector<Value>{One, *N}}) {
+      Expected<Value> R = I.call(Fn, Args);
+      ASSERT_TRUE(R) << Fn << ": " << R.error().str();
+      EXPECT_EQ(R->asBool(), Expect) << Fn;
+    }
+}
+
+TEST(InterpTest, FuelTrapsExactlyAtTheLimit) {
+  // Four instructions: a budget of 4 runs them all, a budget of 3 traps
+  // on the fourth with the whole budget spent.
+  const char *Src = R"(
+module four
+func f () -> int {
+  push.i 1
+  push.i 2
+  add
+  ret
+}
+)";
+  Module M = mustAssembleVerified(Src);
+  Interpreter Enough(M, /*Fuel=*/4);
+  Expected<Value> R = Enough.call("f", {});
+  ASSERT_TRUE(R) << R.error().str();
+  EXPECT_EQ(R->asInt(), 3);
+  EXPECT_EQ(Enough.lastFuelUsed(), 4u);
+
+  Interpreter Short(M, /*Fuel=*/3);
+  Expected<Value> T = Short.call("f", {});
+  ASSERT_FALSE(T);
+  EXPECT_NE(T.error().message().find("fuel exhausted in 'f'"),
+            std::string::npos)
+      << T.error().message();
+  EXPECT_EQ(Short.lastFuelUsed(), 3u);
 }
 
 TEST(InterpTest, FuelExhaustionTraps) {

@@ -167,9 +167,8 @@ TEST(VtalSharingTest, CrossModuleReentryMatchesSoloRuns) {
 int64_t stressV1(int64_t X) { return -X; }
 
 /// f(x) loops x % 13 times, then divides by x % 64: every input in
-/// [0, 128) has its own fuel, and 0 and 64 trap.  Its string local keeps
-/// it interpreted (the native tier compiles only string-free frames), so
-/// every call runs on the calling thread's scratch.
+/// [0, 128) has its own fuel, and 0 and 64 trap.  Every call runs on the
+/// calling thread's scratch.
 const char *StressManifest = R"dsu(
 (patch
   (id "vtal-sharing-stress")
@@ -269,7 +268,6 @@ TEST(VtalSharingTest, ConcurrentCallersMatchSingleThreadReference) {
   for (const trace::HotFn &F : trace::ProfileRegistry::instance().ranking(0))
     if (F.PatchId == "vtal-sharing-stress" && F.Fn == "f") {
       Found = true;
-      EXPECT_EQ(F.Tier, 0u); // interpreted
       EXPECT_EQ(F.Calls, uint64_t(Threads) * CallsPerThread);
       EXPECT_EQ(F.Traps, TrapCalls.load());
     }

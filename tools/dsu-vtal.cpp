@@ -18,9 +18,6 @@
 #include "vtal/Bytecode.h"
 #include "vtal/Interp.h"
 #include "vtal/Verifier.h"
-#ifndef DSU_VTAL_NO_NATIVE
-#include "vtal/native/NativeImage.h"
-#endif
 
 #include <cstdio>
 #include <cstdlib>
@@ -118,15 +115,6 @@ int main(int argc, char **argv) {
       return 1;
     }
     Interpreter I(M);
-#ifndef DSU_VTAL_NO_NATIVE
-    // The runtime's patch loader rule: every representable function runs
-    // native, so CLI runs report the fuel/trap behaviour an updated
-    // process sees.
-    Expected<std::shared_ptr<const vtal::native::NativeImage>> Img =
-        vtal::native::NativeImage::compile(I.resolved());
-    if (Img && (*Img)->compiledCount() != 0)
-      I.setNativeImage(*Img);
-#endif
     std::vector<Value> Args;
     for (int A = 4; A < argc; ++A)
       Args.push_back(Value::makeInt(std::atoll(argv[A])));
